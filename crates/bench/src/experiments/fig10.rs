@@ -8,7 +8,7 @@ use rbv_core::series::Metric;
 use rbv_core::signature::{BankEntry, RecentPastPredictor, SignatureBank};
 use rbv_workloads::AppId;
 
-use crate::harness::{print_table, requests_of, scale_of, section, standard_run};
+use crate::harness::{print_table, requests_of, section, standard_run};
 
 /// Prediction-error curves for one application.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ pub fn compute(fast: bool) -> Vec<PredictionCurves> {
         // Signatures: L2 references per instruction — inherent behavior,
         // free of dynamic L2 contention (§4.4) — bucketed at one progress
         // step per bucket.
-        let unit_sim = unit_ins_paper(app) * scale_of(app);
+        let unit_sim = unit_ins_paper(app) * app.harness_scale();
         let series_of = |r: &rbv_os::CompletedRequest| r.series(Metric::L2RefsPerIns, unit_sim);
 
         let (bank_reqs, eval_reqs) = result

@@ -12,7 +12,7 @@ use rbv_os::{run_simulation, SchedulerPolicy, SimConfig};
 use rbv_sim::Cycles;
 use rbv_workloads::AppId;
 
-use crate::harness::{print_table, requests_of, scale_of, section};
+use crate::harness::{print_table, requests_of, section};
 use rbv_workloads::factory_for;
 
 /// Results for one (application, scheduler) pair, averaged over runs.
@@ -46,7 +46,7 @@ fn sched_scale(app: AppId) -> f64 {
         // multi-millisecond granularity relative to the 5 ms rescheduling
         // interval and the 1 ms prediction unit.
         AppId::Webwork => 1.0,
-        _ => scale_of(app),
+        _ => app.harness_scale(),
     }
 }
 

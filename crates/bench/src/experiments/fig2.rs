@@ -6,7 +6,7 @@ use rbv_core::series::Metric;
 use rbv_os::CompletedRequest;
 use rbv_workloads::{AppId, RequestClass, RubisInteraction, TpccTxn};
 
-use crate::harness::{bucket_ins, requests_of, scale_of, section, standard_run};
+use crate::harness::{bucket_ins, requests_of, section, standard_run};
 
 /// One application's representative request trace.
 #[derive(Debug, Clone)]
@@ -99,7 +99,7 @@ pub fn run(fast: bool) -> Vec<RequestTrace> {
             t.cpi.len(),
             t.bucket_ins / 1e6,
             total_m,
-            scale_of(t.app),
+            t.app.harness_scale(),
             t.cpi_cov()
         );
         println!("  progress(Mins)    CPI   L2refs/ins  L2miss/ref");

@@ -5,7 +5,7 @@
 use rbv_os::result::next_syscall_cumulative;
 use rbv_workloads::AppId;
 
-use crate::harness::{print_table, requests_of, scale_of, section, standard_run};
+use crate::harness::{print_table, requests_of, section, standard_run};
 
 /// Cumulative next-syscall-distance curves for one application.
 #[derive(Debug, Clone)]
@@ -41,10 +41,11 @@ pub fn compute(fast: bool) -> Vec<SyscallDistance> {
         let cycle_gaps: Vec<f64> = gaps.iter().map(|g| g.cycles).collect();
         let ins_gaps: Vec<f64> = gaps.iter().map(|g| g.instructions).collect();
         // Distances are reported in paper-scale units: the harness runs
-        // long-request applications scaled down by `scale_of`, which
-        // shrinks syscall gaps proportionally, so a paper distance `d`
-        // corresponds to a simulated distance `d * scale`.
-        let s = scale_of(app);
+        // long-request applications scaled down by
+        // `AppId::harness_scale`, which shrinks syscall gaps
+        // proportionally, so a paper distance `d` corresponds to a
+        // simulated distance `d * scale`.
+        let s = app.harness_scale();
         let time_curve = US_POINTS
             .iter()
             .map(|&us| (us, next_syscall_cumulative(&cycle_gaps, us * 3_000.0 * s)))

@@ -12,22 +12,6 @@ use rbv_core::series::Metric;
 use rbv_os::{run_simulation, RunResult, SimConfig};
 use rbv_workloads::{factory_for, AppId, RequestFactory};
 
-/// Per-application instruction-count scale used by the harness.
-///
-/// WeBWorK requests run ~600 M instructions and TPC-H queries ~100 M at
-/// paper scale; the harness scales the two long-request applications down
-/// (keeping every ratio — request length spreads, syscall densities, phase
-/// granularity relative to sampling period — intact) so the full
-/// experiment suite completes in minutes. EXPERIMENTS.md documents this.
-pub fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::WebServer | AppId::Tpcc | AppId::Rubis => 1.0,
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        AppId::MbenchSpin | AppId::MbenchData => 1.0,
-    }
-}
-
 /// Standard request count per application for distribution experiments,
 /// shrunk in `fast` mode (used by integration tests).
 pub fn requests_of(app: AppId, fast: bool) -> usize {
@@ -48,7 +32,7 @@ pub fn requests_of(app: AppId, fast: bool) -> usize {
 
 /// Builds the standard factory for `app` at the harness scale.
 pub fn standard_factory(app: AppId, seed: u64) -> Box<dyn RequestFactory + Send> {
-    factory_for(app, seed, scale_of(app))
+    factory_for(app, seed, app.harness_scale())
 }
 
 /// Runs `app` with the paper's per-application interrupt sampling period
@@ -69,7 +53,7 @@ pub fn bucket_ins(app: AppId) -> f64 {
     match app {
         AppId::WebServer => 10e3,
         AppId::Tpcc => 60e3,
-        AppId::Tpch => 1.2e6 * scale_of(AppId::Tpch).max(0.01) / 0.5,
+        AppId::Tpch => 1.2e6 * AppId::Tpch.harness_scale().max(0.01) / 0.5,
         AppId::Rubis => 120e3,
         AppId::Webwork => 1.5e6,
         AppId::MbenchSpin | AppId::MbenchData => 100e3,
@@ -152,7 +136,7 @@ mod tests {
     #[test]
     fn scales_and_counts_are_positive() {
         for app in AppId::SERVER_APPS {
-            assert!(scale_of(app) > 0.0);
+            assert!(app.harness_scale() > 0.0);
             assert!(requests_of(app, true) >= 20);
             assert!(requests_of(app, false) > requests_of(app, true));
             assert!(bucket_ins(app) > 0.0);

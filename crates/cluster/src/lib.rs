@@ -43,6 +43,7 @@ use rbv_os::{
     ArrivalProcess, CompletedRequest, Machine, RbvError, RunResult, RunStats, SchedulerPolicy,
     SimConfig,
 };
+use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
 use rbv_telemetry::{Json, TraceEvent, TraceSink};
 use rbv_trace::{ClusterSpanRecord, TierSpanCollector, TierSummary};
@@ -58,26 +59,6 @@ const SHARD_TARGET: usize = 16_384;
 /// Shard-count cap (same rationale as the serve harness: the plan must
 /// be independent of the worker pool).
 const MAX_SHARDS: usize = 64;
-
-/// SplitMix64 finalizer — same constants as the engine's decision
-/// hashes, used for shard seeds and per-hop payload sizes so neither
-/// consumes an RNG stream.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Harness scale for the long-request applications (mirrors the serve
-/// and chaos harnesses so cluster runs finish in reasonable time).
-fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        _ => 1.0,
-    }
-}
 
 /// How many machines the cluster steps and where stages land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,19 +203,9 @@ impl ClusterSpec {
     }
 }
 
-/// The shard plan: per-shard request counts summing to `requests`, a
-/// pure function of the request count alone (never of `--threads`).
-fn shard_plan(requests: usize) -> Vec<usize> {
-    let shards = requests.div_ceil(SHARD_TARGET).clamp(1, MAX_SHARDS);
-    let base = requests / shards;
-    let rem = requests % shards;
-    (0..shards).map(|i| base + usize::from(i < rem)).collect()
-}
-
-/// The shard seed for shard `index` — SplitMix64 of `(seed, index)`,
-/// the workspace-wide idiom.
+/// The shard seed for shard `index` under the cluster harness's salt.
 pub fn shard_seed(seed: u64, index: usize) -> u64 {
-    splitmix64(splitmix64(seed ^ 0xC105_7E12).wrapping_add(index as u64))
+    rng::shard_seed(seed, 0xC105_7E12, index)
 }
 
 /// Exponential gap draw, mirroring the engine's open-loop arrival
@@ -270,7 +241,7 @@ fn machine_config(
 ) -> SimConfig {
     let mut cfg =
         SimConfig::paper_default().with_interrupt_sampling(spec.app.sampling_period_micros());
-    cfg.seed = splitmix64(shard_seed_value ^ (0xFEED_0000 + machine as u64));
+    cfg.seed = mix64(shard_seed_value ^ (0xFEED_0000 + machine as u64));
     cfg.arrivals = ArrivalProcess::External;
     if let Some(high_usage_threshold) = threshold {
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
@@ -426,7 +397,7 @@ struct ShardOutput {
 /// The hop payload size in bytes — hash-derived (consumes no RNG
 /// stream): 256 B to 4 KiB, a request/response envelope.
 fn hop_bytes(shard_seed_value: u64, rid: u64, hop: u32) -> u64 {
-    256 + splitmix64(shard_seed_value ^ (rid << 20) ^ (u64::from(hop) << 52)) % 3840
+    256 + mix64(shard_seed_value ^ (rid << 20) ^ (u64::from(hop) << 52)) % 3840
 }
 
 /// One shard's slice of the plan: its derived seed, request count, and
@@ -468,8 +439,8 @@ fn run_tier_shard(
         // API is uniform; give each a distinct derived seed anyway.
         factories.push(factory_for(
             spec.app,
-            splitmix64(shard_seed_value ^ (0xFAC7_0000 + m as u64)),
-            scale_of(spec.app),
+            mix64(shard_seed_value ^ (0xFAC7_0000 + m as u64)),
+            spec.app.harness_scale(),
         ));
     }
     for (machine, factory) in machines.iter_mut().zip(factories.iter_mut()) {
@@ -481,8 +452,8 @@ fn run_tier_shard(
 
     let cores = SimConfig::paper_default().machine.topology.cores as f64;
     let mean_gap = (mean_service / (cores * spec.overload)).max(1.0);
-    let mut arrival_rng = SimRng::seed_from(splitmix64(shard_seed_value ^ 0xA441_73A1));
-    let mut factory = factory_for(spec.app, shard_seed_value, scale_of(spec.app));
+    let mut arrival_rng = SimRng::seed_from(mix64(shard_seed_value ^ 0xA441_73A1));
+    let mut factory = factory_for(spec.app, shard_seed_value, spec.app.harness_scale());
 
     let mut collector = if retain {
         TierSpanCollector::retaining()
@@ -739,7 +710,7 @@ fn run_single_shard(
     retain: bool,
 ) -> Result<ShardOutput, RbvError> {
     let cfg = single_machine_config(spec, mean_service, shard_seed_value, threshold);
-    let mut factory = factory_for(spec.app, shard_seed_value, scale_of(spec.app));
+    let mut factory = factory_for(spec.app, shard_seed_value, spec.app.harness_scale());
     let result = machine_loop_run(cfg, factory.as_mut(), n)?;
     let mut collector = if retain {
         TierSpanCollector::retaining()
@@ -815,7 +786,7 @@ fn run_shard(
         ClusterTopology::Single => {
             let threshold = if spec.easing {
                 let stock = single_machine_config(spec, mean_service, seed, None);
-                let mut factory = factory_for(spec.app, seed, scale_of(spec.app));
+                let mut factory = factory_for(spec.app, seed, spec.app.harness_scale());
                 let result = machine_loop_run(stock, factory.as_mut(), n)?;
                 let mut samples = Vec::new();
                 for done in &result.completed {
@@ -1063,7 +1034,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
     spec.validate()?;
     let started = spec.wallclock.then(std::time::Instant::now);
     let mean_service = probe_mean_service(spec.app, spec.seed)?;
-    let plan = shard_plan(spec.requests);
+    let plan = rbv_par::shard_plan(spec.requests, SHARD_TARGET, MAX_SHARDS);
     let mut tasks: Vec<(usize, usize, u64)> = Vec::with_capacity(plan.len());
     let mut base = 0u64;
     for (i, &n) in plan.iter().enumerate() {
@@ -1262,16 +1233,5 @@ mod tests {
         spec.wallclock = true;
         let report = run_cluster(&spec, &Pool::serial()).expect("run");
         assert!(report.to_json().get("profile").is_some());
-    }
-
-    #[test]
-    fn shard_plan_is_a_pure_function_of_count() {
-        assert_eq!(shard_plan(1), vec![1]);
-        assert_eq!(shard_plan(SHARD_TARGET), vec![SHARD_TARGET]);
-        let plan = shard_plan(SHARD_TARGET * 3 + 5);
-        assert_eq!(plan.iter().sum::<usize>(), SHARD_TARGET * 3 + 5);
-        assert_eq!(plan.len(), 4);
-        let huge = shard_plan(SHARD_TARGET * MAX_SHARDS * 2);
-        assert_eq!(huge.len(), MAX_SHARDS);
     }
 }

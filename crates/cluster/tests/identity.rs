@@ -31,15 +31,6 @@ fn spec(app: AppId, topology: ClusterTopology, requests: usize, seed: u64) -> Cl
     }
 }
 
-/// Harness scale mirrored from the cluster crate (private there).
-fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        _ => 1.0,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -60,9 +51,9 @@ proptest! {
         let shard = shard_seed(seed, 0);
         let cfg = single_machine_config(&s, mean_service, shard, None);
 
-        let mut f1 = factory_for(app, shard, scale_of(app));
+        let mut f1 = factory_for(app, shard, app.harness_scale());
         let via_cluster = machine_loop_run(cfg.clone(), f1.as_mut(), s.requests).expect("cluster loop");
-        let mut f2 = factory_for(app, shard, scale_of(app));
+        let mut f2 = factory_for(app, shard, app.harness_scale());
         let via_engine = run_simulation(cfg, f2.as_mut(), s.requests).expect("engine run");
 
         prop_assert_eq!(via_cluster, via_engine);

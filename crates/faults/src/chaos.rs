@@ -493,16 +493,6 @@ impl ChaosReport {
     }
 }
 
-/// Harness scale for the long-request applications (mirrors the bench
-/// harness so chaos runs finish in seconds).
-fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        _ => 1.0,
-    }
-}
-
 /// Requests per scenario.
 fn requests_of(app: AppId, fast: bool) -> usize {
     let full = match app {
@@ -542,7 +532,7 @@ fn base_config(app: AppId, seed: u64) -> SimConfig {
 /// backoff against.
 fn probe_mean_service(app: AppId, seed: u64) -> Result<f64, RbvError> {
     let cfg = base_config(app, seed ^ 0x9B0E).serial();
-    let mut factory = factory_for(app, seed ^ 0x9B0E, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0x9B0E, app.harness_scale());
     let result = run_simulation(cfg, factory.as_mut(), 8)?;
     let total: f64 = result.completed.iter().map(|r| r.cpu_cycles()).sum();
     Ok((total / result.completed.len() as f64).max(1.0))
@@ -674,7 +664,7 @@ fn scenario_anomaly(app: AppId, seed: u64, n: usize) -> Result<AnomalyOutcome, R
         ..FaultPlan::none(seed)
     };
     plan.validate()?;
-    let mut factory = FaultyFactory::new(factory_for(app, seed, scale_of(app)), plan);
+    let mut factory = FaultyFactory::new(factory_for(app, seed, app.harness_scale()), plan);
     let result = run_simulation(base_config(app, seed), &mut factory, n)?;
     let completed_ids: std::collections::BTreeSet<usize> =
         result.completed.iter().map(|r| r.id).collect();
@@ -706,7 +696,7 @@ fn scenario_degradation(app: AppId, seed: u64, n: usize) -> Result<DegradationOu
     let period = app.sampling_period_micros();
     let mut cfg = base_config(app, seed ^ 0xDE6).with_syscall_sampling(period / 2, period * 5);
     cfg.faults = measurement_storm(app);
-    let mut factory = factory_for(app, seed ^ 0xDE6, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0xDE6, app.harness_scale());
     let r = run_simulation(cfg, factory.as_mut(), n / 2)?;
     Ok(DegradationOutcome {
         completed: r.completed.len(),
@@ -733,7 +723,7 @@ fn scenario_overload(app: AppId, seed: u64, n: usize) -> Result<OverloadOutcome,
         max_retries: 3,
         retry_backoff: Cycles::new((mean_service / 4.0).max(1.0) as u64),
     });
-    let mut factory = factory_for(app, seed ^ 0x0F7, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0x0F7, app.harness_scale());
     let r = run_simulation(cfg, factory.as_mut(), n)?;
     Ok(OverloadOutcome {
         offered: r.completed.len() + r.failed.len(),
@@ -839,7 +829,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
     // profiling run (§5.2's 80th percentile).
     let mut cfg = base_config(app, seed ^ 0xB0);
     cfg.concurrency = 12;
-    let mut factory = factory_for(app, seed ^ 0xB0, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0xB0, app.harness_scale());
     let profile = run_simulation(cfg, factory.as_mut(), (n / 2).max(20))?;
     let mut mpi = Vec::new();
     for r in &profile.completed {
@@ -865,7 +855,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
             };
             cfg.easing_error_gate = Some(0.35);
         }
-        let mut factory = factory_for(app, seed ^ 0x57, scale_of(app));
+        let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());
         run_simulation(cfg, factory.as_mut(), n)
     };
     let stock = storm_run(false)?;
@@ -891,7 +881,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
     // threshold is a scheduler input shared by both contenders.
     let mut cfg = base_config(app, seed ^ 0xB0);
     cfg.concurrency = 12;
-    let mut factory = factory_for(app, seed ^ 0xB0, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0xB0, app.harness_scale());
     let profile = run_simulation(cfg, factory.as_mut(), (n / 2).max(20))?;
     let mut mpi = Vec::new();
     for r in &profile.completed {
@@ -916,7 +906,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
             cfg.easing_error_gate = None;
             cfg.governor = Some(GovernorPolicy::default());
         }
-        let mut factory = factory_for(app, seed ^ 0x57, scale_of(app));
+        let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());
         run_simulation(cfg, factory.as_mut(), n)
     };
     let stock = storm_run(false)?;

@@ -16,8 +16,9 @@
 //! the baselines every later epoch is compared against.
 
 use rbv_os::RbvError;
+use rbv_sim::rng::mix64;
 
-use crate::plan::{mix, splitmix64, unit, FaultPlan, WorkloadFaults};
+use crate::plan::{mix, unit, FaultPlan, WorkloadFaults};
 
 /// First epoch eligible for drift (epochs 0/1 are the day/night
 /// reference baselines and stay clean by construction).
@@ -69,7 +70,7 @@ impl DriftScenario {
             return false;
         }
         let cell = (app_index as u64) << 32 | u64::from(epoch);
-        unit(mix(splitmix64(self.seed ^ 0xD51F_7D51), cell)) < self.cell_prob
+        unit(mix(mix64(self.seed ^ 0xD51F_7D51), cell)) < self.cell_prob
     }
 
     /// The fault plan for one shard of cell `(app_index, epoch)`: the
@@ -78,7 +79,7 @@ impl DriftScenario {
     /// scopes the per-request assignment hash so distinct shards of the
     /// same cell drift different request slots.
     pub fn plan_for(&self, shard_seed: u64, app_index: usize, epoch: u32) -> FaultPlan {
-        let mut plan = FaultPlan::none(splitmix64(shard_seed ^ self.seed));
+        let mut plan = FaultPlan::none(mix64(shard_seed ^ self.seed));
         if self.is_drifted(app_index, epoch) {
             plan.workload = Some(self.faults);
         }

@@ -15,6 +15,7 @@
 //! afterwards) and always get the same answer.
 
 use rbv_os::{MeasurementFaults, OverloadPolicy, RbvError, SimConfig};
+use rbv_sim::rng::mix64;
 
 /// The ways an injected request deviates from its class (§4.3's
 /// "anomalous requests" made concrete).
@@ -209,23 +210,14 @@ impl FaultPlan {
         if unit(h) >= wf.anomaly_prob {
             return None;
         }
-        let kind = WorkloadFaultKind::ALL[(splitmix64(h) % 3) as usize];
+        let kind = WorkloadFaultKind::ALL[(mix64(h) % 3) as usize];
         Some(kind)
     }
 }
 
-/// SplitMix64: the standard 64-bit finalizing mixer (Steele et al.),
-/// strong enough to decorrelate consecutive indices and seeds.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Hash of one `(seed, index)` cell of the schedule.
 pub(crate) fn mix(seed: u64, index: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(index.wrapping_add(0x5151_5151)))
+    mix64(seed ^ mix64(index.wrapping_add(0x5151_5151)))
 }
 
 /// Maps a hash to `[0, 1)` with 53 bits of precision.

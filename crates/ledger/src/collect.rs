@@ -45,16 +45,6 @@ pub fn short_label(app: AppId) -> &'static str {
     }
 }
 
-/// Per-application instruction scale (mirrors the chaos harness, keeping
-/// the two long-request applications affordable).
-fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        _ => 1.0,
-    }
-}
-
 /// Requests for the standard run (mirrors the chaos harness sizes).
 fn requests_of(app: AppId, fast: bool) -> usize {
     let full = match app {
@@ -79,7 +69,7 @@ fn base_config(app: AppId, seed: u64) -> SimConfig {
 }
 
 fn run(cfg: SimConfig, app: AppId, seed: u64, n: usize) -> Result<RunResult, RbvError> {
-    let mut factory = factory_for(app, seed, scale_of(app));
+    let mut factory = factory_for(app, seed, app.harness_scale());
     run_simulation(cfg, factory.as_mut(), n)
 }
 

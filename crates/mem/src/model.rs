@@ -43,8 +43,8 @@
 //! [`MachineSpec::evaluate_into`] (or
 //! [`MachineSpec::evaluate_partitioned_into`]), which allocate nothing
 //! after the first call.
-//! Per-call invariants (occupied cores, their profiles, fill caps,
-//! domains) are loaded once before the iteration loop. The allocating
+//! Per-call invariants (occupied cores, their profiles, fill caps) are
+//! loaded once before the iteration loop. The allocating
 //! [`MachineSpec::evaluate`], [`MachineSpec::evaluate_partitioned`] and
 //! [`proportional_fill`] are thin wrappers over the same code.
 //!
@@ -132,15 +132,9 @@ pub struct MachineSpec {
     pub l2_hit_cycles: f64,
     /// Uncontended memory access latency, cycles.
     pub mem_base_cycles: f64,
-    /// Peak memory system throughput, cache lines per cycle, per memory
-    /// domain.
+    /// Peak memory system throughput, cache lines per cycle, shared by
+    /// every core.
     pub peak_lines_per_cycle: f64,
-    /// Number of independent memory domains the cores split into evenly —
-    /// 1 for a single machine (the paper's platform); `m` when modeling an
-    /// `m`-machine cluster where each machine has its own memory system
-    /// (the §7 distributed extension). Cores only contend for bandwidth
-    /// within their own domain.
-    pub memory_domains: usize,
     /// Concavity exponent of the miss-ratio curve in `share / working_set`.
     pub share_exponent: f64,
 }
@@ -158,41 +152,8 @@ impl MachineSpec {
             // systems saturate quickly, which is what doubles TPCH's tail
             // CPI at 4 cores (Figure 1).
             peak_lines_per_cycle: 0.010,
-            memory_domains: 1,
             share_exponent: 0.85,
         }
-    }
-
-    /// An `m`-machine cluster of Xeon 5160 boxes: `4m` cores, a shared L2
-    /// per core pair, and one independent memory system per machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machines` is zero.
-    pub fn xeon_5160_cluster(machines: usize) -> MachineSpec {
-        assert!(machines > 0, "need at least one machine");
-        let single = MachineSpec::xeon_5160();
-        MachineSpec {
-            topology: Topology {
-                cores: single.topology.cores * machines,
-                cores_per_cluster: single.topology.cores_per_cluster,
-            },
-            memory_domains: machines,
-            ..single
-        }
-    }
-
-    /// Cores per memory domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain count does not divide the core count.
-    pub fn cores_per_domain(&self) -> usize {
-        assert!(
-            self.memory_domains > 0 && self.topology.cores.is_multiple_of(self.memory_domains),
-            "memory domains must evenly divide the cores"
-        );
-        self.topology.cores / self.memory_domains
     }
 
     /// Evaluates the model for one scheduling tick.
@@ -235,7 +196,7 @@ impl MachineSpec {
             self.topology.cores,
             "one slot per core required"
         );
-        let cpd = solver.reset(self, running, out.len());
+        solver.reset(self, running, out.len());
         let s = solver;
 
         // Initial IPC guess ignores memory stalls; initial shares split each
@@ -285,7 +246,7 @@ impl MachineSpec {
                 );
             }
 
-            self.domain_latencies(&s.traffic, cpd, &mut s.latency);
+            s.latency = self.mem_latency(&s.traffic);
 
             // New CPI / IPC estimates; damped updates for both shares and
             // IPC keep the coupled fixed point stable (the share map is
@@ -294,7 +255,7 @@ impl MachineSpec {
             let mut max_delta = 0.0f64;
             for o in &s.active {
                 let (i, p) = (o.core, &o.profile);
-                let cpi = self.cpi(p, s.miss[i], s.latency[o.domain]);
+                let cpi = self.cpi(p, s.miss[i], s.latency);
                 let new_ipc = 1.0 / cpi;
                 let next_ipc = (1.0 - DAMPING) * s.ipc[i] + DAMPING * new_ipc;
                 let next_share = (1.0 - DAMPING) * s.share[i] + DAMPING * s.target[i];
@@ -356,7 +317,7 @@ impl MachineSpec {
     ) {
         assert_eq!(running.len(), self.topology.cores, "one slot per core");
         assert_eq!(shares.len(), self.topology.cores, "one share per core");
-        let cpd = solver.reset(self, running, out.len());
+        solver.reset(self, running, out.len());
         for cluster in 0..self.topology.clusters() {
             let (lo, hi) = self.cluster_range(cluster, running.len());
             let total: f64 = shares[lo..hi].iter().sum();
@@ -383,11 +344,11 @@ impl MachineSpec {
                 let (i, p) = (o.core, &o.profile);
                 s.traffic[i] = p.l2_refs_per_ins * s.ipc[i] * s.miss[i];
             }
-            self.domain_latencies(&s.traffic, cpd, &mut s.latency);
+            s.latency = self.mem_latency(&s.traffic);
             let mut max_delta = 0.0f64;
             for o in &s.active {
                 let (i, p) = (o.core, &o.profile);
-                let cpi = self.cpi(p, s.miss[i], s.latency[o.domain]);
+                let cpi = self.cpi(p, s.miss[i], s.latency);
                 let next = (1.0 - DAMPING) * s.ipc[i] + DAMPING / cpi;
                 if max_delta < CONVERGENCE_TOL {
                     max_delta = max_delta.max((next - s.ipc[i]).abs() / next.max(1e-12));
@@ -402,14 +363,11 @@ impl MachineSpec {
         s.write_estimates(shares, out);
     }
 
-    /// Contention-inflated memory latency of each memory domain (one per
-    /// machine; a single machine has one) from its cores' miss traffic.
-    fn domain_latencies(&self, traffic: &[f64], cpd: usize, latency: &mut [f64]) {
-        for (d, lat) in latency.iter_mut().enumerate() {
-            let demand: f64 = traffic[d * cpd..(d + 1) * cpd].iter().copied().sum();
-            let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
-            *lat = self.mem_base_cycles / (1.0 - utilization);
-        }
+    /// Contention-inflated memory latency from every core's miss traffic.
+    fn mem_latency(&self, traffic: &[f64]) -> f64 {
+        let demand: f64 = traffic.iter().copied().sum();
+        let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
+        self.mem_base_cycles / (1.0 - utilization)
     }
 
     /// CPI of `p` at L2 miss ratio `miss` and memory latency `mem_latency`.
@@ -462,37 +420,28 @@ pub struct ContentionSolver {
     target: Vec<f64>,
     cpi: Vec<f64>,
     capped: Vec<bool>,
-    /// Memory latency per domain.
-    latency: Vec<f64>,
+    /// Contention-inflated memory latency.
+    latency: f64,
 }
 
 impl ContentionSolver {
     /// Validates the call, zeroes every buffer and loads the per-call
-    /// invariants (occupied cores, fill caps, initial IPC). Returns cores
-    /// per memory domain.
-    fn reset(
-        &mut self,
-        spec: &MachineSpec,
-        running: &[Option<SegmentProfile>],
-        out_len: usize,
-    ) -> usize {
+    /// invariants (occupied cores, fill caps, initial IPC).
+    fn reset(&mut self, spec: &MachineSpec, running: &[Option<SegmentProfile>], out_len: usize) {
         assert_eq!(out_len, running.len(), "one output slot per core");
         for p in running.iter().flatten() {
             if let Err(e) = p.validate() {
                 panic!("invalid segment profile: {e}");
             }
         }
-        let cpd = spec.cores_per_domain();
         let n = running.len();
         self.active.clear();
-        self.active
-            .extend(running.iter().enumerate().filter_map(|(core, p)| {
-                p.map(|profile| Occupied {
-                    core,
-                    domain: core / cpd,
-                    profile,
-                })
-            }));
+        self.active.extend(
+            running
+                .iter()
+                .enumerate()
+                .filter_map(|(core, p)| p.map(|profile| Occupied { core, profile })),
+        );
         for v in [
             &mut self.limit,
             &mut self.ipc,
@@ -508,15 +457,12 @@ impl ContentionSolver {
         }
         self.capped.clear();
         self.capped.resize(n, false);
-        self.latency.clear();
-        self.latency
-            .resize(spec.memory_domains, spec.mem_base_cycles);
+        self.latency = spec.mem_base_cycles;
         for o in &self.active {
             let (i, p) = (o.core, &o.profile);
             self.limit[i] = p.working_set_bytes;
             self.ipc[i] = 1.0 / p.base_cpi;
         }
-        cpd
     }
 
     /// Writes the converged estimates of occupied cores (with their final
@@ -529,7 +475,7 @@ impl ContentionSolver {
                 cpi: self.cpi[i],
                 l2_refs_per_ins: p.l2_refs_per_ins,
                 l2_miss_ratio: self.miss[i],
-                mem_latency_cycles: self.latency[o.domain],
+                mem_latency_cycles: self.latency,
                 l2_share_bytes: shares[i],
             });
         }
@@ -540,8 +486,6 @@ impl ContentionSolver {
 #[derive(Debug, Clone, Copy)]
 struct Occupied {
     core: usize,
-    /// Memory domain of `core`.
-    domain: usize,
     profile: SegmentProfile,
 }
 
@@ -1043,7 +987,7 @@ mod partition_tests {
 }
 
 #[cfg(test)]
-mod domain_tests {
+mod bandwidth_tests {
     use super::*;
 
     fn stream() -> SegmentProfile {
@@ -1056,61 +1000,11 @@ mod domain_tests {
     }
 
     #[test]
-    fn cluster_constructor_scales_cores_and_domains() {
-        let c = MachineSpec::xeon_5160_cluster(3);
-        assert_eq!(c.topology.cores, 12);
-        assert_eq!(c.memory_domains, 3);
-        assert_eq!(c.cores_per_domain(), 4);
-        assert_eq!(c.topology.clusters(), 6);
-    }
-
-    #[test]
-    fn bandwidth_contention_is_domain_local() {
-        // Two machines: four streams on machine 0 saturate ITS memory
-        // system but leave machine 1's untouched.
-        let c = MachineSpec::xeon_5160_cluster(2);
-        let mut running = vec![None; 8];
-        for slot in running.iter_mut().take(4) {
-            *slot = Some(stream());
-        }
-        running[4] = Some(stream());
-        let out = c.evaluate(&running);
-        let crowded = out[0].unwrap();
-        let remote = out[4].unwrap();
-        assert!(
-            crowded.mem_latency_cycles > remote.mem_latency_cycles * 1.3,
-            "crowded {} vs remote {}",
-            crowded.mem_latency_cycles,
-            remote.mem_latency_cycles
-        );
-        // The remote machine's lone stream behaves like a solo run.
-        let solo = MachineSpec::xeon_5160().solo(stream());
-        assert!((remote.cpi - solo.cpi).abs() / solo.cpi < 0.02);
-    }
-
-    #[test]
-    fn single_domain_matches_previous_global_behavior() {
-        let single = MachineSpec::xeon_5160();
-        assert_eq!(single.memory_domains, 1);
-        assert_eq!(single.cores_per_domain(), 4);
+    fn every_core_sees_one_memory_latency() {
         let running = vec![Some(stream()); 4];
-        let out = single.evaluate(&running);
-        // All four share the one domain: identical latencies.
+        let out = MachineSpec::xeon_5160().evaluate(&running);
+        // All four share the one memory system: identical latencies.
         let lats: Vec<f64> = out.iter().flatten().map(|e| e.mem_latency_cycles).collect();
         assert!(lats.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9));
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one machine")]
-    fn zero_machines_panics() {
-        MachineSpec::xeon_5160_cluster(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "evenly divide")]
-    fn ragged_domains_panic() {
-        let mut c = MachineSpec::xeon_5160();
-        c.memory_domains = 3;
-        c.solo(stream());
     }
 }

@@ -28,7 +28,7 @@ use rbv_os::{
     FailedRequest, GovernorPolicy, LadderRung, OverloadPolicy, PowerCapPolicy, PowerPolicy,
     PowerRung, QueueDiscipline, RbvError, ShedPolicy, SimConfig, ThermalFaults,
 };
-use rbv_sim::Cycles;
+use rbv_sim::{rng, Cycles};
 use rbv_telemetry::{Json, QuantileSketch};
 use rbv_trace::{SpanCollector, SpanRecord, SpanSummary};
 use rbv_workloads::{factory_for, AppId};
@@ -55,24 +55,8 @@ const REASONS: [FailReason; 5] = [
     FailReason::BrownoutReject,
 ];
 
-/// SplitMix64 finalizer used to derive independent shard seeds — same
-/// constants as the warehouse sharder and the engine's decision hashes.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Harness scale for the long-request applications (mirrors the bench
-/// and chaos harnesses so serve runs finish in reasonable time).
-fn scale_of(app: AppId) -> f64 {
-    match app {
-        AppId::Tpch => 0.5,
-        AppId::Webwork => 0.1,
-        _ => 1.0,
-    }
-}
+/// Salt of the serve harness's shard seeds ([`rng::shard_seed`]).
+const SHARD_SALT: u64 = 0x0be7_10c4;
 
 fn reason_slot(reason: FailReason) -> usize {
     match reason {
@@ -199,7 +183,7 @@ pub fn probe_mean_service(app: AppId, seed: u64) -> Result<f64, RbvError> {
     let mut cfg = SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
     cfg.seed = seed ^ 0x5EED_0B5E;
     let cfg = cfg.serial();
-    let mut factory = factory_for(app, seed ^ 0x5EED_0B5E, scale_of(app));
+    let mut factory = factory_for(app, seed ^ 0x5EED_0B5E, app.harness_scale());
     let result = run_simulation(cfg, factory.as_mut(), 8)?;
     let total: f64 = result
         .completed
@@ -240,15 +224,6 @@ struct ShardOutput {
     total_time: Cycles,
     /// Span summary plus retained records, when the spec traces.
     trace: Option<(SpanSummary, Vec<SpanRecord>)>,
-}
-
-/// The shard plan: per-shard request counts summing to `requests`,
-/// a pure function of the request count alone.
-fn shard_plan(requests: usize, shard_target: usize) -> Vec<usize> {
-    let shards = requests.div_ceil(shard_target.max(1)).clamp(1, MAX_SHARDS);
-    let base = requests / shards;
-    let rem = requests % shards;
-    (0..shards).map(|i| base + usize::from(i < rem)).collect()
 }
 
 /// Builds the shard's simulation config from the spec and the probed
@@ -321,10 +296,9 @@ fn run_shard(
     shard_index: usize,
     n: usize,
 ) -> Result<ShardOutput, RbvError> {
-    let shard_seed =
-        splitmix64(splitmix64(spec.seed ^ 0x0be7_10c4).wrapping_add(shard_index as u64));
+    let shard_seed = rng::shard_seed(spec.seed, SHARD_SALT, shard_index);
     let cfg = shard_config(spec, mean_service, shard_seed);
-    let mut factory = factory_for(spec.app, shard_seed, scale_of(spec.app));
+    let mut factory = factory_for(spec.app, shard_seed, spec.app.harness_scale());
     let mut acc = ServeAccumulator::default();
     let mut trace = None;
     let result = if spec.trace || spec.trace_spans {
@@ -699,7 +673,7 @@ pub fn serve_with_shard_target(
 ) -> Result<ServeReport, RbvError> {
     spec.validate()?;
     let mean_service = probe_mean_service(spec.app, spec.seed)?;
-    let plan = shard_plan(spec.requests, shard_target);
+    let plan = rbv_par::shard_plan(spec.requests, shard_target, MAX_SHARDS);
     let sizes: Vec<(usize, usize)> = plan.iter().copied().enumerate().collect();
     let outputs = pool.ordered_map(&sizes, |&(i, n)| run_shard(spec, mean_service, i, n));
     let mut report = ServeReport {
@@ -772,22 +746,6 @@ mod tests {
 
     fn quick_spec(requests: usize, seed: u64) -> ServeSpec {
         ServeSpec::new(AppId::WebServer, requests, seed)
-    }
-
-    #[test]
-    fn shard_plan_is_a_pure_function_of_the_request_count() {
-        assert_eq!(shard_plan(1, SHARD_TARGET), vec![1]);
-        assert_eq!(shard_plan(100, SHARD_TARGET), vec![100]);
-        let million = shard_plan(1_000_000, SHARD_TARGET);
-        assert_eq!(million.len(), 31);
-        assert_eq!(million.iter().sum::<usize>(), 1_000_000);
-        // The cap binds eventually and the plan still conserves.
-        let huge = shard_plan(10_000_000, SHARD_TARGET);
-        assert_eq!(huge.len(), MAX_SHARDS);
-        assert_eq!(huge.iter().sum::<usize>(), 10_000_000);
-        // Sizes differ by at most one, so shard runtimes stay balanced.
-        let (lo, hi) = (huge.iter().min().unwrap(), huge.iter().max().unwrap());
-        assert!(hi - lo <= 1);
     }
 
     #[test]

@@ -249,35 +249,6 @@ impl ShedPolicy {
     }
 }
 
-/// Multi-machine deployment (§7, future work): the machine spec's cores
-/// split into `machines` equal boxes (one memory domain each — pair with
-/// [`rbv_mem::MachineSpec::xeon_5160_cluster`]), server components are
-/// placed on dedicated machines, and a request's stage hop to another
-/// machine pays a network delay before it becomes runnable there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiMachine {
-    /// Number of machines; must divide the topology's core count and
-    /// match the machine spec's `memory_domains`.
-    pub machines: usize,
-    /// One-way network latency of an inter-machine request hop.
-    pub network_hop_delay: Cycles,
-}
-
-impl MultiMachine {
-    /// The machine a server component is deployed on: web tier on machine
-    /// 0, database on the last machine, application tier in between
-    /// (collapsing gracefully for small clusters). Standalone components
-    /// live on machine 0.
-    pub fn machine_of(&self, component: rbv_workloads::Component) -> usize {
-        use rbv_workloads::Component;
-        match component {
-            Component::WebTier | Component::Standalone => 0,
-            Component::AppTier => 1.min(self.machines - 1),
-            Component::Database => self.machines - 1,
-        }
-    }
-}
-
 /// Deterministic measurement-level fault injection (§"do no harm"
 /// validation): the sampling apparatus itself misbehaves and the engine
 /// must degrade gracefully — fall back to the backup interrupt timer and
@@ -438,8 +409,8 @@ pub struct SimConfig {
     pub arrivals: ArrivalProcess,
     /// Front-end queue discipline for new arrivals (RSS-steered d-FCFS or
     /// central c-FCFS). `None` (the default) keeps least-loaded placement
-    /// bit-identically. Requires single-machine, no component affinity,
-    /// and no work stealing — the NIC front end owns placement.
+    /// bit-identically. Requires no component affinity and no work
+    /// stealing — the NIC front end owns placement.
     pub queue_discipline: Option<QueueDiscipline>,
     /// Open-loop client timeout/retry model; `None` (the default) models
     /// patient clients and changes nothing. Requires open-loop arrivals.
@@ -447,8 +418,6 @@ pub struct SimConfig {
     /// CoDel-style dequeue-time shedding; `None` (the default) changes
     /// nothing. Requires open-loop arrivals.
     pub shed: Option<ShedPolicy>,
-    /// Multi-machine deployment; `None` = the paper's single machine.
-    pub multi_machine: Option<MultiMachine>,
     /// Allow an idling core to steal the tail request of the longest
     /// runqueue. The paper's contention-easing prototype explicitly does
     /// *not* migrate requests between runqueues "for simplicity" (§5.2);
@@ -527,7 +496,6 @@ impl SimConfig {
             queue_discipline: None,
             client: None,
             shed: None,
-            multi_machine: None,
             work_stealing: false,
             component_affinity: false,
             static_cache_partition: false,
@@ -619,18 +587,10 @@ impl SimConfig {
             if self.shed.is_some() {
                 return config_err("external arrivals exclude queue shedding".into());
             }
-            if self.multi_machine.is_some() {
-                return config_err(
-                    "external arrivals exclude the in-engine multi-machine model".into(),
-                );
-            }
         }
         if self.queue_discipline.is_some() {
             // The NIC front end owns placement: it cannot coexist with the
             // placement features that also want to decide where requests go.
-            if self.multi_machine.is_some() {
-                return config_err("queue discipline requires a single machine".into());
-            }
             if self.component_affinity {
                 return config_err("queue discipline excludes component affinity".into());
             }
@@ -643,33 +603,11 @@ impl SimConfig {
             if !self.arrivals.is_open() {
                 return config_err("client timeout/retry model requires open-loop arrivals".into());
             }
-            // A resubmitted request must not race an in-flight network
-            // hop from its aborted attempt back into a runqueue.
-            if self.multi_machine.is_some() {
-                return config_err("client timeout/retry model requires a single machine".into());
-            }
         }
         if let Some(shed) = &self.shed {
             shed.validate()?;
             if !self.arrivals.is_open() {
                 return config_err("queue shedding requires open-loop arrivals".into());
-            }
-        }
-        if let Some(mm) = &self.multi_machine {
-            if mm.machines == 0 {
-                return config_err("multi-machine deployment needs at least one machine".into());
-            }
-            if !self.machine.topology.cores.is_multiple_of(mm.machines) {
-                return config_err(format!(
-                    "{} machines must evenly divide {} cores",
-                    mm.machines, self.machine.topology.cores
-                ));
-            }
-            if self.machine.memory_domains != mm.machines {
-                return config_err(format!(
-                    "machine spec has {} memory domains but the deployment has {} machines",
-                    self.machine.memory_domains, mm.machines
-                ));
             }
         }
         if self.quantum.is_zero() {

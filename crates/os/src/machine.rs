@@ -49,6 +49,7 @@ use rbv_guard::{
 };
 use rbv_mem::{ContentionSolver, PerfEstimate, SegmentProfile};
 use rbv_power::{CorePower, PowerPolicy, ThermalFaults};
+use rbv_sim::rng::mix64;
 use rbv_sim::{Cycles, EventQueue, SimRng};
 use rbv_telemetry::{SampleOrigin, SwitchReason, TraceEvent, TraceSink};
 use rbv_workloads::{Request, RequestFactory, Stage, SyscallName};
@@ -255,42 +256,14 @@ impl Machine {
     /// the machine-local request id, which tags the eventual
     /// [`CompletedRequest`] from [`Machine::drain_finished`].
     ///
-    /// Injected requests take the same path as an inter-machine stage
-    /// hop: a `HopWakeup` event delivery straight into a runqueue —
-    /// admission control is the ingress machine's business, not the
-    /// receiving tier's.
+    /// An injected request is delivered by a `HopWakeup` event straight
+    /// into a runqueue — admission control is the ingress machine's
+    /// business, not the receiving tier's.
     pub fn inject(&mut self, request: Request, at: Cycles) -> usize {
         debug_assert!(request.validate().is_ok());
         let engine = &mut self.engine;
         let at = at.max(engine.queue.now());
-        let id = engine.live.len();
-        engine.generated += 1;
-        let alpha = match &engine.cfg.scheduler {
-            SchedulerPolicy::ContentionEasing { alpha, .. } => *alpha,
-            SchedulerPolicy::Stock => 0.6,
-        };
-        engine.live.push(Some(LiveRequest {
-            id,
-            request,
-            stage_idx: 0,
-            ins_in_stage: 0.0,
-            phase_idx: 0,
-            next_syscall: 0,
-            timeline: Timeline::new(),
-            accum: SamplePeriod::default(),
-            accum_injection: None,
-            cum_cycles: 0.0,
-            cum_ins: 0.0,
-            syscalls: Vec::new(),
-            arrived_at: at,
-            predictor: VaEwma::new(alpha, PREDICTOR_UNIT),
-            pending_transition: None,
-            last_syscall: None,
-            stage_marks: Vec::new(),
-            noise_rng: engine.rng.fork_labeled(id as u64),
-            attempt: 0,
-            queued_at: at,
-        }));
+        let id = engine.push_live(request, at);
         engine.queue.schedule(at, Event::HopWakeup { rid: id });
         id
     }
@@ -315,17 +288,6 @@ impl Machine {
 /// Sub-instruction tolerance when matching instruction boundaries.
 const INS_EPS: f64 = 0.5;
 
-/// SplitMix64 finalizer: the stateless hash behind RSS steering, brownout
-/// selection, and client retry jitter. Hash-derived decisions consume no
-/// RNG stream, so runs with those features disabled stay bit-identical to
-/// builds that predate them.
-fn hash_mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Standard normal draw (Box–Muller) from the deterministic stream.
 fn gaussian(rng: &mut SimRng) -> f64 {
     use rand::Rng;
@@ -349,8 +311,8 @@ enum Event {
     Resched { core: usize, epoch: u64 },
     /// Open-loop request arrival.
     Arrival,
-    /// A request finishes its inter-machine network hop and becomes
-    /// runnable on the destination machine.
+    /// A request delivered from another machine becomes runnable here
+    /// (see [`Machine::inject`]).
     HopWakeup { rid: usize },
     /// The closed-loop client retries admission after backoff (overload
     /// protection). `gen` is the client attempt generation at scheduling
@@ -721,7 +683,7 @@ impl<'s> Engine<'s> {
                     self.schedule_next_arrival();
                 }
                 Event::HopWakeup { rid } => {
-                    // The request may have been deadline-aborted mid-hop.
+                    // Skip a request already resolved before delivery.
                     if self.live[rid].is_some() {
                         self.enqueue_runnable(rid);
                     }
@@ -785,12 +747,10 @@ impl<'s> Engine<'s> {
 
     // ----- workload entry -------------------------------------------------
 
-    fn spawn(&mut self, factory: &mut dyn RequestFactory) {
-        if self.generated >= self.target {
-            return;
-        }
-        let request = factory.next_request();
-        debug_assert!(request.validate().is_ok());
+    /// Registers a newly generated request as live, arrived (and queued)
+    /// at `at`, and returns its request id. The noise stream is forked by
+    /// id, so ids — and therefore streams — follow generation order.
+    fn push_live(&mut self, request: Request, at: Cycles) -> usize {
         let id = self.live.len();
         self.generated += 1;
         let alpha = match &self.cfg.scheduler {
@@ -810,15 +770,25 @@ impl<'s> Engine<'s> {
             cum_cycles: 0.0,
             cum_ins: 0.0,
             syscalls: Vec::new(),
-            arrived_at: self.queue.now(),
+            arrived_at: at,
             predictor: VaEwma::new(alpha, PREDICTOR_UNIT),
             pending_transition: None,
             last_syscall: None,
             stage_marks: Vec::new(),
             noise_rng: self.rng.fork_labeled(id as u64),
             attempt: 0,
-            queued_at: self.queue.now(),
+            queued_at: at,
         }));
+        id
+    }
+
+    fn spawn(&mut self, factory: &mut dyn RequestFactory) {
+        if self.generated >= self.target {
+            return;
+        }
+        let request = factory.next_request();
+        debug_assert!(request.validate().is_ok());
+        let id = self.push_live(request, self.queue.now());
         if self.sink.is_some() {
             let lr = self.live[id].as_ref().expect("just pushed");
             let event = TraceEvent::RequestBegin {
@@ -842,7 +812,7 @@ impl<'s> Engine<'s> {
                 .guard
                 .as_ref()
                 .is_some_and(|g| g.policy.ladder && g.ladder.rung() == LadderRung::Brownout)
-            && hash_mix(self.cfg.seed ^ 0xb407 ^ (id as u64)) & 1 == 0
+            && mix64(self.cfg.seed ^ 0xb407 ^ (id as u64)) & 1 == 0
         {
             self.fail_request(id, self.queue.now(), FailReason::BrownoutReject, factory);
             return;
@@ -1149,7 +1119,7 @@ impl<'s> Engine<'s> {
     /// round-robin onto cores, pinning each request to one queue for its
     /// whole lifetime (retries included).
     fn rss_core(&self, rid: usize) -> usize {
-        let slot = hash_mix(self.cfg.seed ^ 0x55aa ^ (rid as u64)) % 128;
+        let slot = mix64(self.cfg.seed ^ 0x55aa ^ (rid as u64)) % 128;
         (slot as usize) % self.cores.len()
     }
 
@@ -1162,20 +1132,9 @@ impl<'s> Engine<'s> {
     }
 
     /// The least-loaded core eligible for a request's current component
-    /// (respecting multi-machine placement and component affinity).
+    /// (respecting component affinity).
     fn least_loaded_core(&self, rid: usize) -> usize {
-        let mut candidates: Vec<usize> = if let Some(mm) = self.cfg.multi_machine {
-            // The request runs on the machine hosting its current
-            // component's tier.
-            let component = self.live[rid]
-                .as_ref()
-                .expect("enqueued request is live")
-                .stage()
-                .component;
-            let machine = mm.machine_of(component);
-            let per_machine = self.cores.len() / mm.machines;
-            (machine * per_machine..(machine + 1) * per_machine).collect()
-        } else if self.cfg.component_affinity {
+        let mut candidates: Vec<usize> = if self.cfg.component_affinity {
             self.affinity_cores(rid)
         } else {
             (0..self.cores.len()).collect()
@@ -1555,29 +1514,12 @@ impl<'s> Engine<'s> {
         lr.stage_marks.push((lr.cum_ins, lr.cum_cycles));
         if lr.stage_idx + 1 < lr.request.stages.len() {
             // Propagate the request context to the next component (§2.1):
-            // the socket hop re-enters the scheduler on another runqueue —
-            // after a network delay when the next tier lives on another
-            // machine of a distributed deployment (§7).
-            let from = lr.stage().component;
+            // the socket hop re-enters the scheduler on another runqueue.
             lr.stage_idx += 1;
             lr.phase_idx = 0;
             lr.next_syscall = 0;
             lr.ins_in_stage = 0.0;
-            let to = lr.stage().component;
-            let crosses_machines = self
-                .cfg
-                .multi_machine
-                .is_some_and(|mm| mm.machine_of(from) != mm.machine_of(to));
-            if crosses_machines {
-                let delay = self
-                    .cfg
-                    .multi_machine
-                    .expect("checked above")
-                    .network_hop_delay;
-                self.queue.schedule_after(delay, Event::HopWakeup { rid });
-            } else {
-                self.enqueue_runnable(rid);
-            }
+            self.enqueue_runnable(rid);
         } else {
             if !flushed {
                 self.teardown_flush(rid);
@@ -2718,8 +2660,8 @@ impl<'s> Engine<'s> {
         // Hash jitter, not a stream draw: retry timing must not perturb
         // the engine or fault streams, so retries-off runs stay
         // bit-identical to builds that predate the client model.
-        let jitter = hash_mix(self.cfg.seed ^ ((rid as u64) << 16) ^ u64::from(gen)) as f64
-            / u64::MAX as f64;
+        let jitter =
+            mix64(self.cfg.seed ^ ((rid as u64) << 16) ^ u64::from(gen)) as f64 / u64::MAX as f64;
         let backoff = client.retry_backoff.as_f64()
             * 2f64.powi(attempt.min(16) as i32)
             * (1.0 + 0.5 * jitter);
@@ -3631,99 +3573,6 @@ mod bigram_policy_tests {
             "most transitions should know their predecessor ({with_prev}/{})",
             r.transitions.len()
         );
-    }
-}
-
-#[cfg(test)]
-mod multi_machine_tests {
-    use super::*;
-    use crate::config::{MultiMachine, SimConfig};
-    use rbv_mem::MachineSpec;
-    use rbv_workloads::{Rubis, Tpcc};
-
-    fn cluster_cfg(machines: usize, hop_micros: u64) -> SimConfig {
-        let mut cfg = SimConfig::paper_default();
-        cfg.machine = MachineSpec::xeon_5160_cluster(machines);
-        cfg.multi_machine = Some(MultiMachine {
-            machines,
-            network_hop_delay: Cycles::from_micros(hop_micros),
-        });
-        cfg.concurrency = machines * 6;
-        cfg
-    }
-
-    #[test]
-    fn three_tier_rubis_runs_across_three_machines() {
-        let mut f = Rubis::new(71, 0.2);
-        let r = run_simulation(cluster_cfg(3, 50), &mut f, 20).expect("valid");
-        assert_eq!(r.completed.len(), 20);
-        for c in &r.completed {
-            // Two inter-machine hops each way are pure latency: wall time
-            // must exceed CPU time by at least the two hop delays.
-            let slack = c.latency().as_f64() - c.cpu_cycles();
-            assert!(
-                slack >= 2.0 * Cycles::from_micros(50).as_f64() * 0.98,
-                "hop delay missing: slack {slack}"
-            );
-        }
-    }
-
-    #[test]
-    fn network_delay_lengthens_latency_not_cpu() {
-        let run = |hop: u64| {
-            let mut f = Rubis::new(72, 0.2);
-            run_simulation(cluster_cfg(3, hop), &mut f, 15).expect("valid")
-        };
-        let fast_net = run(10);
-        let slow_net = run(500);
-        let mean_latency = |r: &RunResult| {
-            r.completed
-                .iter()
-                .map(|c| c.latency().as_f64())
-                .sum::<f64>()
-                / r.completed.len() as f64
-        };
-        let mean_cpu = |r: &RunResult| {
-            r.completed.iter().map(|c| c.cpu_cycles()).sum::<f64>() / r.completed.len() as f64
-        };
-        assert!(mean_latency(&slow_net) > mean_latency(&fast_net));
-        // CPU consumption is a property of the work, not the network.
-        let rel = (mean_cpu(&slow_net) / mean_cpu(&fast_net) - 1.0).abs();
-        assert!(rel < 0.1, "cpu drift {rel}");
-    }
-
-    #[test]
-    fn single_stage_apps_stay_on_machine_zero() {
-        let mut f = Tpcc::new(73, 0.05);
-        let cfg = cluster_cfg(2, 100);
-        let r = run_simulation(cfg, &mut f, 15).expect("valid");
-        assert_eq!(r.completed.len(), 15);
-        // No hops: latency ~ queueing only, no mandatory 2-hop slack on
-        // short requests (smoke check that nothing deadlocks).
-    }
-
-    #[test]
-    fn mismatched_domains_are_rejected() {
-        let mut cfg = SimConfig::paper_default(); // 1 memory domain
-        cfg.multi_machine = Some(MultiMachine {
-            machines: 2,
-            network_hop_delay: Cycles::from_micros(10),
-        });
-        let mut f = Tpcc::new(74, 0.05);
-        assert!(run_simulation(cfg, &mut f, 1).is_err());
-    }
-
-    #[test]
-    fn distributed_runs_are_deterministic() {
-        let run = || {
-            let mut f = Rubis::new(75, 0.1);
-            run_simulation(cluster_cfg(3, 80), &mut f, 10).expect("valid")
-        };
-        let (a, b) = (run(), run());
-        for (x, y) in a.completed.iter().zip(&b.completed) {
-            assert_eq!(x.finished_at, y.finished_at);
-            assert_eq!(x.timeline, y.timeline);
-        }
     }
 }
 

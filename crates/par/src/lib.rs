@@ -215,9 +215,50 @@ impl Default for Pool {
     }
 }
 
+/// Splits `requests` into shards of about `target` requests each, at most
+/// `max` shards (and at least one). Sizes differ by at most one, larger
+/// first, and sum to `requests`. The plan is a pure function of its
+/// arguments, never of the worker count, so a sharded run's output does
+/// not depend on `--threads`.
+///
+/// ```
+/// assert_eq!(rbv_par::shard_plan(10, 4, 64), vec![4, 3, 3]);
+/// assert_eq!(rbv_par::shard_plan(10, 4, 2), vec![5, 5]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `max` is zero.
+pub fn shard_plan(requests: usize, target: usize, max: usize) -> Vec<usize> {
+    let shards = requests.div_ceil(target.max(1)).clamp(1, max);
+    let base = requests / shards;
+    let rem = requests % shards;
+    (0..shards).map(|i| base + usize::from(i < rem)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_plan_is_a_pure_function_of_its_arguments() {
+        assert_eq!(shard_plan(1, 32_768, 64), vec![1]);
+        assert_eq!(shard_plan(100, 32_768, 64), vec![100]);
+        assert_eq!(shard_plan(16_384, 16_384, 64), vec![16_384]);
+        let plan = shard_plan(16_384 * 3 + 5, 16_384, 64);
+        assert_eq!(plan.len(), 4);
+        assert_eq!(plan.iter().sum::<usize>(), 16_384 * 3 + 5);
+        let million = shard_plan(1_000_000, 32_768, 64);
+        assert_eq!(million.len(), 31);
+        assert_eq!(million.iter().sum::<usize>(), 1_000_000);
+        // The cap binds eventually and the plan still conserves.
+        let huge = shard_plan(10_000_000, 32_768, 64);
+        assert_eq!(huge.len(), 64);
+        assert_eq!(huge.iter().sum::<usize>(), 10_000_000);
+        // Sizes differ by at most one, so shard runtimes stay balanced.
+        let (lo, hi) = (huge.iter().min().unwrap(), huge.iter().max().unwrap());
+        assert!(hi - lo <= 1);
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use rbv_sim::rng::mix64;
 use rbv_sim::Cycles;
 use rbv_telemetry::Json;
 
@@ -389,14 +390,6 @@ pub struct ThermalFaults {
     pub hot_loop_mult_milli: u32,
 }
 
-/// SplitMix64 finalizer-style hash for victim-core choice.
-fn hash_mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl ThermalFaults {
     /// No thermal faults (every query returns the nominal value).
     pub fn none(seed: u64) -> ThermalFaults {
@@ -478,7 +471,7 @@ impl ThermalFaults {
         if cores == 0 {
             return 0;
         }
-        (hash_mix(self.seed ^ 0xC001_F417) % cores as u64) as usize
+        (mix64(self.seed ^ 0xC001_F417) % cores as u64) as usize
     }
 
     /// Dynamic-power multiplier (milli) at `now`.

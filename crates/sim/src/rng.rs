@@ -12,17 +12,40 @@
 
 use rand::{Error, RngCore};
 
+/// SplitMix64's state increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 finalizer (Steele et al.): the generator's output for state
+/// `x`, so `mix64(0)` is the published first SplitMix64 output.
+///
+/// This is the workspace's one stateless 64-bit hash. Hash-derived
+/// decisions (RSS steering, brownout selection, retry jitter, fault
+/// schedules, shard seeds, payload sizes) consume no RNG stream, so runs
+/// that never take them stay bit-identical to runs of builds without
+/// them.
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The seed of shard `index` of a sharded run with base seed `seed`.
+/// Each harness passes its own `salt`, so two harnesses sharding the same
+/// seed never share a stream.
+pub fn shard_seed(seed: u64, salt: u64, index: usize) -> u64 {
+    mix64(mix64(seed ^ salt).wrapping_add(index as u64))
+}
+
 /// SplitMix64 step; used to expand a 64-bit seed into xoshiro state.
 ///
 /// This is the seeding procedure recommended by the xoshiro authors: it
 /// guarantees the expanded state is not all-zero and decorrelates nearby
 /// seeds.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let out = mix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    out
 }
 
 /// A deterministic xoshiro256\*\* random number generator.
@@ -68,8 +91,7 @@ impl SimRng {
     /// consuming randomness. Two distinct labels give decorrelated streams.
     pub fn fork_labeled(&self, label: u64) -> SimRng {
         // Mix the current state with the label through SplitMix64.
-        let mut sm =
-            self.s[0] ^ self.s[2].rotate_left(17) ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut sm = self.s[0] ^ self.s[2].rotate_left(17) ^ label.wrapping_mul(GOLDEN_GAMMA);
         let s = [
             splitmix64(&mut sm),
             splitmix64(&mut sm),
@@ -156,6 +178,22 @@ mod tests {
         let state: Vec<u64> = (0..4).map(|_| splitmix64(&mut sm2)).collect();
         let expect = state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         assert_eq!(rng.next_u64(), expect);
+    }
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF); // published SplitMix64(0) output
+        let mut sm = 7u64;
+        assert_eq!(splitmix64(&mut sm), mix64(7));
+        assert_eq!(splitmix64(&mut sm), mix64(7u64.wrapping_add(GOLDEN_GAMMA)));
+    }
+
+    #[test]
+    fn shard_seeds_are_salted_and_indexed() {
+        let a = shard_seed(42, 0x0be7_10c4, 0);
+        assert_eq!(a, mix64(mix64(42 ^ 0x0be7_10c4)));
+        assert_ne!(a, shard_seed(42, 0x0be7_10c4, 1));
+        assert_ne!(a, shard_seed(42, 0xC105_7E12, 0));
     }
 
     #[test]

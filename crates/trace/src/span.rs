@@ -17,8 +17,8 @@
 //! * **backoff** — from a scheduled retry (admission backoff or client
 //!   resubmission) to the request's next admission attempt;
 //! * **other** — everything else a client experiences but the server
-//!   never accounts: admission-decision instants and inter-machine
-//!   network hops between stages.
+//!   never accounts: admission-decision instants and hand-offs between
+//!   stages.
 //!
 //! Because the buckets partition the request's lifetime, they sum
 //! *exactly* to its client-visible latency (first arrival → final
@@ -52,7 +52,7 @@ enum Phase {
     /// Waiting out a retry backoff (admission or client).
     Backoff,
     /// Off-CPU between a slice end and the next queue entry (stage
-    /// hand-off or inter-machine network hop).
+    /// hand-off).
     Limbo,
 }
 

@@ -11,6 +11,7 @@ use rbv_core::series::Metric;
 use rbv_core::stats::percentile;
 use rbv_faults::FaultyFactory;
 use rbv_os::{run_simulation, RbvError, RunResult, SchedulerPolicy, SimConfig};
+use rbv_sim::rng::mix64;
 use rbv_sim::Cycles;
 use rbv_telemetry::{QuantileSketch, SelfProfiler};
 use rbv_workloads::{factory_for, AppId};
@@ -60,7 +61,7 @@ pub fn shard_seed(campaign_seed: u64, key: &ShardKey) -> u64 {
         | (mix_ordinal(key) as u64) << 24
         | (sched_ordinal(key) as u64) << 16
         | u64::from(key.epoch);
-    splitmix64(
+    mix64(
         campaign_seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15)
             .wrapping_mul(0x2545_F491_4F6C_DD1D)
@@ -81,14 +82,6 @@ fn sched_ordinal(key: &ShardKey) -> u8 {
         SchedVariant::Stock => 0,
         SchedVariant::Easing => 1,
     }
-}
-
-/// SplitMix64 finalizer (same constants as `rbv-faults`' plan hashing).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The shard's simulator configuration before any scheduler variant is

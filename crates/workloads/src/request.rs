@@ -62,6 +62,25 @@ impl AppId {
             AppId::Tpch | AppId::Webwork => 1_000,
         }
     }
+
+    /// The instruction-count scale every experiment harness runs this
+    /// application at. WeBWorK requests run ~600 M instructions and TPC-H
+    /// queries ~100 M at paper scale; the harnesses scale the two
+    /// long-request applications down (keeping every ratio — request
+    /// length spreads, syscall densities, phase granularity relative to
+    /// the sampling period — intact) so full experiment suites complete in
+    /// minutes. EXPERIMENTS.md documents this.
+    pub fn harness_scale(self) -> f64 {
+        match self {
+            AppId::Tpch => 0.5,
+            AppId::Webwork => 0.1,
+            AppId::WebServer
+            | AppId::Tpcc
+            | AppId::Rubis
+            | AppId::MbenchSpin
+            | AppId::MbenchData => 1.0,
+        }
+    }
 }
 
 impl fmt::Display for AppId {

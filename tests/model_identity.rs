@@ -3,10 +3,12 @@
 //! `reference` holds the allocating fixed point exactly as it stood before
 //! the solver existed — `evaluate`, `evaluate_partitioned` and
 //! `proportional_fill`, copied verbatim (only `self` reaches the
-//! `MachineSpec` fields through a `Deref` wrapper). The property test
+//! `MachineSpec` fields through a `Deref` wrapper, and the memory latency
+//! is one sum over all cores since the model has one memory system). The
+//! property test
 //! drives ONE `ContentionSolver` and one set of output buffers through a
 //! generated sequence of calls — heterogeneous per-core profiles, random
-//! occupancy including all-idle machines, single- and multi-domain specs,
+//! occupancy including all-idle machines, several core/cache shapes,
 //! shared and statically partitioned caches — and requires every
 //! `PerfEstimate` field to equal the reference's to the bit. State left in
 //! the solver or the output buffer by one call and read by the next shows
@@ -115,17 +117,10 @@ mod reference {
                     target[lo..hi].copy_from_slice(&filled);
                 }
 
-                // Bandwidth and latency from current rates, per memory domain
-                // (one domain per machine; a single machine has one domain).
-                let cpd = self.cores_per_domain();
-                let mut mem_latency_of = vec![self.mem_base_cycles; self.memory_domains];
-                for (d, lat) in mem_latency_of.iter_mut().enumerate() {
-                    let demand: f64 = (d * cpd..(d + 1) * cpd)
-                        .map(|i| pressure[i] * miss[i])
-                        .sum();
-                    let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
-                    *lat = self.mem_base_cycles / (1.0 - utilization);
-                }
+                // Bandwidth and latency from current rates.
+                let demand: f64 = (0..n).map(|i| pressure[i] * miss[i]).sum();
+                let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
+                let mem_latency = self.mem_base_cycles / (1.0 - utilization);
 
                 // New CPI / IPC estimates; damped updates for both shares and
                 // IPC keep the coupled fixed point stable (the share map is
@@ -134,7 +129,6 @@ mod reference {
                 let mut max_delta = 0.0f64;
                 for i in 0..n {
                     let Some(p) = running[i] else { continue };
-                    let mem_latency = mem_latency_of[i / cpd];
                     let cpi = p.base_cpi
                         + p.l2_refs_per_ins
                             * (self.l2_hit_cycles * (1.0 - miss[i]) + mem_latency * miss[i]);
@@ -216,20 +210,15 @@ mod reference {
                 .map(|p| p.map_or(0.0, |p| 1.0 / p.base_cpi))
                 .collect();
             let mut out = vec![None; n];
-            let cpd = self.cores_per_domain();
             for _ in 0..MAX_ITERS {
-                let mut mem_latency_of = vec![self.mem_base_cycles; self.memory_domains];
-                for (d, lat) in mem_latency_of.iter_mut().enumerate() {
-                    let demand: f64 = (d * cpd..(d + 1) * cpd)
-                        .map(|i| running[i].map_or(0.0, |p| p.l2_refs_per_ins * ipc[i] * miss[i]))
-                        .sum();
-                    let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
-                    *lat = self.mem_base_cycles / (1.0 - utilization);
-                }
+                let demand: f64 = (0..n)
+                    .map(|i| running[i].map_or(0.0, |p| p.l2_refs_per_ins * ipc[i] * miss[i]))
+                    .sum();
+                let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
+                let mem_latency = self.mem_base_cycles / (1.0 - utilization);
                 let mut max_delta = 0.0f64;
                 for i in 0..n {
                     let Some(p) = running[i] else { continue };
-                    let mem_latency = mem_latency_of[i / cpd];
                     let cpi = p.base_cpi
                         + p.l2_refs_per_ins
                             * (self.l2_hit_cycles * (1.0 - miss[i]) + mem_latency * miss[i]);
@@ -310,21 +299,26 @@ mod reference {
     }
 }
 
-/// Machine shapes the sequence draws from: the paper's box, a two-machine
-/// cluster (two memory domains), a ragged six-core spec whose last cache
-/// cluster is short and whose domains straddle cluster boundaries, and
-/// eight cores sharing one cache (many claimants per water-fill).
+/// Machine shapes the sequence draws from: the paper's box, eight cores
+/// in four cache pairs, a ragged six-core spec whose last cache cluster is
+/// short, and eight cores sharing one cache (many claimants per
+/// water-fill).
 fn specs() -> [MachineSpec; 4] {
     let single = MachineSpec::xeon_5160();
     [
         single,
-        MachineSpec::xeon_5160_cluster(2),
+        MachineSpec {
+            topology: Topology {
+                cores: 8,
+                cores_per_cluster: 2,
+            },
+            ..single
+        },
         MachineSpec {
             topology: Topology {
                 cores: 6,
                 cores_per_cluster: 4,
             },
-            memory_domains: 2,
             ..single
         },
         MachineSpec {
@@ -332,7 +326,6 @@ fn specs() -> [MachineSpec; 4] {
                 cores: 8,
                 cores_per_cluster: 8,
             },
-            memory_domains: 2,
             ..single
         },
     ]
