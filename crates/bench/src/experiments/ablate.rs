@@ -172,14 +172,9 @@ pub fn ablate_sampling(fast: bool) -> Vec<(u64, u64, f64, f64)> {
 pub fn ablate_threshold(fast: bool) -> Vec<(f64, f64, f64)> {
     section("Ablation: contention-easing threshold percentile (TPCH)");
     use rbv_os::SchedulerPolicy;
-    use rbv_sim::Cycles;
 
     let profile = standard_run(AppId::Tpch, 0xAB4, requests_of(AppId::Tpch, true), false);
-    let mut values = Vec::new();
-    for r in &profile.completed {
-        let (_, mut v) = r.timeline.weighted_values(Metric::L2MissesPerIns);
-        values.append(&mut v);
-    }
+    let values = profile.l2_mpi_samples();
 
     let n = if fast { 40 } else { 200 };
     let mut rows = Vec::new();
@@ -187,9 +182,7 @@ pub fn ablate_threshold(fast: bool) -> Vec<(f64, f64, f64)> {
         let threshold = percentile(&values, pct).unwrap_or(0.0);
         let mut cfg = SimConfig::paper_default().with_interrupt_sampling(1_000);
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold: threshold,
-            alpha: 0.6,
         };
         cfg.measure_threshold = Some(threshold);
         cfg.seed = 0xAB4;

@@ -9,7 +9,6 @@
 
 use rbv_core::stats::{mean, percentile};
 use rbv_os::{run_simulation, SchedulerPolicy, SimConfig};
-use rbv_sim::Cycles;
 use rbv_workloads::AppId;
 
 use crate::harness::{print_table, requests_of, section};
@@ -58,15 +57,9 @@ pub fn profile_threshold(app: AppId, fast: bool) -> f64 {
     cfg.seed = 0xB0;
     cfg.concurrency = 12;
     let mut factory = factory_for(app, 0xB0, sched_scale(app));
-    let result = run_simulation(cfg, factory.as_mut(), n).expect("valid");
-    let mut values = Vec::new();
-    for r in &result.completed {
-        let (_, mut v) = r
-            .timeline
-            .weighted_values(rbv_core::series::Metric::L2MissesPerIns);
-        values.append(&mut v);
-    }
-    percentile(&values, 0.8).unwrap_or(0.0)
+    run_simulation(cfg, factory.as_mut(), n)
+        .expect("valid")
+        .easing_threshold()
 }
 
 /// Runs both schedulers for one application over `seeds` runs.
@@ -98,9 +91,7 @@ pub fn compute_app(app: AppId, fast: bool, seeds: &[u64]) -> Vec<SchedulerOutcom
             cfg.concurrency = 12;
             if contention_easing {
                 cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                    resched_interval: Cycles::from_millis(5),
                     high_usage_threshold: threshold,
-                    alpha: 0.6,
                 };
             }
             let mut factory = factory_for(app, seed ^ 0xCE, sched_scale(app));

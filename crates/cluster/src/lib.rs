@@ -36,11 +36,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use rbv_core::series::Metric;
-use rbv_core::stats::percentile;
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
-    ArrivalProcess, CompletedRequest, Machine, RbvError, RunResult, RunStats, SchedulerPolicy,
+    easing_threshold, ArrivalProcess, Machine, RbvError, RunResult, RunStats, SchedulerPolicy,
     SimConfig,
 };
 use rbv_sim::rng::{self, mix64};
@@ -216,21 +214,6 @@ fn exp_gap(rng: &mut SimRng, mean: f64) -> u64 {
     (-mean * u.ln()).max(1.0) as u64
 }
 
-/// The easing scheduler's high-usage threshold: the 80th percentile of
-/// observed per-period L2 misses per instruction — the warehouse
-/// derivation, applied to whatever completions the calibration pass
-/// produced on this machine.
-fn easing_threshold(samples: &[f64]) -> f64 {
-    percentile(samples, 0.8).unwrap_or(0.0)
-}
-
-/// Appends every per-period L2-misses-per-instruction sample of a
-/// completed request (or leg) to `out`.
-fn collect_mpi(request: &CompletedRequest, out: &mut Vec<f64>) {
-    let (_, mut values) = request.timeline.weighted_values(Metric::L2MissesPerIns);
-    out.append(&mut values);
-}
-
 /// Simulation config for one cluster machine running under external
 /// arrivals (the cluster loop injects every request).
 fn machine_config(
@@ -245,9 +228,7 @@ fn machine_config(
     cfg.arrivals = ArrivalProcess::External;
     if let Some(high_usage_threshold) = threshold {
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold,
-            alpha: 0.6,
         };
         cfg.easing_error_gate = Some(0.35);
     }
@@ -274,9 +255,7 @@ pub fn single_machine_config(
     };
     if let Some(high_usage_threshold) = threshold {
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold,
-            alpha: 0.6,
         };
         cfg.easing_error_gate = Some(0.35);
     }
@@ -607,7 +586,7 @@ fn run_tier_shard(
                     )));
                 };
                 if let Some(mpi) = calibration.as_deref_mut() {
-                    collect_mpi(&done, &mut mpi[i]);
+                    mpi[i].extend(done.l2_mpi_samples());
                 }
                 let rid = rid_base + local as u64;
                 let residence = done.finished_at.get() - done.arrived_at.get();
@@ -788,11 +767,7 @@ fn run_shard(
                 let stock = single_machine_config(spec, mean_service, seed, None);
                 let mut factory = factory_for(spec.app, seed, spec.app.harness_scale());
                 let result = machine_loop_run(stock, factory.as_mut(), n)?;
-                let mut samples = Vec::new();
-                for done in &result.completed {
-                    collect_mpi(done, &mut samples);
-                }
-                Some(easing_threshold(&samples))
+                Some(result.easing_threshold())
             } else {
                 None
             };

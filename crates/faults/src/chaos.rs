@@ -19,7 +19,6 @@
 
 use std::io::{self, Write};
 
-use rbv_core::stats::percentile;
 use rbv_os::{
     config::ArrivalProcess, run_simulation, GovernorPolicy, LadderRung, MeasurementFaults,
     OverloadPolicy, RbvError, RunResult, SchedulerPolicy, SimConfig,
@@ -493,8 +492,9 @@ impl ChaosReport {
     }
 }
 
-/// Requests per scenario.
-fn requests_of(app: AppId, fast: bool) -> usize {
+/// Requests per scenario (the run ledger's standard run uses the same
+/// sizes).
+pub fn requests_of(app: AppId, fast: bool) -> usize {
     let full = match app {
         AppId::WebServer => 320,
         AppId::Tpcc => 240,
@@ -521,7 +521,7 @@ fn measurement_storm(app: AppId) -> MeasurementFaults {
 }
 
 /// The standard interrupt-sampled config for `app`.
-fn base_config(app: AppId, seed: u64) -> SimConfig {
+pub fn base_config(app: AppId, seed: u64) -> SimConfig {
     let mut cfg = SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
     cfg.seed = seed;
     cfg
@@ -822,26 +822,20 @@ pub fn scenario_thermal(app: AppId, seed: u64) -> Result<ThermalOutcome, RbvErro
     })
 }
 
-/// Runs the stock-vs-gated-easing comparison under the measurement
-/// storm; also used directly by the acceptance test.
-pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcome, RbvError> {
-    // The per-application high-usage threshold from a clean stock
-    // profiling run (§5.2's 80th percentile).
+/// The per-application high-usage threshold shared by the easing and
+/// governed storms, calibrated on a clean stock profiling run (§5.2).
+fn storm_threshold(app: AppId, seed: u64, n: usize) -> Result<f64, RbvError> {
     let mut cfg = base_config(app, seed ^ 0xB0);
     cfg.concurrency = 12;
     let mut factory = factory_for(app, seed ^ 0xB0, app.harness_scale());
     let profile = run_simulation(cfg, factory.as_mut(), (n / 2).max(20))?;
-    let mut mpi = Vec::new();
-    for r in &profile.completed {
-        let (_, mut v) = r
-            .timeline
-            .weighted_values(rbv_core::series::Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    // Exact percentile, not a sketch: the threshold is a *scheduler
-    // input*, and moving it even within sketch resolution would change
-    // which requests easing displaces.
-    let threshold = percentile(&mpi, 0.8).unwrap_or(0.0);
+    Ok(profile.easing_threshold())
+}
+
+/// Runs the stock-vs-gated-easing comparison under the measurement
+/// storm; also used directly by the acceptance test.
+pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcome, RbvError> {
+    let threshold = storm_threshold(app, seed, n)?;
 
     let storm_run = |easing: bool| -> Result<RunResult, RbvError> {
         let mut cfg = base_config(app, seed ^ 0x57);
@@ -849,9 +843,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
         cfg.faults = measurement_storm(app);
         if easing {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
                 high_usage_threshold: threshold,
-                alpha: 0.6,
             };
             cfg.easing_error_gate = Some(0.35);
         }
@@ -877,20 +869,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
 ///
 /// Propagates [`RbvError`] from configuration validation.
 pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome, RbvError> {
-    // Same clean profiling run as the easing storm: the high-usage
-    // threshold is a scheduler input shared by both contenders.
-    let mut cfg = base_config(app, seed ^ 0xB0);
-    cfg.concurrency = 12;
-    let mut factory = factory_for(app, seed ^ 0xB0, app.harness_scale());
-    let profile = run_simulation(cfg, factory.as_mut(), (n / 2).max(20))?;
-    let mut mpi = Vec::new();
-    for r in &profile.completed {
-        let (_, mut v) = r
-            .timeline
-            .weighted_values(rbv_core::series::Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    let threshold = percentile(&mpi, 0.8).unwrap_or(0.0);
+    let threshold = storm_threshold(app, seed, n)?;
 
     let storm_run = |governed: bool| -> Result<RunResult, RbvError> {
         let mut cfg = base_config(app, seed ^ 0x57);
@@ -898,9 +877,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
         cfg.faults = measurement_storm(app);
         if governed {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
                 high_usage_threshold: threshold,
-                alpha: 0.6,
             };
             // The ladder replaces the one-shot confidence gate.
             cfg.easing_error_gate = None;

@@ -321,27 +321,48 @@ impl InvariantMonitor {
     }
 }
 
-/// Campaign-level invariant checker for the cross-run warehouse.
+/// Exact-equality invariant tally for the tools that fold many shard
+/// digests into one document: the campaign warehouse and the multi-tier
+/// cluster.
 ///
 /// Where [`InvariantMonitor`] guards one simulation while it runs, this
-/// checker guards the *merge step* that folds many shard digests into a
-/// warehouse: counts must be conserved (a merged cell holds exactly the
-/// sum of its shards' observations), merged extrema must bracket every
-/// shard's extrema, and the grid must be fully covered (every expected
-/// shard present exactly once). A violated merge invariant means the
-/// warehouse is lying about the campaign, so violations surface in the
-/// campaign report and fail its gate rather than panicking mid-merge.
+/// tally guards what the fold claims. Each check records one verdict;
+/// a violated invariant means the document is lying about the run, so
+/// violations surface in the report (and fail its gate) rather than
+/// panicking mid-merge.
+///
+/// * Warehouse merge: counts must be conserved (a merged cell holds
+///   exactly the sum of its shards' observations), merged extrema must
+///   bracket every shard's extrema, and the grid must be fully covered.
+/// * Cluster run: the `rbv-cluster` event loop feeds per-request and
+///   end-of-run facts. The load-bearing check is the exact latency
+///   partition — a request's per-tier leg residencies plus its network
+///   hops must sum, in integer cycles with no tolerance, to its
+///   client-visible latency: the cross-machine extension of the
+///   single-machine `SpanAccounting` invariant.
+///
+/// # Example
+///
+/// ```
+/// use rbv_guard::InvariantTally;
+///
+/// let mut inv = InvariantTally::new();
+/// // legs 120 + 380, hops 40 + 60, client-visible 600: exact partition.
+/// assert!(inv.check_latency_partition(7, 500, 100, 600));
+/// assert!(inv.check_request_conservation(1, 1, 0));
+/// assert_eq!(inv.violations(), 0);
+/// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CampaignInvariants {
+pub struct InvariantTally {
     checks: u64,
     violations: u64,
     first_violation: Option<String>,
 }
 
-impl CampaignInvariants {
-    /// A fresh checker with no checks recorded.
-    pub fn new() -> CampaignInvariants {
-        CampaignInvariants::default()
+impl InvariantTally {
+    /// A fresh tally with no checks recorded.
+    pub fn new() -> InvariantTally {
+        InvariantTally::default()
     }
 
     fn record(&mut self, ok: bool, detail: impl FnOnce() -> String) -> bool {
@@ -394,76 +415,6 @@ impl CampaignInvariants {
         })
     }
 
-    /// Total checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Total violations.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// The first violation's detail, if any.
-    pub fn first_violation(&self) -> Option<&str> {
-        self.first_violation.as_deref()
-    }
-
-    /// Serializes the checker for the campaign report.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("checks".into(), Json::Num(self.checks as f64)),
-            ("violations".into(), Json::Num(self.violations as f64)),
-        ])
-    }
-}
-
-/// Conservation checks for a multi-machine cluster run, mirroring
-/// [`CampaignInvariants`]: the `rbv-cluster` event loop feeds it
-/// per-request and end-of-run facts, and the cluster ledger records the
-/// verdicts (and treats any violation as fatal).
-///
-/// The load-bearing check is the exact latency partition: a request's
-/// per-tier leg residencies plus its network hops must sum — in integer
-/// cycles, no tolerance — to its client-visible latency. That is the
-/// cross-machine extension of the single-machine `SpanAccounting`
-/// invariant.
-///
-/// # Example
-///
-/// ```
-/// use rbv_guard::ClusterInvariants;
-///
-/// let mut inv = ClusterInvariants::new();
-/// // legs 120 + 380, hops 40 + 60, client-visible 600: exact partition.
-/// assert!(inv.check_latency_partition(7, 500, 100, 600));
-/// assert!(inv.check_request_conservation(1, 1, 0));
-/// assert_eq!(inv.violations(), 0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClusterInvariants {
-    checks: u64,
-    violations: u64,
-    first_violation: Option<String>,
-}
-
-impl ClusterInvariants {
-    /// A fresh checker with no checks recorded.
-    pub fn new() -> ClusterInvariants {
-        ClusterInvariants::default()
-    }
-
-    fn record(&mut self, ok: bool, detail: impl FnOnce() -> String) -> bool {
-        self.checks += 1;
-        if !ok {
-            self.violations += 1;
-            if self.first_violation.is_none() {
-                self.first_violation = Some(detail());
-            }
-        }
-        ok
-    }
-
     /// Checks cluster-wide request conservation: every request offered
     /// to the cluster was either delivered back to the client or failed.
     pub fn check_request_conservation(
@@ -507,14 +458,6 @@ impl ClusterInvariants {
         })
     }
 
-    /// Checks a leg's internal split: on-CPU service can never exceed
-    /// the leg's total residence on the machine.
-    pub fn check_service_bound(&mut self, rid: u64, service: u64, leg_total: u64) -> bool {
-        self.record(service <= leg_total, || {
-            format!("request {rid}: leg service {service} exceeds residence {leg_total}")
-        })
-    }
-
     /// Checks one leg's exact internal partition: wait plus service must
     /// equal the leg's residence (arrival to completion on the machine)
     /// in integer cycles.
@@ -545,9 +488,9 @@ impl ClusterInvariants {
         self.first_violation.as_deref()
     }
 
-    /// Merges another checker's tallies into this one (shard fold; the
-    /// first violation in fold order wins).
-    pub fn absorb(&mut self, other: &ClusterInvariants) {
+    /// Merges another tally into this one (shard fold; the first
+    /// violation in fold order wins).
+    pub fn absorb(&mut self, other: &InvariantTally) {
         self.checks += other.checks;
         self.violations += other.violations;
         if self.first_violation.is_none() {
@@ -555,7 +498,7 @@ impl ClusterInvariants {
         }
     }
 
-    /// Serializes the checker for the cluster ledger.
+    /// Serializes the tally as `{checks, violations}`.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("checks".into(), Json::Num(self.checks as f64)),
@@ -616,7 +559,7 @@ mod tests {
 
     #[test]
     fn campaign_checker_flags_merge_lies() {
-        let mut c = CampaignInvariants::new();
+        let mut c = InvariantTally::new();
         assert!(c.check_count_conservation("web.cpi", 120, 120));
         assert!(c.check_merged_extrema("web.cpi", Some(0.5), Some(9.0), Some(0.5), Some(9.0)));
         assert!(c.check_grid_coverage(48, 48));

@@ -45,5 +45,5 @@ pub mod power;
 pub use fsx::{read_document, write_atomic, DocumentError};
 pub use governor::{Governor, GovernorAction, GovernorDecision, GovernorPolicy, WindowSample};
 pub use health::{HealthLadder, HealthPolicy, LadderRung, LadderTransition};
-pub use invariant::{CampaignInvariants, ClusterInvariants, InvariantKind, InvariantMonitor};
+pub use invariant::{InvariantKind, InvariantMonitor, InvariantTally};
 pub use power::{PowerCapPolicy, PowerLadder, PowerRung, PowerTransition};

@@ -19,10 +19,10 @@
 //! timings go to the caller's [`SelfProfiler`] and never into the
 //! deterministic part of the document.
 
-use rbv_core::stats::percentile;
-use rbv_faults::chaos::{governor_storm, run_matrix, ChaosReport, GovernorOutcome};
+use rbv_faults::chaos::{
+    base_config, governor_storm, requests_of, run_matrix, ChaosReport, GovernorOutcome,
+};
 use rbv_os::{run_simulation, ObserverReport, RbvError, RunResult, SchedulerPolicy, SimConfig};
-use rbv_sim::Cycles;
 use rbv_telemetry::{Json, SelfProfiler};
 use rbv_workloads::{factory_for, AppId};
 
@@ -43,29 +43,6 @@ pub fn short_label(app: AppId) -> &'static str {
         AppId::MbenchSpin => "mbench-spin",
         AppId::MbenchData => "mbench-data",
     }
-}
-
-/// Requests for the standard run (mirrors the chaos harness sizes).
-fn requests_of(app: AppId, fast: bool) -> usize {
-    let full = match app {
-        AppId::WebServer => 320,
-        AppId::Tpcc => 240,
-        AppId::Rubis => 200,
-        AppId::Tpch => 120,
-        AppId::Webwork | AppId::MbenchSpin | AppId::MbenchData => 60,
-    };
-    if fast {
-        (full / 4).max(40)
-    } else {
-        full
-    }
-}
-
-/// The standard interrupt-sampled configuration.
-fn base_config(app: AppId, seed: u64) -> SimConfig {
-    let mut cfg = SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
-    cfg.seed = seed;
-    cfg
 }
 
 fn run(cfg: SimConfig, app: AppId, seed: u64, n: usize) -> Result<RunResult, RbvError> {
@@ -104,10 +81,9 @@ fn stage_syscall(
 }
 
 /// Stage 3: contention easing against `standard` as the stock baseline.
-/// The high-usage threshold is the 80th percentile of the standard run's
-/// per-period L2 miss rates — an exact percentile, because it is a
-/// scheduler input, not a reported statistic. This data dependency is why
-/// the pooled collector chains stages 1 and 3 into one task.
+/// The high-usage threshold is calibrated on the standard run
+/// ([`RunResult::easing_threshold`]). This data dependency is why the
+/// pooled collector chains stages 1 and 3 into one task.
 fn stage_easing(
     app: AppId,
     seed: u64,
@@ -117,19 +93,9 @@ fn stage_easing(
 ) -> Result<RunResult, RbvError> {
     let label = short_label(app);
     let timer = profiler.stage(format!("{label}.easing"));
-    let mut mpi = Vec::new();
-    for r in &standard.completed {
-        let (_, mut v) = r
-            .timeline
-            .weighted_values(rbv_core::series::Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    let threshold = percentile(&mpi, 0.8).unwrap_or(0.0);
     let mut cfg = base_config(app, seed);
     cfg.scheduler = SchedulerPolicy::ContentionEasing {
-        resched_interval: Cycles::from_millis(5),
-        high_usage_threshold: threshold,
-        alpha: 0.6,
+        high_usage_threshold: standard.easing_threshold(),
     };
     cfg.easing_error_gate = Some(0.35);
     let eased = run(cfg, app, seed, n)?;
@@ -242,23 +208,14 @@ fn stage_energy(
 ) -> Result<Json, RbvError> {
     let label = short_label(app);
     let timer = profiler.stage(format!("{label}.energy"));
-    let mut mpi = Vec::new();
-    for r in &standard.completed {
-        let (_, mut v) = r
-            .timeline
-            .weighted_values(rbv_core::series::Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    let threshold = percentile(&mpi, 0.8).unwrap_or(0.0);
+    let threshold = standard.easing_threshold();
     let variant = |mode: usize| -> Result<RunResult, RbvError> {
         let mut cfg = base_config(app, seed ^ 0xE76);
         cfg.concurrency = 12;
         cfg.power = Some(rbv_os::PowerPolicy::paper_default());
         if mode >= 1 {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
                 high_usage_threshold: threshold,
-                alpha: 0.6,
             };
             cfg.easing_error_gate = Some(0.35);
         }

@@ -207,8 +207,7 @@ struct ServeAccumulator {
 impl CompletionSink for ServeAccumulator {
     fn on_complete(&mut self, request: &CompletedRequest) {
         self.completed += 1;
-        self.latency_us
-            .observe(request.latency().as_f64() / 3_000.0);
+        self.latency_us.observe(request.latency().as_micros_f64());
         self.cpu_cycles.observe(request.cpu_cycles());
     }
 

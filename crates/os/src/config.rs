@@ -62,23 +62,22 @@ pub enum SamplingPolicy {
 }
 
 /// CPU scheduling policy (§5.2).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerPolicy {
     /// Stock round-robin per-core runqueues with the configured quantum.
     Stock,
     /// Contention-easing scheduling: at each scheduling opportunity
-    /// (re-evaluated every `resched_interval`, the paper's ≤ 5 ms), avoid
+    /// (re-evaluated every 5 ms, the paper's rescheduling interval), avoid
     /// co-executing requests whose predicted L2 misses per instruction
-    /// exceed `high_usage_threshold`.
+    /// (vaEWMA, α = 0.6) exceed `high_usage_threshold`. The interval and
+    /// the gain are fixed engine constants; the threshold is the one
+    /// workload-dependent input — see [`crate::easing_threshold`] and
+    /// [`crate::RunResult::easing_threshold`] for the paper's
+    /// per-application 80th-percentile calibration.
     ContentionEasing {
-        /// Re-scheduling attempt interval (≤ 5 ms in the paper).
-        resched_interval: Cycles,
         /// The high-resource-usage threshold on predicted L2 misses per
-        /// instruction (the paper uses the per-application 80th
-        /// percentile).
+        /// instruction.
         high_usage_threshold: f64,
-        /// vaEWMA gain for online prediction (the paper settles on 0.6).
-        alpha: f64,
     },
 }
 
@@ -409,8 +408,8 @@ pub struct SimConfig {
     pub arrivals: ArrivalProcess,
     /// Front-end queue discipline for new arrivals (RSS-steered d-FCFS or
     /// central c-FCFS). `None` (the default) keeps least-loaded placement
-    /// bit-identically. Requires no component affinity and no work
-    /// stealing — the NIC front end owns placement.
+    /// bit-identically. Requires no work stealing — the NIC front end owns
+    /// placement.
     pub queue_discipline: Option<QueueDiscipline>,
     /// Open-loop client timeout/retry model; `None` (the default) models
     /// patient clients and changes nothing. Requires open-loop arrivals.
@@ -423,12 +422,6 @@ pub struct SimConfig {
     /// *not* migrate requests between runqueues "for simplicity" (§5.2);
     /// this switch lifts that limitation for comparison.
     pub work_stealing: bool,
-    /// Pin server components to dedicated cores (web tier on core 0, the
-    /// application tier on the middle cores, the database on the last
-    /// core) instead of least-loaded placement — the component-placement
-    /// dimension the paper's §7 sketches for multi-machine deployments,
-    /// here at core granularity.
-    pub component_affinity: bool,
     /// Replace LRU cache sharing with static equal partitioning of each
     /// shared L2 among its occupied cores (page-coloring-style isolation,
     /// the related-work alternative the paper's §6 discusses).
@@ -497,7 +490,6 @@ impl SimConfig {
             client: None,
             shed: None,
             work_stealing: false,
-            component_affinity: false,
             static_cache_partition: false,
             compensate_observer_effect: true,
             counter_noise: 0.08,
@@ -589,11 +581,8 @@ impl SimConfig {
             }
         }
         if self.queue_discipline.is_some() {
-            // The NIC front end owns placement: it cannot coexist with the
-            // placement features that also want to decide where requests go.
-            if self.component_affinity {
-                return config_err("queue discipline excludes component affinity".into());
-            }
+            // The NIC front end owns placement: it cannot coexist with work
+            // stealing, which also wants to decide where requests go.
             if self.work_stealing {
                 return config_err("queue discipline excludes work stealing".into());
             }
@@ -653,18 +642,10 @@ impl SimConfig {
             ));
         }
         if let SchedulerPolicy::ContentionEasing {
-            resched_interval,
             high_usage_threshold,
-            alpha,
-        } = &self.scheduler
+        } = self.scheduler
         {
-            if resched_interval.is_zero() {
-                return config_err("resched interval must be nonzero".into());
-            }
-            if !(0.0..=1.0).contains(alpha) {
-                return config_err(format!("alpha {alpha} must be in [0, 1]"));
-            }
-            if !high_usage_threshold.is_finite() || *high_usage_threshold < 0.0 {
+            if !high_usage_threshold.is_finite() || high_usage_threshold < 0.0 {
                 return config_err(format!(
                     "high usage threshold {high_usage_threshold} must be nonnegative"
                 ));
@@ -736,17 +717,7 @@ mod tests {
 
         let mut c = SimConfig::paper_default();
         c.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold: -1.0,
-            alpha: 0.6,
-        };
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::paper_default();
-        c.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
-            high_usage_threshold: 0.001,
-            alpha: 1.5,
         };
         assert!(c.validate().is_err());
     }
@@ -871,9 +842,6 @@ mod tests {
         c.queue_discipline = Some(QueueDiscipline::Dfcfs);
         assert!(c.validate().is_ok());
         c.work_stealing = true;
-        assert!(c.validate().is_err());
-        c.work_stealing = false;
-        c.component_affinity = true;
         assert!(c.validate().is_err());
         assert_eq!(QueueDiscipline::Dfcfs.label(), "dfcfs");
         assert_eq!(QueueDiscipline::Cfcfs.label(), "cfcfs");

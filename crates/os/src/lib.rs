@@ -10,15 +10,20 @@
 //!   ([`run_simulation`]): per-core runqueues, quantum scheduling, the
 //!   contention-easing policy of §5.2, request context propagation across
 //!   components, and exact lazy counter advancement under the analytical
-//!   contention model;
+//!   contention model. The paper's fixed easing constants — the ≤ 5 ms
+//!   re-scheduling interval and the vaEWMA gain α = 0.6 — are engine
+//!   constants there, not configuration;
 //! * [`observer`] — sampling costs and the observer effect (Table 1),
 //!   both as calibrated constants and as measurements against the
 //!   trace-driven cache hierarchy;
 //! * [`accountant`] — the observer-effect cost accountant: per-mode
 //!   sampling cost attribution against the "do no harm" budget (§3.4);
 //! * [`result`] — completed-request timelines, transition-signal training
-//!   records (Table 2), sampling statistics (Figure 5), and contention
-//!   accounting (Figure 12);
+//!   records (Table 2), sampling statistics (Figure 5), contention
+//!   accounting (Figure 12), and the one calibration of the easing
+//!   scheduler's workload-dependent input: [`easing_threshold`], the
+//!   exact 80th percentile of a stock run's per-period L2 misses per
+//!   instruction ([`RunResult::easing_threshold`]);
 //! * [`projection`] — the paper's future-work extension: projecting
 //!   measured request timelines onto a different hardware platform.
 //!
@@ -68,6 +73,6 @@ pub use rbv_guard::{GovernorPolicy, HealthPolicy, InvariantKind, LadderRung};
 pub use rbv_guard::{PowerCapPolicy, PowerRung};
 pub use rbv_power::{joules, PowerPolicy, ThermalFaults};
 pub use result::{
-    CompletedRequest, EnergyStats, FailReason, FailedRequest, RunResult, RunStats, SyscallRecord,
-    TransitionRecord,
+    easing_threshold, CompletedRequest, EnergyStats, FailReason, FailedRequest, RunResult,
+    RunStats, SyscallRecord, TransitionRecord,
 };

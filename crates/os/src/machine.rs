@@ -297,6 +297,11 @@ fn gaussian(rng: &mut SimRng) -> f64 {
 }
 /// vaEWMA unit observation length t̂: 1 ms, as in §5.1.
 const PREDICTOR_UNIT: f64 = 1.0;
+/// vaEWMA gain α: the paper settles on 0.6 (§5.1).
+const PREDICTOR_ALPHA: f64 = 0.6;
+/// Contention-easing re-scheduling attempt interval: the paper's ≤ 5 ms
+/// (§5.2).
+const RESCHED_INTERVAL: Cycles = Cycles::from_millis(5);
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -361,7 +366,6 @@ struct LiveRequest {
     predictor: VaEwma,
     pending_transition: Option<(Option<SyscallName>, SyscallName, f64)>,
     last_syscall: Option<SyscallName>,
-    stage_marks: Vec<(f64, f64)>,
     noise_rng: SimRng,
     /// Client attempt generation: 0 for the first submission, bumped on
     /// every client-timeout resubmission. Stale timer events carrying an
@@ -753,10 +757,6 @@ impl<'s> Engine<'s> {
     fn push_live(&mut self, request: Request, at: Cycles) -> usize {
         let id = self.live.len();
         self.generated += 1;
-        let alpha = match &self.cfg.scheduler {
-            SchedulerPolicy::ContentionEasing { alpha, .. } => *alpha,
-            SchedulerPolicy::Stock => 0.6,
-        };
         self.live.push(Some(LiveRequest {
             id,
             request,
@@ -771,10 +771,9 @@ impl<'s> Engine<'s> {
             cum_ins: 0.0,
             syscalls: Vec::new(),
             arrived_at: at,
-            predictor: VaEwma::new(alpha, PREDICTOR_UNIT),
+            predictor: VaEwma::new(PREDICTOR_ALPHA, PREDICTOR_UNIT),
             pending_transition: None,
             last_syscall: None,
-            stage_marks: Vec::new(),
             noise_rng: self.rng.fork_labeled(id as u64),
             attempt: 0,
             queued_at: at,
@@ -865,7 +864,7 @@ impl<'s> Engine<'s> {
                 )
             }
             None => {
-                let c = self.least_loaded_core(rid);
+                let c = self.least_loaded_core();
                 (
                     c,
                     self.runqueues[c].len() + usize::from(self.cores[c].running.is_some()),
@@ -1058,7 +1057,7 @@ impl<'s> Engine<'s> {
     /// dFCFS, the one central queue under cFCFS) and wakes an idle core.
     fn enqueue_runnable(&mut self, rid: usize) {
         let queue = match self.cfg.queue_discipline {
-            None => self.least_loaded_core(rid),
+            None => self.least_loaded_core(),
             Some(QueueDiscipline::Dfcfs) => self.rss_core(rid),
             Some(QueueDiscipline::Cfcfs) => 0,
         };
@@ -1131,49 +1130,14 @@ impl<'s> Engine<'s> {
             .is_some_and(|g| g.policy.ladder && g.ladder.rung().is_overloaded())
     }
 
-    /// The least-loaded core eligible for a request's current component
-    /// (respecting component affinity).
-    fn least_loaded_core(&self, rid: usize) -> usize {
-        let mut candidates: Vec<usize> = if self.cfg.component_affinity {
-            self.affinity_cores(rid)
-        } else {
-            (0..self.cores.len()).collect()
-        };
-        if let Some(parked) = self.parked_core() {
-            if candidates.len() > 1 {
-                candidates.retain(|&c| c != parked);
-            }
-        }
-        candidates
-            .into_iter()
+    /// The least-loaded core, skipping a parked one; ties go to the lowest
+    /// index.
+    fn least_loaded_core(&self) -> usize {
+        let parked = self.parked_core();
+        (0..self.cores.len())
+            .filter(|&c| Some(c) != parked)
             .min_by_key(|&c| self.runqueues[c].len() + usize::from(self.cores[c].running.is_some()))
             .expect("at least one core")
-    }
-
-    /// Cores eligible for a request's current component under
-    /// [`SimConfig::component_affinity`]: web tier on core 0, application
-    /// tier on the middle cores, database on the last core; standalone
-    /// components may run anywhere.
-    fn affinity_cores(&self, rid: usize) -> Vec<usize> {
-        use rbv_workloads::Component;
-        let n = self.cores.len();
-        let component = self.live[rid]
-            .as_ref()
-            .expect("enqueued request is live")
-            .stage()
-            .component;
-        match component {
-            Component::WebTier => vec![0],
-            Component::AppTier => {
-                if n > 2 {
-                    (1..n - 1).collect()
-                } else {
-                    (0..n).collect()
-                }
-            }
-            Component::Database => vec![n - 1],
-            Component::Standalone => (0..n).collect(),
-        }
     }
 
     // ----- time advancement ----------------------------------------------
@@ -1511,7 +1475,6 @@ impl<'s> Engine<'s> {
         }
 
         let lr = self.live[rid].as_mut().expect("running is live");
-        lr.stage_marks.push((lr.cum_ins, lr.cum_cycles));
         if lr.stage_idx + 1 < lr.request.stages.len() {
             // Propagate the request context to the next component (§2.1):
             // the socket hop re-enters the scheduler on another runqueue.
@@ -1533,7 +1496,6 @@ impl<'s> Engine<'s> {
                 syscalls: lr.syscalls,
                 arrived_at: lr.arrived_at,
                 finished_at: now,
-                stage_marks: lr.stage_marks,
             });
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.record(TraceEvent::RequestEnd {
@@ -2271,15 +2233,11 @@ impl<'s> Engine<'s> {
             SamplingPolicy::ContextSwitchOnly => {}
         }
 
-        if let SchedulerPolicy::ContentionEasing {
-            resched_interval, ..
-        } = &self.cfg.scheduler
-        {
-            let interval = *resched_interval;
+        if let SchedulerPolicy::ContentionEasing { .. } = self.cfg.scheduler {
             self.cores[core].resched_epoch += 1;
             let epoch = self.cores[core].resched_epoch;
             self.queue
-                .schedule_after(interval, Event::Resched { core, epoch });
+                .schedule_after(RESCHED_INTERVAL, Event::Resched { core, epoch });
         }
     }
 
@@ -2418,11 +2376,10 @@ impl<'s> Engine<'s> {
     /// central queue under cFCFS).
     fn pick_candidate(&mut self, core: usize) -> Option<usize> {
         let q = self.qidx(core);
-        match self.cfg.scheduler.clone() {
+        match self.cfg.scheduler {
             SchedulerPolicy::Stock => self.runqueues[q].pop_front(),
             SchedulerPolicy::ContentionEasing {
                 high_usage_threshold,
-                ..
             } => {
                 if self.easing_gated() {
                     // vaEWMA error exceeds the gate: fall back to stock
@@ -2512,10 +2469,8 @@ impl<'s> Engine<'s> {
 
     fn on_resched(&mut self, core: usize, now: Cycles) {
         let SchedulerPolicy::ContentionEasing {
-            resched_interval,
             high_usage_threshold,
-            ..
-        } = self.cfg.scheduler.clone()
+        } = self.cfg.scheduler
         else {
             return;
         };
@@ -2523,7 +2478,7 @@ impl<'s> Engine<'s> {
         self.cores[core].resched_epoch += 1;
         let epoch = self.cores[core].resched_epoch;
         self.queue
-            .schedule_after(resched_interval, Event::Resched { core, epoch });
+            .schedule_after(RESCHED_INTERVAL, Event::Resched { core, epoch });
 
         let Some(rid) = self.cores[core].running else {
             return;
@@ -2733,7 +2688,6 @@ impl<'s> Engine<'s> {
         lr.syscalls.clear();
         lr.pending_transition = None;
         lr.last_syscall = None;
-        lr.stage_marks.clear();
         lr.queued_at = now;
     }
 
@@ -3073,9 +3027,7 @@ mod tests {
     fn contention_easing_config_runs() {
         let mut cfg = SimConfig::paper_default();
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold: 1e-4,
-            alpha: 0.6,
         };
         cfg.sampling = SamplingPolicy::Interrupt {
             period: Cycles::from_micros(100),
@@ -3150,9 +3102,7 @@ mod fault_and_overload_tests {
         let run = |gate: Option<f64>| {
             let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
                 high_usage_threshold: 1e-4,
-                alpha: 0.6,
             };
             cfg.easing_error_gate = gate;
             let mut f = Tpcc::new(4, 0.05);
@@ -3417,44 +3367,6 @@ mod arrival_and_partition_tests {
             c.iter().sum::<f64>() / c.len() as f64
         };
         assert!((mean(&shared) - mean(&partitioned)).abs() > 1e-3);
-    }
-}
-
-#[cfg(test)]
-mod affinity_tests {
-    use super::*;
-    use crate::config::SimConfig;
-    use rbv_workloads::Rubis;
-
-    #[test]
-    fn affinity_pins_components_to_their_cores() {
-        let mut cfg = SimConfig::paper_default();
-        cfg.component_affinity = true;
-        let mut f = Rubis::new(21, 0.2);
-        let r = run_simulation(cfg, &mut f, 15).expect("valid");
-        assert_eq!(r.completed.len(), 15);
-        // All three tiers executed: every request carries the full socket
-        // hand-off chain despite the pinning.
-        for c in &r.completed {
-            assert!(c.timeline.total_instructions() > 0.0);
-        }
-    }
-
-    #[test]
-    fn affinity_changes_placement_outcomes() {
-        let run = |affinity: bool| {
-            let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
-            cfg.component_affinity = affinity;
-            let mut f = Rubis::new(22, 0.2);
-            run_simulation(cfg, &mut f, 20).expect("valid")
-        };
-        let spread = run(false);
-        let pinned = run(true);
-        // Placement genuinely differs: completion times diverge.
-        assert_ne!(
-            spread.completed.last().unwrap().finished_at,
-            pinned.completed.last().unwrap().finished_at
-        );
     }
 }
 

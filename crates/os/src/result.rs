@@ -36,10 +36,6 @@ pub struct CompletedRequest {
     pub arrived_at: Cycles,
     /// Completion time.
     pub finished_at: Cycles,
-    /// Cumulative `(instructions, cycles)` at the end of each stage, in
-    /// stage order — the per-component split a distributed deployment
-    /// exposes (§7 "local and inter-machine variations").
-    pub stage_marks: Vec<(f64, f64)>,
 }
 
 impl CompletedRequest {
@@ -76,22 +72,20 @@ impl CompletedRequest {
         self.finished_at.saturating_sub(self.arrived_at)
     }
 
-    /// Per-stage CPI values, split at the recorded stage marks.
-    /// Single-stage requests yield one value (the request CPI).
-    pub fn stage_cpis(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.stage_marks.len());
-        let (mut prev_ins, mut prev_cycles) = (0.0, 0.0);
-        for &(ins, cycles) in &self.stage_marks {
-            let d_ins = ins - prev_ins;
-            let d_cycles = cycles - prev_cycles;
-            if d_ins > 0.0 {
-                out.push(d_cycles / d_ins);
-            }
-            prev_ins = ins;
-            prev_cycles = cycles;
-        }
-        out
+    /// Per-sample-period L2 misses per instruction, in timeline order —
+    /// the samples the contention-easing threshold is calibrated on.
+    pub fn l2_mpi_samples(&self) -> Vec<f64> {
+        self.timeline.weighted_values(Metric::L2MissesPerIns).1
     }
+}
+
+/// The contention-easing high-usage threshold (§5.2): the exact 80th
+/// percentile of per-period L2 misses per instruction, or 0.0 without
+/// samples. Exact rather than sketched because the threshold is a
+/// scheduler input: moving it even within sketch resolution would change
+/// which requests easing displaces.
+pub fn easing_threshold(l2_mpi_samples: &[f64]) -> f64 {
+    rbv_core::stats::percentile(l2_mpi_samples, 0.8).unwrap_or(0.0)
 }
 
 /// Why a request failed instead of completing.
@@ -355,6 +349,21 @@ impl RunResult {
             .collect()
     }
 
+    /// Every completed request's [`CompletedRequest::l2_mpi_samples`],
+    /// concatenated in completion order.
+    pub fn l2_mpi_samples(&self) -> Vec<f64> {
+        self.completed
+            .iter()
+            .flat_map(CompletedRequest::l2_mpi_samples)
+            .collect()
+    }
+
+    /// The [`easing_threshold`] calibrated on this run — the paper's
+    /// per-application threshold when this is a stock profiling run.
+    pub fn easing_threshold(&self) -> f64 {
+        easing_threshold(&self.l2_mpi_samples())
+    }
+
     /// Requests of one class.
     pub fn of_class(&self, class: RequestClass) -> Vec<&CompletedRequest> {
         self.completed.iter().filter(|r| r.class == class).collect()
@@ -364,9 +373,7 @@ impl RunResult {
     /// on the 3 GHz platform.
     pub fn latency_sketch(&self) -> rbv_telemetry::QuantileSketch {
         rbv_telemetry::QuantileSketch::of(
-            self.completed
-                .iter()
-                .map(|r| r.latency().as_f64() / 3_000.0),
+            self.completed.iter().map(|r| r.latency().as_micros_f64()),
         )
     }
 
@@ -645,7 +652,6 @@ mod tests {
             syscalls: vec![],
             arrived_at: Cycles::ZERO,
             finished_at: Cycles::new(1000),
-            stage_marks: vec![],
         }
     }
 
@@ -714,6 +720,40 @@ mod tests {
         // min_count filters singles.
         let filtered = result.transition_table(2);
         assert_eq!(filtered.len(), 1);
+    }
+
+    #[test]
+    fn easing_threshold_of_an_empty_run_is_zero() {
+        let empty = RunResult {
+            completed: vec![],
+            failed: vec![],
+            transitions: vec![],
+            stats: RunStats::default(),
+            total_time: Cycles::ZERO,
+        };
+        assert!(empty.l2_mpi_samples().is_empty());
+        assert_eq!(empty.easing_threshold().to_bits(), 0.0f64.to_bits());
+        assert_eq!(easing_threshold(&[]).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn easing_threshold_is_exact_80th_percentile_of_concatenated_samples() {
+        let cfg = crate::SimConfig::paper_default().with_interrupt_sampling(1_000);
+        let mut f = rbv_workloads::Tpch::new(3, 0.05);
+        let run = crate::run_simulation(cfg, &mut f, 8).expect("valid");
+        let mut concatenated = Vec::new();
+        for r in &run.completed {
+            let (_, mut v) = r.timeline.weighted_values(Metric::L2MissesPerIns);
+            concatenated.append(&mut v);
+        }
+        assert!(
+            concatenated.len() > run.completed.len(),
+            "multi-period requests"
+        );
+        assert_eq!(run.l2_mpi_samples(), concatenated);
+        let exact = rbv_core::stats::percentile(&concatenated, 0.8).expect("samples");
+        assert!(exact > 0.0);
+        assert_eq!(run.easing_threshold().to_bits(), exact.to_bits());
     }
 
     #[test]

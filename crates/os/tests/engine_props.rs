@@ -52,9 +52,7 @@ proptest! {
         cfg.work_stealing = work_stealing;
         if contention_easing {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
                 high_usage_threshold: 0.004,
-                alpha: 0.6,
             };
         }
         if open_loop {

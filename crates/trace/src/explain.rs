@@ -3,14 +3,9 @@
 //! median and at the tail, plus the top-k slowest requests broken down
 //! by stage.
 
+use rbv_sim::Cycles;
+
 use crate::span::SpanSummary;
-
-/// Cycles per simulated microsecond.
-const CYCLES_PER_US: f64 = 3_000.0;
-
-fn us(cycles: u64) -> f64 {
-    cycles as f64 / CYCLES_PER_US
-}
 
 /// Percentage share of `part` in `whole`, 0 when `whole` is 0.
 fn share(part: f64, whole: f64) -> f64 {
@@ -92,11 +87,11 @@ pub fn render_explain(summary: &SpanSummary, k: usize) -> String {
              + backoff {:.1} + other {:.1}  ({} attempt{})\n",
             t.shard,
             t.rid,
-            us(t.total),
-            us(t.queue),
-            us(t.service),
-            us(t.backoff),
-            us(t.other),
+            Cycles::new(t.total).as_micros_f64(),
+            Cycles::new(t.queue).as_micros_f64(),
+            Cycles::new(t.service).as_micros_f64(),
+            Cycles::new(t.backoff).as_micros_f64(),
+            Cycles::new(t.other).as_micros_f64(),
             t.attempts,
             if t.attempts == 1 { "" } else { "s" },
         ));
@@ -108,7 +103,6 @@ pub fn render_explain(summary: &SpanSummary, k: usize) -> String {
 mod tests {
     use super::*;
     use crate::span::SpanCollector;
-    use rbv_sim::Cycles;
     use rbv_telemetry::TraceEvent;
 
     fn summary() -> SpanSummary {

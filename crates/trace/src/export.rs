@@ -14,23 +14,17 @@
 //!   retry instant to the next attempt's first queue entry, so the
 //!   viewer draws the causal chain across the backoff gap.
 
+use rbv_sim::Cycles;
 use rbv_telemetry::{Json, PerfettoTrace};
 
 use crate::span::SpanRecord;
 
-/// Cycles per simulated microsecond.
-const CYCLES_PER_US: f64 = 3_000.0;
-
-fn us(cycles: u64) -> f64 {
-    cycles as f64 / CYCLES_PER_US
-}
-
-fn event(name: &str, cat: &str, ph: &str, ts: f64, pid: f64, id: &str) -> Vec<(String, Json)> {
+fn event(name: &str, cat: &str, ph: &str, ts: u64, pid: f64, id: &str) -> Vec<(String, Json)> {
     vec![
         ("name".into(), Json::str(name)),
         ("cat".into(), Json::str(cat)),
         ("ph".into(), Json::str(ph)),
-        ("ts".into(), Json::Num(ts)),
+        ("ts".into(), Json::Num(Cycles::new(ts).as_micros_f64())),
         ("pid".into(), Json::Num(pid)),
         ("tid".into(), Json::Num(1.0)),
         ("id".into(), Json::str(id)),
@@ -61,15 +55,27 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
         for span in spans {
             let id = format!("{:#x}", span.rid);
             let name = format!("req #{}", span.rid);
-            let mut begin = event(&name, "request", "b", us(span.arrived), pid, &id);
+            let mut begin = event(&name, "request", "b", span.arrived, pid, &id);
             begin.push((
                 "args".into(),
                 Json::Obj(vec![
                     ("completed".into(), Json::Bool(span.completed)),
-                    ("queue_us".into(), Json::Num(us(span.queue))),
-                    ("service_us".into(), Json::Num(us(span.service))),
-                    ("backoff_us".into(), Json::Num(us(span.backoff))),
-                    ("other_us".into(), Json::Num(us(span.other))),
+                    (
+                        "queue_us".into(),
+                        Json::Num(Cycles::new(span.queue).as_micros_f64()),
+                    ),
+                    (
+                        "service_us".into(),
+                        Json::Num(Cycles::new(span.service).as_micros_f64()),
+                    ),
+                    (
+                        "backoff_us".into(),
+                        Json::Num(Cycles::new(span.backoff).as_micros_f64()),
+                    ),
+                    (
+                        "other_us".into(),
+                        Json::Num(Cycles::new(span.other).as_micros_f64()),
+                    ),
                     (
                         "attempts".into(),
                         Json::Num(span.attempts.len() as f64 + 1.0),
@@ -95,7 +101,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     &format!("attempt {g}"),
                     "request_attempt",
                     "b",
-                    us(start),
+                    start,
                     pid,
                     &id,
                 )));
@@ -103,7 +109,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     &format!("attempt {g}"),
                     "request_attempt",
                     "e",
-                    us(end),
+                    end,
                     pid,
                     &id,
                 )));
@@ -115,11 +121,11 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     "retry",
                     "retry_flow",
                     "s",
-                    us(retry_ts),
+                    retry_ts,
                     pid,
                     &flow_id,
                 )));
-                let mut finish = event("retry", "retry_flow", "f", us(resume_ts), pid, &flow_id);
+                let mut finish = event("retry", "retry_flow", "f", resume_ts, pid, &flow_id);
                 finish.push(("bp".into(), Json::str("e")));
                 out.push(Json::Obj(finish));
             }
@@ -127,7 +133,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                 &name,
                 "request",
                 "e",
-                us(span.finished),
+                span.finished,
                 pid,
                 &id,
             )));

@@ -32,13 +32,11 @@
 use std::collections::HashMap;
 
 use rbv_guard::{InvariantKind, InvariantMonitor};
+use rbv_sim::Cycles;
 use rbv_telemetry::{Json, QuantileSketch, TraceEvent, TraceSink};
 
 /// Slowest-request entries retained per shard and after merging.
 pub const TOP_K: usize = 8;
-
-/// Cycles per simulated microsecond (the ledger's latency convention).
-const CYCLES_PER_US: f64 = 3_000.0;
 
 /// What the request was doing, between two consecutive events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -520,21 +518,21 @@ impl SpanCollector {
         );
         self.summary
             .queue_us
-            .observe(span.queue as f64 / CYCLES_PER_US);
+            .observe(Cycles::new(span.queue).as_micros_f64());
         self.summary
             .service_us
-            .observe(span.service as f64 / CYCLES_PER_US);
+            .observe(Cycles::new(span.service).as_micros_f64());
         self.summary
             .backoff_us
-            .observe(span.backoff as f64 / CYCLES_PER_US);
+            .observe(Cycles::new(span.backoff).as_micros_f64());
         self.summary
             .other_us
-            .observe(span.other as f64 / CYCLES_PER_US);
+            .observe(Cycles::new(span.other).as_micros_f64());
         if completed {
             self.summary.completed += 1;
             self.summary
                 .client_visible_us
-                .observe(total as f64 / CYCLES_PER_US);
+                .observe(Cycles::new(total).as_micros_f64());
             let entry = TopSpan {
                 shard: 0,
                 rid,
@@ -661,7 +659,6 @@ impl TraceSink for SpanCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbv_sim::Cycles;
 
     fn t(c: u64) -> Cycles {
         Cycles::new(c)

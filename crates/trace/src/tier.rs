@@ -11,17 +11,11 @@
 
 use std::collections::HashMap;
 
-use rbv_guard::ClusterInvariants;
+use rbv_guard::InvariantTally;
+use rbv_sim::Cycles;
 use rbv_telemetry::{Json, PerfettoTrace, QuantileSketch, TraceEvent, TraceSink};
 
 use crate::span::TOP_K;
-
-/// Cycles per simulated microsecond.
-const CYCLES_PER_US: f64 = 3_000.0;
-
-fn us(cycles: u64) -> f64 {
-    cycles as f64 / CYCLES_PER_US
-}
 
 /// Aggregate latency/CPI attribution for one cluster machine (= one
 /// tier instance): how long requests waited and ran there, and at what
@@ -156,7 +150,7 @@ pub struct TierSummary {
     pub client_visible_us: QuantileSketch,
     /// Cross-tier conservation checks (leg partition per leg, whole-path
     /// partition per request).
-    pub invariants: ClusterInvariants,
+    pub invariants: InvariantTally,
     /// Top-k slowest requests under the canonical ordering.
     pub top: Vec<TierTopSpan>,
 }
@@ -433,7 +427,9 @@ impl TierSpanCollector {
                 state.hop_cycles,
                 client_visible,
             );
-            self.summary.client_visible_us.observe(us(client_visible));
+            self.summary
+                .client_visible_us
+                .observe(Cycles::new(client_visible).as_micros_f64());
             self.summary.top.push(TierTopSpan {
                 shard: 0,
                 rid,
@@ -512,9 +508,13 @@ impl TraceSink for TierSpanCollector {
                 );
                 let stats = self.tier_stats_mut(machine, &tier);
                 stats.legs += 1;
-                stats.wait_us.observe(us(wait_cycles));
-                stats.service_us.observe(us(service_cycles));
-                stats.leg_us.observe(us(total));
+                stats
+                    .wait_us
+                    .observe(Cycles::new(wait_cycles).as_micros_f64());
+                stats
+                    .service_us
+                    .observe(Cycles::new(service_cycles).as_micros_f64());
+                stats.leg_us.observe(Cycles::new(total).as_micros_f64());
                 stats.cpi.observe(cpi);
                 if let Some(state) = self.live.get_mut(&rid) {
                     state.leg_cycles += total;
@@ -540,7 +540,9 @@ impl TraceSink for TierSpanCollector {
                 let hop_cycles = ts.get().saturating_sub(departed.get());
                 self.summary.hops += 1;
                 self.summary.hop_bytes += bytes;
-                self.summary.hop_us.observe(us(hop_cycles));
+                self.summary
+                    .hop_us
+                    .observe(Cycles::new(hop_cycles).as_micros_f64());
                 if let Some(state) = self.live.get_mut(&rid) {
                     state.hop_cycles += hop_cycles;
                     state.hop_bytes += bytes;
@@ -593,12 +595,12 @@ pub fn cluster_to_perfetto(
             ),
         ]));
     }
-    let event = |name: &str, cat: &str, ph: &str, ts: f64, pid: f64, tid: f64, id: &str| {
+    let event = |name: &str, cat: &str, ph: &str, ts: u64, pid: f64, tid: f64, id: &str| {
         vec![
             ("name".into(), Json::str(name)),
             ("cat".into(), Json::str(cat)),
             ("ph".into(), Json::str(ph)),
-            ("ts".into(), Json::Num(ts)),
+            ("ts".into(), Json::Num(Cycles::new(ts).as_micros_f64())),
             ("pid".into(), Json::Num(pid)),
             ("tid".into(), Json::Num(tid)),
             ("id".into(), Json::str(id)),
@@ -610,14 +612,20 @@ pub fn cluster_to_perfetto(
         for (k, leg) in span.legs.iter().enumerate() {
             let pid = f64::from(leg.machine) + 1.0;
             let name = format!("{} {} #{} leg {k}", span.app, span.class, span.rid);
-            let mut begin = event(&name, "leg", "b", us(leg.arrived), pid, tid, &id);
+            let mut begin = event(&name, "leg", "b", leg.arrived, pid, tid, &id);
             begin.push((
                 "args".into(),
                 Json::Obj(vec![
                     ("tier".into(), Json::str(leg.tier.clone())),
                     ("completed".into(), Json::Bool(span.completed)),
-                    ("wait_us".into(), Json::Num(us(leg.wait))),
-                    ("service_us".into(), Json::Num(us(leg.service))),
+                    (
+                        "wait_us".into(),
+                        Json::Num(Cycles::new(leg.wait).as_micros_f64()),
+                    ),
+                    (
+                        "service_us".into(),
+                        Json::Num(Cycles::new(leg.service).as_micros_f64()),
+                    ),
                 ]),
             ));
             out.push(Json::Obj(begin));
@@ -625,7 +633,7 @@ pub fn cluster_to_perfetto(
                 &name,
                 "leg",
                 "e",
-                us(leg.finished),
+                leg.finished,
                 pid,
                 tid,
                 &id,
@@ -637,7 +645,7 @@ pub fn cluster_to_perfetto(
                 "hop",
                 "tier_flow",
                 "s",
-                us(hop.departed),
+                hop.departed,
                 f64::from(hop.from) + 1.0,
                 tid,
                 &flow_id,
@@ -646,7 +654,7 @@ pub fn cluster_to_perfetto(
                 "hop",
                 "tier_flow",
                 "f",
-                us(hop.delivered),
+                hop.delivered,
                 f64::from(hop.to) + 1.0,
                 tid,
                 &flow_id,
@@ -661,7 +669,6 @@ pub fn cluster_to_perfetto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbv_sim::Cycles;
 
     fn t(c: u64) -> Cycles {
         Cycles::new(c)

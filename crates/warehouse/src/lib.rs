@@ -16,7 +16,7 @@
 //! * [`campaign`] — the grid fanned over [`rbv_par::Pool`] with ordered
 //!   collection, so the run is byte-identical at any `--threads`;
 //! * [`store`] — the `rbv-warehouse/v1` document: shard digests folded
-//!   in canonical order under a [`rbv_guard::CampaignInvariants`] audit;
+//!   in canonical order under a [`rbv_guard::InvariantTally`] audit;
 //! * [`detector`] — behavior-drift detection (per-app CPI distribution
 //!   shift versus the same-phase reference epoch), scored against the
 //!   fault injector's ground truth;

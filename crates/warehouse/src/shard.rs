@@ -7,8 +7,6 @@
 //! shard key, never from the host, the thread that ran it, or the order
 //! the pool scheduled it in.
 
-use rbv_core::series::Metric;
-use rbv_core::stats::percentile;
 use rbv_faults::FaultyFactory;
 use rbv_os::{run_simulation, RbvError, RunResult, SchedulerPolicy, SimConfig};
 use rbv_sim::rng::mix64;
@@ -125,19 +123,6 @@ fn run_once(
     }
 }
 
-/// The easing scheduler's high-usage threshold: the 80th percentile of
-/// the stock run's per-period L2 miss rates (an exact percentile — it is
-/// a scheduler input, not a reported statistic; same derivation as the
-/// ledger's easing stage).
-fn easing_threshold(stock: &RunResult) -> f64 {
-    let mut mpi = Vec::new();
-    for r in &stock.completed {
-        let (_, mut v) = r.timeline.weighted_values(Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    percentile(&mpi, 0.8).unwrap_or(0.0)
-}
-
 /// Runs one shard to its digest.
 ///
 /// Easing shards run twice: a stock pass derives the shard's own
@@ -164,9 +149,7 @@ pub fn run_shard(
             let (stock, _) = run_once(spec, key, shard_config(key, seed), seed, n)?;
             let mut cfg = shard_config(key, seed);
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                resched_interval: Cycles::from_millis(5),
-                high_usage_threshold: easing_threshold(&stock),
-                alpha: 0.6,
+                high_usage_threshold: stock.easing_threshold(),
             };
             cfg.easing_error_gate = Some(0.35);
             run_once(spec, key, cfg, seed, n)?

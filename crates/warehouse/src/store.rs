@@ -9,13 +9,13 @@
 //! the same spec, the serialized document is byte-identical at any
 //! `--threads` value and any shard permutation.
 //!
-//! A [`CampaignInvariants`] checker audits the fold itself: grid
-//! coverage (every cell exactly once), request-count conservation
-//! (merged digest count == sum of shard counts), and merged-extrema
-//! consistency (merged min/max == extrema of shard min/max). Violations
-//! are recorded in the document and fail the campaign command.
+//! An [`InvariantTally`] audits the fold itself: grid coverage (every
+//! cell exactly once), request-count conservation (merged digest count
+//! == sum of shard counts), and merged-extrema consistency (merged
+//! min/max == extrema of shard min/max). Violations are recorded in the
+//! document and fail the campaign command.
 
-use rbv_guard::CampaignInvariants;
+use rbv_guard::InvariantTally;
 use rbv_os::RbvError;
 use rbv_telemetry::{Json, QuantileSketch};
 
@@ -95,7 +95,7 @@ pub struct Warehouse {
     pub cells: Vec<WarehouseCell>,
     /// Per-`(app, seed, mix, sched)` groups, canonical order.
     pub groups: Vec<GroupStat>,
-    /// The merge auditor's verdict ([`CampaignInvariants::to_json`]).
+    /// The merge auditor's verdict ([`InvariantTally::to_json`]).
     pub invariants: Json,
     /// Optional wall-clock stage timings (`--wallclock`); never diffed,
     /// never part of the byte-identity contract.
@@ -138,7 +138,7 @@ pub fn build_warehouse(
     spec: &CampaignSpec,
     mut shards: Vec<ShardOutput>,
     profile: Option<Json>,
-) -> Result<(Warehouse, CampaignInvariants), RbvError> {
+) -> Result<(Warehouse, InvariantTally), RbvError> {
     spec.validate()?;
     let expected = spec.shards().len() as u64;
     let mut ordinals = Vec::with_capacity(shards.len());
@@ -161,7 +161,7 @@ pub fn build_warehouse(
         }
         seen[ord] = true;
     }
-    let mut auditor = CampaignInvariants::new();
+    let mut auditor = InvariantTally::new();
     auditor.check_grid_coverage(expected, seen.iter().filter(|&&s| s).count() as u64);
     if shards.len() as u64 != expected {
         return Err(RbvError::Config(format!(

@@ -7,10 +7,8 @@
 //! cargo run --release --example contention_scheduler
 //! ```
 
-use request_behavior_variations::core::series::Metric;
 use request_behavior_variations::core::stats::{mean, percentile};
 use request_behavior_variations::os::{run_simulation, SchedulerPolicy, SimConfig};
-use request_behavior_variations::sim::Cycles;
 use request_behavior_variations::workloads::Tpch;
 
 fn main() {
@@ -20,12 +18,7 @@ fn main() {
     let mut config = SimConfig::paper_default().with_interrupt_sampling(1_000);
     config.concurrency = 12;
     let profile = run_simulation(config.clone(), &mut factory, 60).expect("valid");
-    let mut mpi = Vec::new();
-    for r in &profile.completed {
-        let (_, mut v) = r.timeline.weighted_values(Metric::L2MissesPerIns);
-        mpi.append(&mut v);
-    }
-    let threshold = percentile(&mpi, 0.8).expect("samples collected");
+    let threshold = profile.easing_threshold();
     println!("80th-percentile L2 misses/instruction threshold: {threshold:.5}");
 
     // --- 2. Same stream under both schedulers.
@@ -48,9 +41,7 @@ fn main() {
     report(
         "contention-easing",
         SchedulerPolicy::ContentionEasing {
-            resched_interval: Cycles::from_millis(5),
             high_usage_threshold: threshold,
-            alpha: 0.6,
         },
     );
     println!("(the contention-easing policy trims the worst case, not the average — §5.2)");

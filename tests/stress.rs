@@ -177,11 +177,10 @@ fn every_app_survives_tiny_scale_and_tiny_quantum_together() {
 }
 
 #[test]
-fn partitioning_and_affinity_and_open_loop_compose() {
+fn partitioning_and_open_loop_compose() {
     use request_behavior_variations::os::config::ArrivalProcess;
     let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
     cfg.static_cache_partition = true;
-    cfg.component_affinity = true;
     cfg.arrivals = ArrivalProcess::OpenPoisson {
         mean_interarrival: Cycles::from_micros(300),
     };
