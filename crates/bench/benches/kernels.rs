@@ -10,6 +10,7 @@ use rand::Rng;
 use rbv_core::cluster::{k_medoids, DistanceMatrix};
 use rbv_core::distance::{
     dtw_banded, dtw_distance_with_penalty, l1_distance, levenshtein, nearest_series,
+    nearest_series_with_stats,
 };
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_mem::cache::CacheConfig;
@@ -37,6 +38,31 @@ fn bench_distances(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Both instantiations of the column-blocked DTW kernel on a shape whose
+/// longer side is not a multiple of the four-column block: all-finite
+/// input takes the compare-select `min`, one `+∞` value the `f64::min`
+/// one. The stats scan times the cascade's shared abandon path.
+fn bench_dtw_kernel(c: &mut Criterion) {
+    let x = random_series(47, 7);
+    let y = random_series(131, 8);
+    let mut y_inf = y.clone();
+    y_inf[65] = f64::INFINITY;
+    let mut group = c.benchmark_group("dtw_kernel_47x131");
+    group.bench_function("finite", |b| {
+        b.iter(|| dtw_distance_with_penalty(black_box(&x), black_box(&y), 2.0))
+    });
+    group.bench_function("one_inf", |b| {
+        b.iter(|| dtw_distance_with_penalty(black_box(&x), black_box(&y_inf), 2.0))
+    });
+    group.finish();
+
+    let query = random_series(96, 20);
+    let candidates: Vec<Vec<f64>> = (0..64).map(|i| random_series(96, 30 + i)).collect();
+    c.bench_function("nearest_series_with_stats_64x96", |b| {
+        b.iter(|| nearest_series_with_stats(black_box(&query), black_box(&candidates), 2.0))
+    });
 }
 
 fn bench_levenshtein(c: &mut Criterion) {
@@ -175,6 +201,7 @@ fn bench_vaewma(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_distances,
+    bench_dtw_kernel,
     bench_levenshtein,
     bench_kmedoids,
     bench_distance_matrix_par,

@@ -306,76 +306,6 @@ fn parse(args: Vec<String>) -> Result<Cli, RbvError> {
     Ok(cli)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn argv(line: &str) -> Vec<String> {
-        line.split_whitespace().map(str::to_string).collect()
-    }
-
-    #[test]
-    fn overload_must_be_finite_and_positive() {
-        for bad in ["-1", "0", "nan", "inf", "-inf", "nope"] {
-            let err = parse(argv(&format!("serve web --overload {bad}")))
-                .expect_err("bad overload must be a usage error");
-            assert!(matches!(err, RbvError::Cli(_)), "{bad}: {err}");
-            assert_eq!(err.exit_code(), 2, "{bad}");
-        }
-        let cli = parse(argv("serve web --overload 2.5")).expect("valid overload");
-        assert_eq!(cli.overload, Some(2.5));
-    }
-
-    #[test]
-    fn trace_spans_takes_a_path() {
-        let cli = parse(argv("serve web --trace-spans spans.json")).expect("parses");
-        assert_eq!(
-            cli.trace_spans.as_deref(),
-            Some(std::path::Path::new("spans.json"))
-        );
-        let err = parse(argv("serve web --trace-spans")).expect_err("missing path");
-        assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn zero_requests_is_a_usage_error() {
-        // `repro serve <app> --requests 0` must exit 2, not run an empty
-        // campaign or divide by zero downstream.
-        let err = parse(argv("serve web --requests 0")).expect_err("zero requests");
-        assert!(matches!(err, RbvError::Cli(_)), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        let cli = parse(argv("serve web --requests 80")).expect("valid count");
-        assert_eq!(cli.requests, Some(80));
-    }
-
-    #[test]
-    fn too_few_epochs_is_a_usage_error() {
-        // `repro campaign --epochs 0` (and 1) must exit 2: the drift
-        // scenario needs the day + night reference epochs at minimum.
-        for bad in ["0", "1"] {
-            let err = parse(argv(&format!("campaign --epochs {bad}"))).expect_err("too few epochs");
-            assert!(matches!(err, RbvError::Cli(_)), "{bad}: {err}");
-            assert_eq!(err.exit_code(), 2, "{bad}");
-        }
-        let cli = parse(argv("campaign --epochs 2")).expect("valid count");
-        assert_eq!(cli.epochs, Some(2));
-    }
-
-    #[test]
-    fn power_thermal_and_load_sweep_flags_parse() {
-        let cli = parse(argv("serve web --power --thermal --load-sweep")).expect("parses");
-        assert!(cli.power && cli.thermal && cli.load_sweep);
-        let cli = parse(argv("chaos web --thermal")).expect("parses");
-        assert!(cli.thermal && !cli.power);
-    }
-
-    #[test]
-    fn unknown_flags_are_usage_errors() {
-        let err = parse(argv("serve web --bogus")).expect_err("unknown flag");
-        assert_eq!(err.exit_code(), 2);
-    }
-}
-
 /// Prints `e` and converts it to its process exit code.
 fn fail(e: &RbvError) -> ExitCode {
     eprintln!("error: {e}");
@@ -676,5 +606,75 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn overload_must_be_finite_and_positive() {
+        for bad in ["-1", "0", "nan", "inf", "-inf", "nope"] {
+            let err = parse(argv(&format!("serve web --overload {bad}")))
+                .expect_err("bad overload must be a usage error");
+            assert!(matches!(err, RbvError::Cli(_)), "{bad}: {err}");
+            assert_eq!(err.exit_code(), 2, "{bad}");
+        }
+        let cli = parse(argv("serve web --overload 2.5")).expect("valid overload");
+        assert_eq!(cli.overload, Some(2.5));
+    }
+
+    #[test]
+    fn trace_spans_takes_a_path() {
+        let cli = parse(argv("serve web --trace-spans spans.json")).expect("parses");
+        assert_eq!(
+            cli.trace_spans.as_deref(),
+            Some(std::path::Path::new("spans.json"))
+        );
+        let err = parse(argv("serve web --trace-spans")).expect_err("missing path");
+        assert_eq!(err.exit_code(), 2);
+    }
+
+    #[test]
+    fn zero_requests_is_a_usage_error() {
+        // `repro serve <app> --requests 0` must exit 2, not run an empty
+        // campaign or divide by zero downstream.
+        let err = parse(argv("serve web --requests 0")).expect_err("zero requests");
+        assert!(matches!(err, RbvError::Cli(_)), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        let cli = parse(argv("serve web --requests 80")).expect("valid count");
+        assert_eq!(cli.requests, Some(80));
+    }
+
+    #[test]
+    fn too_few_epochs_is_a_usage_error() {
+        // `repro campaign --epochs 0` (and 1) must exit 2: the drift
+        // scenario needs the day + night reference epochs at minimum.
+        for bad in ["0", "1"] {
+            let err = parse(argv(&format!("campaign --epochs {bad}"))).expect_err("too few epochs");
+            assert!(matches!(err, RbvError::Cli(_)), "{bad}: {err}");
+            assert_eq!(err.exit_code(), 2, "{bad}");
+        }
+        let cli = parse(argv("campaign --epochs 2")).expect("valid count");
+        assert_eq!(cli.epochs, Some(2));
+    }
+
+    #[test]
+    fn power_thermal_and_load_sweep_flags_parse() {
+        let cli = parse(argv("serve web --power --thermal --load-sweep")).expect("parses");
+        assert!(cli.power && cli.thermal && cli.load_sweep);
+        let cli = parse(argv("chaos web --thermal")).expect("parses");
+        assert!(cli.thermal && !cli.power);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let err = parse(argv("serve web --bogus")).expect_err("unknown flag");
+        assert_eq!(err.exit_code(), 2);
     }
 }

@@ -35,6 +35,45 @@
 //!   stage of the prune cascade (LB_Kim → length penalty → LB_Keogh →
 //!   per-column abandon) settled each candidate as [`PruneStats`], the
 //!   observability behind the ledger's `kernel.prune.*` counters.
+//!
+//! # The penalty-DTW kernel
+//!
+//! [`dtw_distance_with_penalty`] and the last stage of the prune cascade
+//! share one private DP. It keeps one padded row buffer: slot `i + 1`
+//! holds the previous column's row-`i` value and slot 0 the virtual cell
+//! above row 0 (0.0 before column 0, `+∞` after it), so no cell branches
+//! on its position. Columns go four at a time in one pass over the rows:
+//! at each row, column `j + 1` takes column `j`'s fresh value as its
+//! `left`, so four dependent `+p → min → min → +local` chains are in
+//! flight instead of one. The remaining columns then go one at a time.
+//! The cascade tracks each column's minimum and, after every block,
+//! abandons if any of the block's columns lies wholly above the cutoff,
+//! the same decision as checking after every column.
+//!
+//! Every signature distance, medoid, ledger and benchmark digest in the
+//! repository is downstream of these bits, so the kernel follows a
+//! bit-identity rule:
+//!
+//! * **Fixed per-cell operations.** Each cell computes `|c − r|`,
+//!   `left + p`, `up + p`, two `min`s and `+ local` on the same operands
+//!   as the row-at-a-time DP it replaced. No `mul_add`, no reassociation
+//!   of the sums, no vectorized reduction that regroups them.
+//! * **The `min` order is free.** `min` is exact, no DP value is ever
+//!   −0.0 (a cell is `best + |c − r|`, and `|·|` never yields −0.0), and
+//!   `f64::min` ignores a NaN operand in either position, so
+//!   `min(min(diag, left), up)` equals the old `diag.min(up).min(left)`
+//!   up to the payload of an all-NaN result.
+//! * **Compare-select only on all-finite input.** The kernel is generic
+//!   over `min`. When an `O(m + n)` scan finds every value finite, no NaN
+//!   can arise in the DP (`∞` appears only through overflow and is never
+//!   subtracted), so `if a < b { a } else { b }` equals `f64::min`;
+//!   otherwise the kernel runs with `f64::min`.
+//!
+//! `crates/core/tests/dtw_identity.rs` keeps the row-at-a-time DP and
+//! the old per-column cascade as test-only references and checks the
+//! kernel against them bit-for-bit across every length pair up to 70,
+//! values including `±∞`, NaN and overflowing `±1e308`, and penalties
+//! including −0.0 and `+∞`.
 
 /// L1 distance with unequal-length penalty (Equation 2).
 ///
@@ -66,10 +105,11 @@ pub fn l1_distance(x: &[f64], y: &[f64], penalty: f64) -> f64 {
 /// differences (Equation 3), allowing free asynchronous steps. `O(m·n)`
 /// time, `O(min(m,n))` space.
 ///
-/// Empty-series convention: if exactly one series is empty the distance is
-/// `+∞` is unhelpful for clustering, so we mirror the L1 convention and
-/// charge nothing here (callers use the penalty variant in practice);
-/// both empty gives 0.
+/// Empty-series convention: if exactly one series is empty no warp path
+/// exists, and a distance of `+∞` would be unhelpful for clustering, so
+/// this follows the penalty variant's `(m + n)·penalty` with a zero
+/// penalty and returns 0 (callers use the penalty variant in practice).
+/// Both empty also gives 0.
 pub fn dtw_distance(x: &[f64], y: &[f64]) -> f64 {
     dtw_distance_with_penalty(x, y, 0.0)
 }
@@ -103,42 +143,100 @@ pub fn dtw_distance_with_penalty(x: &[f64], y: &[f64], penalty: f64) -> f64 {
     if x.is_empty() || y.is_empty() {
         return (x.len() + y.len()) as f64 * penalty;
     }
+    // No value exceeds an infinite cutoff, so this never abandons.
+    dtw_dp(x, y, penalty, f64::INFINITY).unwrap_or(f64::INFINITY)
+}
+
+/// The full-width penalty-DTW DP behind [`dtw_distance_with_penalty`] and
+/// the last stage of the prune cascade (see the module's bit-identity
+/// rule). Returns `None` once every cell of some column exceeds `cutoff`;
+/// an infinite `cutoff` never abandons. Both series must be non-empty.
+fn dtw_dp(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Option<f64> {
     // Keep the shorter series as the row for O(min) space.
     let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-    let m = rows.len();
+    // Finite inputs keep every DP value NaN-free (and no DP value is ever
+    // −0.0), so the compare-select min returns the same bits as f64::min.
+    if rows.iter().chain(cols).all(|v| v.is_finite()) {
+        dtw_columns(rows, cols, penalty, cutoff, select_min)
+    } else {
+        dtw_columns(rows, cols, penalty, cutoff, f64::min)
+    }
+}
 
-    // prev[i] = D[j-1][i], cur[i] = D[j][i]; D over (col index j, row i).
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
+/// `f64::min` for operands that are never NaN: a compare and a select,
+/// one instruction on most targets.
+fn select_min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
 
-    for (j, &cv) in cols.iter().enumerate() {
-        std::mem::swap(&mut prev, &mut cur);
-        for (i, &rv) in rows.iter().enumerate() {
-            let local = (cv - rv).abs();
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let diag = if i > 0 && j > 0 {
-                    prev[i - 1]
-                } else {
-                    f64::INFINITY
-                };
-                let up = if i > 0 {
-                    cur[i - 1] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                let left = if j > 0 {
-                    prev[i] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                diag.min(up).min(left)
-            };
-            cur[i] = best + local;
+/// Runs the DP over `cols` four columns at a time, then the remainder one
+/// at a time. `d[i + 1]` holds the previous column's row-`i` value and
+/// `d[0]` the virtual cell above row 0: 0.0 before column 0, `+∞` after.
+fn dtw_columns(
+    rows: &[f64],
+    cols: &[f64],
+    penalty: f64,
+    cutoff: f64,
+    min: impl Fn(f64, f64) -> f64 + Copy,
+) -> Option<f64> {
+    let mut d = vec![f64::INFINITY; rows.len() + 1];
+    d[0] = 0.0;
+    let mut blocks = cols.chunks_exact(4);
+    for block in &mut blocks {
+        let block = [block[0], block[1], block[2], block[3]];
+        if sweep(block, rows, penalty, &mut d, min)
+            .iter()
+            .any(|&m| m > cutoff)
+        {
+            return None;
         }
     }
-    cur[m - 1]
+    for &col in blocks.remainder() {
+        if sweep([col], rows, penalty, &mut d, min)[0] > cutoff {
+            return None;
+        }
+    }
+    Some(d[rows.len()])
+}
+
+/// Advances the DP by the `B` columns `cols` in one pass over the rows and
+/// returns each column's minimum. At each row, column `k + 1` takes column
+/// `k`'s fresh value as its `left`, so `B` recurrences are in flight.
+///
+/// Every warp path to the final cell crosses each column, and all later
+/// additions (locals, penalties) are nonnegative, so once a whole column
+/// exceeds a cutoff the final distance must too.
+#[inline(always)]
+fn sweep<const B: usize>(
+    cols: [f64; B],
+    rows: &[f64],
+    penalty: f64,
+    d: &mut [f64],
+    min: impl Fn(f64, f64) -> f64,
+) -> [f64; B] {
+    let mut diag = std::mem::replace(&mut d[0], f64::INFINITY);
+    let mut up = [f64::INFINITY; B];
+    let mut colmin = [f64::INFINITY; B];
+    for (&rv, slot) in rows.iter().zip(&mut d[1..]) {
+        // Column k's left and diag are column k − 1's values at this row
+        // and the row above; column 0 takes them from the buffer.
+        let mut left = *slot;
+        let mut diag_k = std::mem::replace(&mut diag, left);
+        for k in 0..B {
+            let best = min(min(diag_k, left + penalty), up[k] + penalty);
+            let cell = best + (cols[k] - rv).abs();
+            diag_k = up[k];
+            up[k] = cell;
+            left = cell;
+            colmin[k] = min(colmin[k], cell);
+        }
+        *slot = left;
+    }
+    colmin
 }
 
 /// Sakoe–Chiba band-constrained DTW with asynchrony penalty.
@@ -459,9 +557,9 @@ mod tests {
 /// series request signatures use; prefer the path-free variant inside
 /// clustering loops.
 ///
-/// Returns distance 0 and an empty path when either series is empty
-/// (matching the distance-only convention only when both are empty; a
-/// single empty side yields the length-penalty distance and no path).
+/// When either series is empty there is no path: returns the
+/// distance-only convention `(m + n)·penalty` (0 when both are empty)
+/// and an empty path.
 ///
 /// # Panics
 ///
@@ -752,49 +850,10 @@ fn dtw_pruned_staged(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Settled
             }
         }
     }
-    // Full-width DP, mirroring dtw_distance_with_penalty cell for cell so
-    // a completed run returns the exact same bits.
-    let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-    let m = rows.len();
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-
-    for (j, &cv) in cols.iter().enumerate() {
-        std::mem::swap(&mut prev, &mut cur);
-        let mut colmin = f64::INFINITY;
-        for (i, &rv) in rows.iter().enumerate() {
-            let local = (cv - rv).abs();
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let diag = if i > 0 && j > 0 {
-                    prev[i - 1]
-                } else {
-                    f64::INFINITY
-                };
-                let up = if i > 0 {
-                    cur[i - 1] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                let left = if j > 0 {
-                    prev[i] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                diag.min(up).min(left)
-            };
-            cur[i] = best + local;
-            colmin = colmin.min(cur[i]);
-        }
-        // Every warp path to the final cell crosses column j, and all later
-        // additions (locals, penalties) are nonnegative, so once the whole
-        // column exceeds the cutoff the final distance must too.
-        if colmin > cutoff {
-            return Settled::Abandon;
-        }
+    match dtw_dp(x, y, penalty, cutoff) {
+        Some(d) => Settled::Full(d),
+        None => Settled::Abandon,
     }
-    Settled::Full(cur[m - 1])
 }
 
 /// [`dtw_distance_with_penalty`] with exact early abandoning against a
