@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the compute kernels the modeling layer
 //! leans on: request differencing (the O(m·n) DTW against the O(n) L1 —
 //! the cost tradeoff §4.2 discusses), k-medoids clustering, the analytical
-//! contention model (allocating and solver-reusing), and the trace-driven
-//! cache simulator.
+//! contention model (allocating and solver-reusing), one core's
+//! power/thermal slice, and the trace-driven cache simulator.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::Rng;
@@ -15,7 +15,8 @@ use rbv_core::distance::{
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_mem::cache::CacheConfig;
 use rbv_mem::{ContentionSolver, MachineSpec, MemoryHierarchy, SegmentProfile};
-use rbv_sim::SimRng;
+use rbv_power::{CorePower, PowerPolicy};
+use rbv_sim::{Cycles, SimRng};
 
 fn random_series(len: usize, seed: u64) -> Vec<f64> {
     let mut rng = SimRng::seed_from(seed);
@@ -160,6 +161,75 @@ fn bench_contention_model(c: &mut Criterion) {
             black_box(&rates);
         })
     });
+
+    // Reused-solver shapes beside the mixed one above: web-like segments
+    // whose working sets all fit (the miss curve never reaches `powf`),
+    // TPCH-like streaming scans (every miss ratio takes `powf`), and two
+    // busy cores with the whole second cache cluster idle.
+    let web = |base_cpi, ws| SegmentProfile {
+        base_cpi,
+        l2_refs_per_ins: 0.004,
+        working_set_bytes: ws,
+        reuse_locality: 0.93,
+    };
+    let stream = |base_cpi, ws| SegmentProfile {
+        base_cpi,
+        l2_refs_per_ins: 0.008,
+        working_set_bytes: ws,
+        reuse_locality: 0.5,
+    };
+    let shapes = [
+        (
+            "web_fit",
+            vec![
+                Some(web(1.1, 3e5)),
+                Some(web(1.2, 4e5)),
+                Some(web(1.0, 2.5e5)),
+                Some(web(1.15, 3.5e5)),
+            ],
+        ),
+        (
+            "tpch_stream",
+            vec![
+                Some(stream(0.7, 360e6)),
+                Some(stream(0.72, 300e6)),
+                Some(stream(0.68, 420e6)),
+                Some(stream(0.71, 380e6)),
+            ],
+        ),
+        ("one_idle_cluster", vec![Some(scan), Some(join), None, None]),
+    ];
+    let mut group = c.benchmark_group("contention_model_reused");
+    for (name, running) in &shapes {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                machine.evaluate_into(black_box(running), &mut solver, &mut rates);
+                black_box(&rates);
+            })
+        });
+    }
+    group.finish();
+}
+
+/// One core's power/thermal slice: the integer power and steady-state
+/// recompute, the energy update and the RC relaxation step.
+fn bench_core_power(c: &mut Criterion) {
+    let policy = PowerPolicy::paper_default();
+    let dt = Cycles::new(9_000);
+    let mut core = CorePower::new(&policy);
+    c.bench_function("core_power_slice", |b| {
+        b.iter(|| {
+            core.advance(
+                &policy,
+                black_box(dt),
+                1,
+                black_box(730),
+                22_000,
+                1_900,
+                1_600,
+            )
+        })
+    });
 }
 
 fn bench_cache_simulator(c: &mut Criterion) {
@@ -207,6 +277,7 @@ criterion_group!(
     bench_distance_matrix_par,
     bench_nearest_series,
     bench_contention_model,
+    bench_core_power,
     bench_cache_simulator,
     bench_vaewma,
 );

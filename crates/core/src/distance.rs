@@ -75,6 +75,8 @@
 //! values including `±∞`, NaN and overflowing `±1e308`, and penalties
 //! including −0.0 and `+∞`.
 
+use std::collections::VecDeque;
+
 /// L1 distance with unequal-length penalty (Equation 2).
 ///
 /// ```text
@@ -678,42 +680,56 @@ mod alignment_tests {
     }
 }
 
-/// Min/max envelope of `y` over a sliding window of half-width `band`,
-/// evaluated at positions `0..m` (LB_Keogh). Slot `i` covers the `y`
-/// indices `[i - band, i + band] ∩ [0, y.len())`; callers guarantee the
-/// window is never empty (`m - y.len() <= band` when `m` is larger).
-/// Monotonic-deque sweep, `O(m + n)`.
-fn band_envelope(y: &[f64], m: usize, band: usize) -> (Vec<f64>, Vec<f64>) {
-    let n = y.len();
-    let mut lo = vec![0.0; m];
-    let mut hi = vec![0.0; m];
-    let mut minq: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut maxq: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut pushed = 0usize;
-    for i in 0..m {
-        let end = (i + band).min(n - 1);
-        while pushed <= end {
-            while minq.back().is_some_and(|&b| y[b] >= y[pushed]) {
-                minq.pop_back();
+/// Buffers of the LB_Keogh envelope: its lower and upper bounds and the
+/// monotonic deques that build them. A scan keeps one and reuses it for
+/// every candidate.
+#[derive(Debug, Default)]
+struct Envelope {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    minq: VecDeque<usize>,
+    maxq: VecDeque<usize>,
+}
+
+impl Envelope {
+    /// Min/max envelope of `y` over a sliding window of half-width
+    /// `band`, evaluated at positions `0..m` into `self.lo`/`self.hi`
+    /// (LB_Keogh). Slot `i` covers the `y` indices
+    /// `[i - band, i + band] ∩ [0, y.len())`; callers guarantee the
+    /// window is never empty (`m - y.len() <= band` when `m` is larger).
+    /// Monotonic-deque sweep, `O(m + n)`.
+    fn build(&mut self, y: &[f64], m: usize, band: usize) {
+        let n = y.len();
+        let Envelope { lo, hi, minq, maxq } = self;
+        lo.clear();
+        hi.clear();
+        minq.clear();
+        maxq.clear();
+        let mut pushed = 0usize;
+        for i in 0..m {
+            let end = (i + band).min(n - 1);
+            while pushed <= end {
+                while minq.back().is_some_and(|&b| y[b] >= y[pushed]) {
+                    minq.pop_back();
+                }
+                minq.push_back(pushed);
+                while maxq.back().is_some_and(|&b| y[b] <= y[pushed]) {
+                    maxq.pop_back();
+                }
+                maxq.push_back(pushed);
+                pushed += 1;
             }
-            minq.push_back(pushed);
-            while maxq.back().is_some_and(|&b| y[b] <= y[pushed]) {
-                maxq.pop_back();
+            let start = i.saturating_sub(band);
+            while minq.front().is_some_and(|&f| f < start) {
+                minq.pop_front();
             }
-            maxq.push_back(pushed);
-            pushed += 1;
+            while maxq.front().is_some_and(|&f| f < start) {
+                maxq.pop_front();
+            }
+            lo.push(minq.front().map_or(f64::INFINITY, |&f| y[f]));
+            hi.push(maxq.front().map_or(f64::NEG_INFINITY, |&f| y[f]));
         }
-        let start = i.saturating_sub(band);
-        while minq.front().is_some_and(|&f| f < start) {
-            minq.pop_front();
-        }
-        while maxq.front().is_some_and(|&f| f < start) {
-            maxq.pop_front();
-        }
-        lo[i] = minq.front().map_or(f64::INFINITY, |&f| y[f]);
-        hi[i] = maxq.front().map_or(f64::NEG_INFINITY, |&f| y[f]);
     }
-    (lo, hi)
 }
 
 /// Per-stage outcome counters of the running-best DTW prune cascade
@@ -801,7 +817,15 @@ impl Settled {
 /// steps and therefore already costs more than `cutoff`, so the pruning
 /// decision stays exact. The unconditional stages (LB_Kim endpoints,
 /// then the length-difference penalty) need no such argument.
-fn dtw_pruned_staged(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Settled {
+///
+/// `env` is scratch for the LB_Keogh envelope (overwritten).
+fn dtw_pruned_staged(
+    x: &[f64],
+    y: &[f64],
+    penalty: f64,
+    cutoff: f64,
+    env: &mut Envelope,
+) -> Settled {
     if x.is_empty() || y.is_empty() {
         let d = (x.len() + y.len()) as f64 * penalty;
         return if d > cutoff {
@@ -830,10 +854,10 @@ fn dtw_pruned_staged(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Settled
         if ratio < (m + n) as f64 {
             let band = ratio as usize;
             if m.abs_diff(n) <= band {
-                let (lo, hi) = band_envelope(y, m, band);
+                env.build(y, m, band);
                 let keogh: f64 = x
                     .iter()
-                    .zip(lo.iter().zip(&hi))
+                    .zip(env.lo.iter().zip(&env.hi))
                     .map(|(&v, (&l, &h))| {
                         if v > h {
                             v - h
@@ -895,7 +919,7 @@ pub fn dtw_distance_with_penalty_pruned(
 ) -> Option<f64> {
     assert!(penalty >= 0.0, "penalty must be nonnegative");
     assert!(!cutoff.is_nan(), "cutoff must not be NaN");
-    match dtw_pruned_staged(x, y, penalty, cutoff) {
+    match dtw_pruned_staged(x, y, penalty, cutoff, &mut Envelope::default()) {
         Settled::Full(d) => Some(d),
         _ => None,
     }
@@ -951,6 +975,7 @@ pub fn nearest_series_with_stats<S: AsRef<[f64]>>(
     assert!(penalty >= 0.0, "penalty must be nonnegative");
     let mut stats = PruneStats::default();
     let mut best: Option<(usize, f64)> = None;
+    let mut env = Envelope::default();
     for (i, cand) in candidates.iter().enumerate() {
         match best {
             None => {
@@ -959,7 +984,7 @@ pub fn nearest_series_with_stats<S: AsRef<[f64]>>(
                 stats.full_dp += 1;
             }
             Some((_, b)) => {
-                let settled = dtw_pruned_staged(query, cand.as_ref(), penalty, b);
+                let settled = dtw_pruned_staged(query, cand.as_ref(), penalty, b, &mut env);
                 settled.charge(&mut stats);
                 if let Settled::Full(d) = settled {
                     if d < b {
@@ -1131,7 +1156,9 @@ mod fastpath_tests {
     fn envelope_brackets_every_windowed_value() {
         let y = series(42, 50);
         for band in [0, 1, 3, 10, 60] {
-            let (lo, hi) = band_envelope(&y, y.len(), band);
+            let mut env = Envelope::default();
+            env.build(&y, y.len(), band);
+            let (lo, hi) = (&env.lo, &env.hi);
             for i in 0..y.len() {
                 let start = i.saturating_sub(band);
                 let end = (i + band).min(y.len() - 1);

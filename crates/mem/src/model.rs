@@ -43,10 +43,14 @@
 //! [`MachineSpec::evaluate_into`] (or
 //! [`MachineSpec::evaluate_partitioned_into`]), which allocate nothing
 //! after the first call.
-//! Per-call invariants (occupied cores, their profiles, fill caps) are
-//! loaded once before the iteration loop. The allocating
-//! [`MachineSpec::evaluate`], [`MachineSpec::evaluate_partitioned`] and
-//! [`proportional_fill`] are thin wrappers over the same code.
+//! Per-call invariants are loaded once before the iteration loop: the
+//! occupied cores are compacted, in core order, into dense arrays (their
+//! profile fields and all per-iteration state), with one `[lo, hi)` range
+//! per L2 cluster into that dense index. Both solves iterate over these
+//! dense slices, and the shared-cache solve water-fills each cluster's
+//! range with the one fill behind [`proportional_fill`]. The allocating
+//! [`MachineSpec::evaluate`] and [`MachineSpec::evaluate_partitioned`]
+//! are thin wrappers over the same code.
 //!
 //! Every ledger, baseline and benchmark digest in the repository is
 //! downstream of these bits, so the solve follows a bit-identity rule:
@@ -60,14 +64,31 @@
 //!   misses must also be proven bit-neutral.
 //! * **Fixed operation order.** Every floating-point operation of the
 //!   original allocating solver runs in the same order with the same
-//!   operands: `powf` stays `powf`, sums stay `Iterator::sum` over core
-//!   order, no `mul_add`. The only work skipped is a convergence delta
-//!   once another core's delta has already reached the tolerance: the
-//!   maximum is then never read.
+//!   operands: `powf` stays `powf`, sums run over occupied cores in core
+//!   order, no `mul_add`, no reassociation. Only two kinds of work are
+//!   skipped. A convergence delta is skipped once another core's delta
+//!   has already reached the tolerance: the maximum is then never read.
+//!   And idle cores are dropped from the dense layout, which is bit-exact
+//!   for the reason below.
+//!
+//! **Why dropping idle cores changes no bit.** The original solver
+//! carried idle cores through every per-core array. They entered its
+//! results only as `+0.0` terms: their miss traffic in the memory-demand
+//! sum, and their `weight.max(0.0)` in the water-fill's weight sum. Idle
+//! claimants were never granted anything, since their weight is `<= 0`.
+//! Every term of both sums is `>= +0.0`, and adding `+0.0` to a partial
+//! sum returns it unchanged, except that `-0.0 + 0.0` is `+0.0`. So the
+//! dense sums equal the original ones up to the sign of an all-zero sum,
+//! and no result reads that sign: `1.0 - u` is `1.0` for `u = ±0.0`, and
+//! `wsum <= 0.0` holds for both zeros. Every other operation keeps its
+//! operands and order, including the fill's pass structure and its
+//! `remaining -= grant` sequence; a pass count bounded by the occupied
+//! claimants instead of the cluster size never binds, because every pass
+//! but the last caps a positive-weight claimant.
 //!
 //! `tests/model_identity.rs` keeps the original solver as a test-only
 //! reference and checks one reused solver against it bit-for-bit across
-//! generated call sequences.
+//! generated call sequences and hand-picked boundary layouts.
 
 use crate::hierarchy::Topology;
 
@@ -197,19 +218,39 @@ impl MachineSpec {
             "one slot per core required"
         );
         solver.reset(self, running, out.len());
-        let s = solver;
+        let n = solver.core.len();
+        let ContentionSolver {
+            base_cpi,
+            refs,
+            ws,
+            locality,
+            ipc,
+            share,
+            miss,
+            weight,
+            target,
+            cpi,
+            capped,
+            clusters,
+            latency,
+            ..
+        } = solver;
+        let (base_cpi, refs, ws, locality) = (&base_cpi[..n], &refs[..n], &ws[..n], &locality[..n]);
+        let (ipc, share, miss) = (&mut ipc[..n], &mut share[..n], &mut miss[..n]);
+        let (weight, target, cpi, capped) = (
+            &mut weight[..n],
+            &mut target[..n],
+            &mut cpi[..n],
+            &mut capped[..n],
+        );
 
         // Initial IPC guess ignores memory stalls; initial shares split each
         // cluster evenly among its occupied cores.
-        for cluster in 0..self.topology.clusters() {
-            let (lo, hi) = self.cluster_range(cluster, running.len());
-            let active = running[lo..hi].iter().filter(|p| p.is_some()).count();
-            if active > 0 {
-                let even = self.l2_capacity_bytes / active as f64;
-                for (share, p) in s.share[lo..hi].iter_mut().zip(&running[lo..hi]) {
-                    if let Some(p) = p {
-                        *share = even.min(p.working_set_bytes.max(1.0));
-                    }
+        for &(lo, hi) in clusters.iter() {
+            if hi > lo {
+                let even = self.l2_capacity_bytes / (hi - lo) as f64;
+                for k in lo..hi {
+                    share[k] = even.min(ws[k].max(1.0));
                 }
             }
         }
@@ -219,63 +260,59 @@ impl MachineSpec {
             // per cycle), insertion-based occupancy weights, and memory
             // traffic. Resident re-touches defend occupancy too, hence the
             // small retention credit on the hit fraction.
-            for o in &s.active {
-                let (i, p) = (o.core, &o.profile);
-                let miss = miss_ratio(
-                    s.share[i],
-                    p.working_set_bytes,
-                    p.reuse_locality,
-                    self.share_exponent,
-                );
-                let pressure = p.l2_refs_per_ins * s.ipc[i];
-                s.miss[i] = miss;
-                s.weight[i] = pressure * (miss + RETENTION_CREDIT * (1.0 - miss));
-                s.traffic[i] = pressure * miss;
+            let mut demand = 0.0;
+            for k in 0..n {
+                let m = miss_ratio(share[k], ws[k], locality[k], self.share_exponent);
+                let pressure = refs[k] * ipc[k];
+                miss[k] = m;
+                weight[k] = pressure * (m + RETENTION_CREDIT * (1.0 - m));
+                demand += pressure * m;
+                // The water-fill below needs zeroed scratch.
+                target[k] = 0.0;
+                capped[k] = false;
             }
 
             // Target shares: weight-proportional water-filling, capped at
             // each segment's working set (occupancy never exceeds demand).
-            for cluster in 0..self.topology.clusters() {
-                let (lo, hi) = self.cluster_range(cluster, running.len());
-                fill_into(
+            for &(lo, hi) in clusters.iter() {
+                water_fill(
                     self.l2_capacity_bytes,
-                    &s.weight[lo..hi],
-                    &s.limit[lo..hi],
-                    &mut s.target[lo..hi],
-                    &mut s.capped[lo..hi],
+                    &weight[lo..hi],
+                    &ws[lo..hi],
+                    &mut target[lo..hi],
+                    &mut capped[lo..hi],
                 );
             }
 
-            s.latency = self.mem_latency(&s.traffic);
+            *latency = self.mem_latency(demand);
 
             // New CPI / IPC estimates; damped updates for both shares and
             // IPC keep the coupled fixed point stable (the share map is
             // monotone decreasing in each segment's own share, so damped
             // iteration converges).
             let mut max_delta = 0.0f64;
-            for o in &s.active {
-                let (i, p) = (o.core, &o.profile);
-                let cpi = self.cpi(p, s.miss[i], s.latency);
-                let new_ipc = 1.0 / cpi;
-                let next_ipc = (1.0 - DAMPING) * s.ipc[i] + DAMPING * new_ipc;
-                let next_share = (1.0 - DAMPING) * s.share[i] + DAMPING * s.target[i];
+            for k in 0..n {
+                let c = self.cpi(base_cpi[k], refs[k], miss[k], *latency);
+                let new_ipc = 1.0 / c;
+                let next_ipc = (1.0 - DAMPING) * ipc[k] + DAMPING * new_ipc;
+                let next_share = (1.0 - DAMPING) * share[k] + DAMPING * target[k];
                 // Once one delta reaches the tolerance this iteration is
                 // not the last and the maximum is never read, so the
                 // remaining cores skip computing theirs.
                 if max_delta < CONVERGENCE_TOL {
                     max_delta = max_delta
-                        .max((next_ipc - s.ipc[i]).abs() / next_ipc.max(1e-12))
-                        .max((next_share - s.share[i]).abs() / self.l2_capacity_bytes);
+                        .max((next_ipc - ipc[k]).abs() / next_ipc.max(1e-12))
+                        .max((next_share - share[k]).abs() / self.l2_capacity_bytes);
                 }
-                s.ipc[i] = next_ipc;
-                s.share[i] = next_share;
-                s.cpi[i] = cpi;
+                ipc[k] = next_ipc;
+                share[k] = next_share;
+                cpi[k] = c;
             }
             if max_delta < CONVERGENCE_TOL {
                 break;
             }
         }
-        s.write_estimates(&s.share, out);
+        solver.write_estimates(out);
     }
 
     /// Evaluates the model with *fixed* per-core L2 shares instead of the
@@ -327,52 +364,49 @@ impl MachineSpec {
             );
         }
         let s = solver;
+        let n = s.core.len();
 
         // Fixed shares decouple the cache from IPC; only the bandwidth
         // coupling needs the fixed point.
-        for o in &s.active {
-            let (i, p) = (o.core, &o.profile);
-            s.miss[i] = miss_ratio(
-                shares[i],
-                p.working_set_bytes,
-                p.reuse_locality,
-                self.share_exponent,
-            );
+        for k in 0..n {
+            s.share[k] = shares[s.core[k]];
+            s.miss[k] = miss_ratio(s.share[k], s.ws[k], s.locality[k], self.share_exponent);
         }
         for _ in 0..MAX_ITERS {
-            for o in &s.active {
-                let (i, p) = (o.core, &o.profile);
-                s.traffic[i] = p.l2_refs_per_ins * s.ipc[i] * s.miss[i];
+            let mut demand = 0.0;
+            for k in 0..n {
+                demand += s.refs[k] * s.ipc[k] * s.miss[k];
             }
-            s.latency = self.mem_latency(&s.traffic);
+            s.latency = self.mem_latency(demand);
             let mut max_delta = 0.0f64;
-            for o in &s.active {
-                let (i, p) = (o.core, &o.profile);
-                let cpi = self.cpi(p, s.miss[i], s.latency);
-                let next = (1.0 - DAMPING) * s.ipc[i] + DAMPING / cpi;
+            for k in 0..n {
+                let cpi = self.cpi(s.base_cpi[k], s.refs[k], s.miss[k], s.latency);
+                let next = (1.0 - DAMPING) * s.ipc[k] + DAMPING / cpi;
                 if max_delta < CONVERGENCE_TOL {
-                    max_delta = max_delta.max((next - s.ipc[i]).abs() / next.max(1e-12));
+                    max_delta = max_delta.max((next - s.ipc[k]).abs() / next.max(1e-12));
                 }
-                s.ipc[i] = next;
-                s.cpi[i] = cpi;
+                s.ipc[k] = next;
+                s.cpi[k] = cpi;
             }
             if max_delta < CONVERGENCE_TOL {
                 break;
             }
         }
-        s.write_estimates(shares, out);
+        s.write_estimates(out);
     }
 
-    /// Contention-inflated memory latency from every core's miss traffic.
-    fn mem_latency(&self, traffic: &[f64]) -> f64 {
-        let demand: f64 = traffic.iter().copied().sum();
+    /// Contention-inflated memory latency from the machine-wide miss
+    /// traffic `demand` (lines per cycle, summed over occupied cores).
+    fn mem_latency(&self, demand: f64) -> f64 {
         let utilization = (demand / self.peak_lines_per_cycle).min(MAX_UTILIZATION);
         self.mem_base_cycles / (1.0 - utilization)
     }
 
-    /// CPI of `p` at L2 miss ratio `miss` and memory latency `mem_latency`.
-    fn cpi(&self, p: &SegmentProfile, miss: f64, mem_latency: f64) -> f64 {
-        p.base_cpi + p.l2_refs_per_ins * (self.l2_hit_cycles * (1.0 - miss) + mem_latency * miss)
+    /// CPI of a segment with core-local CPI `base_cpi` and `refs` L2
+    /// references per instruction at L2 miss ratio `miss` and memory
+    /// latency `mem_latency`.
+    fn cpi(&self, base_cpi: f64, refs: f64, miss: f64, mem_latency: f64) -> f64 {
+        base_cpi + refs * (self.l2_hit_cycles * (1.0 - miss) + mem_latency * miss)
     }
 
     /// Convenience: evaluates `profile` running alone on core 0.
@@ -400,33 +434,40 @@ const RETENTION_CREDIT: f64 = 0.08;
 ///
 /// [`MachineSpec::evaluate_into`] and
 /// [`MachineSpec::evaluate_partitioned_into`] solve in these buffers
-/// instead of allocating per call or per iteration. Every call re-derives
-/// all of its state from its inputs (no warm start from the previous
-/// solution), so a reused solver returns exactly the bits a fresh one
-/// would. `ContentionSolver::default()` starts empty; buffers are sized on
-/// each call, so one solver may serve machines of different shapes.
+/// instead of allocating per call or per iteration. The buffers are
+/// dense: entry `k` of every one belongs to the `k`-th occupied core in
+/// core order, so idle cores cost nothing. Every call re-derives all of
+/// its state from its inputs (no warm start from the previous solution),
+/// so a reused solver returns exactly the bits a fresh one would.
+/// `ContentionSolver::default()` starts empty; buffers are sized on each
+/// call, so one solver may serve machines of different shapes.
 #[derive(Debug, Clone, Default)]
 pub struct ContentionSolver {
-    /// Occupied cores, in core order.
-    active: Vec<Occupied>,
-    /// Per-core fill cap: the working set, 0 for idle cores.
-    limit: Vec<f64>,
+    /// Core index of each occupied core, in core order.
+    core: Vec<usize>,
+    /// The occupied cores' profile fields.
+    base_cpi: Vec<f64>,
+    refs: Vec<f64>,
+    /// Working set, which is also the water-fill cap.
+    ws: Vec<f64>,
+    locality: Vec<f64>,
     ipc: Vec<f64>,
     share: Vec<f64>,
     miss: Vec<f64>,
     weight: Vec<f64>,
-    /// L2 misses per cycle (bandwidth demand).
-    traffic: Vec<f64>,
     target: Vec<f64>,
     cpi: Vec<f64>,
     capped: Vec<bool>,
+    /// Dense `[lo, hi)` range of each L2 cluster's occupied cores.
+    clusters: Vec<(usize, usize)>,
     /// Contention-inflated memory latency.
     latency: f64,
 }
 
 impl ContentionSolver {
-    /// Validates the call, zeroes every buffer and loads the per-call
-    /// invariants (occupied cores, fill caps, initial IPC).
+    /// Validates the call, compacts the occupied cores into the dense
+    /// buffers cluster by cluster (clusters are consecutive core ranges,
+    /// so this is core order) and loads the initial IPC.
     fn reset(&mut self, spec: &MachineSpec, running: &[Option<SegmentProfile>], out_len: usize) {
         assert_eq!(out_len, running.len(), "one output slot per core");
         for p in running.iter().flatten() {
@@ -434,21 +475,37 @@ impl ContentionSolver {
                 panic!("invalid segment profile: {e}");
             }
         }
-        let n = running.len();
-        self.active.clear();
-        self.active.extend(
-            running
-                .iter()
-                .enumerate()
-                .filter_map(|(core, p)| p.map(|profile| Occupied { core, profile })),
-        );
         for v in [
-            &mut self.limit,
+            &mut self.base_cpi,
+            &mut self.refs,
+            &mut self.ws,
+            &mut self.locality,
             &mut self.ipc,
+        ] {
+            v.clear();
+        }
+        self.core.clear();
+        self.clusters.clear();
+        for cluster in 0..spec.topology.clusters() {
+            let (lo, hi) = spec.cluster_range(cluster, running.len());
+            let start = self.core.len();
+            for (core, p) in running.iter().enumerate().take(hi).skip(lo) {
+                if let Some(p) = p {
+                    self.core.push(core);
+                    self.base_cpi.push(p.base_cpi);
+                    self.refs.push(p.l2_refs_per_ins);
+                    self.ws.push(p.working_set_bytes);
+                    self.locality.push(p.reuse_locality);
+                    self.ipc.push(1.0 / p.base_cpi);
+                }
+            }
+            self.clusters.push((start, self.core.len()));
+        }
+        let n = self.core.len();
+        for v in [
             &mut self.share,
             &mut self.miss,
             &mut self.weight,
-            &mut self.traffic,
             &mut self.target,
             &mut self.cpi,
         ] {
@@ -458,35 +515,22 @@ impl ContentionSolver {
         self.capped.clear();
         self.capped.resize(n, false);
         self.latency = spec.mem_base_cycles;
-        for o in &self.active {
-            let (i, p) = (o.core, &o.profile);
-            self.limit[i] = p.working_set_bytes;
-            self.ipc[i] = 1.0 / p.base_cpi;
-        }
     }
 
-    /// Writes the converged estimates of occupied cores (with their final
-    /// `shares`) into `out`; idle cores get `None`.
-    fn write_estimates(&self, shares: &[f64], out: &mut [Option<PerfEstimate>]) {
+    /// Writes the converged estimates of occupied cores into `out`; idle
+    /// cores get `None`.
+    fn write_estimates(&self, out: &mut [Option<PerfEstimate>]) {
         out.fill(None);
-        for o in &self.active {
-            let (i, p) = (o.core, &o.profile);
-            out[i] = Some(PerfEstimate {
-                cpi: self.cpi[i],
-                l2_refs_per_ins: p.l2_refs_per_ins,
-                l2_miss_ratio: self.miss[i],
+        for (k, &core) in self.core.iter().enumerate() {
+            out[core] = Some(PerfEstimate {
+                cpi: self.cpi[k],
+                l2_refs_per_ins: self.refs[k],
+                l2_miss_ratio: self.miss[k],
                 mem_latency_cycles: self.latency,
-                l2_share_bytes: shares[i],
+                l2_share_bytes: self.share[k],
             });
         }
     }
-}
-
-/// An occupied core with its hoisted profile.
-#[derive(Debug, Clone, Copy)]
-struct Occupied {
-    core: usize,
-    profile: SegmentProfile,
 }
 
 /// Splits `capacity` across claimants in proportion to `weights`, capping
@@ -501,8 +545,8 @@ struct Occupied {
 /// Panics if the slices differ in length.
 pub fn proportional_fill(capacity: f64, weights: &[f64], limits: &[f64]) -> Vec<f64> {
     assert_eq!(weights.len(), limits.len(), "mismatched slice lengths");
-    let mut share = vec![0.0f64; weights.len()];
-    fill_into(
+    let mut share = vec![0.0; weights.len()];
+    water_fill(
         capacity,
         weights,
         limits,
@@ -512,9 +556,12 @@ pub fn proportional_fill(capacity: f64, weights: &[f64], limits: &[f64]) -> Vec<
     share
 }
 
-/// [`proportional_fill`] into caller-owned `share` and `capped` scratch
-/// (both overwritten; all four slices have one entry per claimant).
-fn fill_into(
+/// The water-fill behind [`proportional_fill`] and the shared-cache
+/// solve, into caller-owned `share` and `capped` scratch (all four
+/// slices have one entry per claimant). Both scratch slices must arrive
+/// zeroed: callers clear them in a loop they already run, which keeps
+/// two tiny `memset` calls per cluster off the solver's iteration.
+fn water_fill(
     capacity: f64,
     weights: &[f64],
     limits: &[f64],
@@ -522,16 +569,18 @@ fn fill_into(
     capped: &mut [bool],
 ) {
     let n = weights.len();
-    share.fill(0.0);
-    capped.fill(false);
+    let (limits, share, capped) = (&limits[..n], &mut share[..n], &mut capped[..n]);
+    debug_assert!(share.iter().all(|&s| s == 0.0) && !capped.contains(&true));
     let mut remaining = capacity;
     // Each pass either terminates or caps at least one claimant, so at most
     // n passes are needed.
     for _ in 0..=n {
-        let wsum: f64 = (0..n)
-            .filter(|&i| !capped[i])
-            .map(|i| weights[i].max(0.0))
-            .sum();
+        let mut wsum = 0.0;
+        for i in 0..n {
+            if !capped[i] {
+                wsum += weights[i].max(0.0);
+            }
+        }
         if wsum <= 0.0 || remaining <= 0.0 {
             break;
         }

@@ -246,9 +246,22 @@ impl PowerPolicy {
     /// `min(dt, tau)/tau` of the gap. Linear (first-order Euler with a
     /// clamped step) instead of exponential so the update is exact
     /// integer arithmetic; the clamp keeps it unconditionally stable.
+    ///
+    /// The step runs in `i64` when no intermediate can overflow and falls
+    /// back to `i128` otherwise; both divisions truncate toward zero, so
+    /// the two widths return the same integer.
     pub fn step_temp(&self, temp_milli_c: i64, steady_milli_c: i64, dt: Cycles) -> i64 {
         let tau = self.tau.get().max(1);
         let dt = dt.get().min(tau);
+        if let (Ok(dt64), Ok(tau64)) = (i64::try_from(dt), i64::try_from(tau)) {
+            let stepped = steady_milli_c
+                .checked_sub(temp_milli_c)
+                .and_then(|gap| gap.checked_mul(dt64))
+                .and_then(|scaled| temp_milli_c.checked_add(scaled / tau64));
+            if let Some(temp) = stepped {
+                return temp;
+            }
+        }
         let gap = i128::from(steady_milli_c) - i128::from(temp_milli_c);
         let step = gap * i128::from(dt) / i128::from(tau);
         i64::try_from(i128::from(temp_milli_c) + step).unwrap_or(i64::MAX)
@@ -695,7 +708,92 @@ mod tests {
         );
     }
 
+    /// [`PowerPolicy::step_temp`] as it stood before its `i64` fast
+    /// path: the whole step in `i128`.
+    fn step_temp_i128(policy: &PowerPolicy, temp: i64, steady: i64, dt: Cycles) -> i64 {
+        let tau = policy.tau.get().max(1);
+        let dt = dt.get().min(tau);
+        let gap = i128::from(steady) - i128::from(temp);
+        let step = gap * i128::from(dt) / i128::from(tau);
+        i64::try_from(i128::from(temp) + step).unwrap_or(i64::MAX)
+    }
+
+    fn with_tau(tau: u64) -> PowerPolicy {
+        PowerPolicy {
+            tau: Cycles::new(tau),
+            ..PowerPolicy::paper_default()
+        }
+    }
+
+    #[test]
+    fn step_temp_edge_cases_match_the_i128_reference() {
+        // Temperatures and steady states near i64::MIN/MAX overflow the
+        // gap, the scaled gap or the sum in i64 and take the fallback;
+        // the rest take the i64 path. Both must agree with the reference.
+        // A `tau` beyond i64::MAX always takes the fallback; it is paired
+        // only with gaps whose i128 product with `dt` cannot overflow,
+        // which the reference itself does not survive.
+        let temps = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN / 2,
+            -1_000_000_007,
+            -1,
+            0,
+            1,
+            45_000,
+            95_000,
+            1 << 40,
+            i64::MAX / 2,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let near = [i64::MIN / 4, -1, 0, 45_000, i64::MAX / 4];
+        let taus = [0, 1, 2, 7, 15_000_000, 1 << 40, i64::MAX as u64, u64::MAX];
+        for tau in taus {
+            let policy = with_tau(tau);
+            let temps: &[i64] = if tau > i64::MAX as u64 { &near } else { &temps };
+            let dts = [
+                0,
+                1,
+                3,
+                tau / 2,
+                tau.saturating_sub(1),
+                tau,
+                tau.saturating_add(1),
+                u64::MAX,
+            ];
+            for &temp in temps {
+                for &steady in temps {
+                    for dt in dts {
+                        let dt = Cycles::new(dt);
+                        assert_eq!(
+                            policy.step_temp(temp, steady, dt),
+                            step_temp_i128(&policy, temp, steady, dt),
+                            "tau {tau} temp {temp} steady {steady} dt {dt:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn step_temp_matches_the_i128_reference(
+            temp in prop_oneof![i64::MIN..=i64::MAX, -200_000i64..200_000],
+            steady in prop_oneof![i64::MIN..=i64::MAX, -200_000i64..200_000],
+            dt in prop_oneof![0..=u64::MAX, 0u64..40_000_000],
+            tau in prop_oneof![Just(1u64), 0..=i64::MAX as u64, 1u64..40_000_000],
+        ) {
+            let policy = with_tau(tau);
+            let dt = Cycles::new(dt);
+            prop_assert_eq!(
+                policy.step_temp(temp, steady, dt),
+                step_temp_i128(&policy, temp, steady, dt)
+            );
+        }
+
         #[test]
         fn advance_is_deterministic_and_energy_is_additive(
             slices in proptest::collection::vec((1u64..2_000_000, 0u32..=1000, 0usize..5), 1..40)

@@ -12,7 +12,10 @@
 //! shared and statically partitioned caches — and requires every
 //! `PerfEstimate` field to equal the reference's to the bit. State left in
 //! the solver or the output buffer by one call and read by the next shows
-//! up as a mismatch.
+//! up as a mismatch. Two deterministic tests add hand-picked boundary
+//! layouts of the dense solver (idle cluster heads, idle clusters, exact
+//! fits, zero weights, extreme localities) and water-fill claim sets with
+//! negative and NaN weights.
 
 use proptest::prelude::*;
 
@@ -397,6 +400,120 @@ fn assert_bits(ours: &[Option<PerfEstimate>], theirs: &[Option<PerfEstimate>], c
             }
             _ => panic!("{ctx}: core {core} occupancy differs: {a:?} vs {b:?}"),
         }
+    }
+}
+
+/// Layouts the dense solver could get wrong, each solved shared and
+/// partitioned through one reused solver and compared with the reference:
+/// idle first cores, a fully idle cluster between busy ones, working sets
+/// exactly at the even share and at the L2 capacity, zero-weight cores
+/// (`l2_refs_per_ins = 0`) and locality 0 and 1.
+#[test]
+fn boundary_layouts_are_bit_identical_to_reference() {
+    let specs = specs();
+    let cap = specs[0].l2_capacity_bytes;
+    let p = |base_cpi: f64, refs: f64, ws: f64, locality: f64| {
+        Some(SegmentProfile {
+            base_cpi,
+            l2_refs_per_ins: refs,
+            working_set_bytes: ws,
+            reuse_locality: locality,
+        })
+    };
+    let stream = p(0.7, 0.008, 360e6, 0.5);
+    let web = p(1.1, 0.004, 3e5, 0.93);
+    let mid = p(0.9, 0.007, 12e6, 0.65);
+    let no_refs = p(1.4, 0.0, 2e6, 0.9);
+    let at_even = p(0.8, 0.01, cap / 2.0, 0.95);
+    let at_cap = p(0.85, 0.009, cap, 0.8);
+    let loc0 = p(0.75, 0.006, 5e6, 0.0);
+    let loc1 = p(0.95, 0.005, 6e6, 1.0);
+    let cases: Vec<(usize, Vec<Option<SegmentProfile>>)> = vec![
+        // Idle first core of a cluster, and of the machine.
+        (0, vec![None, stream, mid, web]),
+        (0, vec![mid, stream, None, at_even]),
+        (0, vec![None, None, None, stream]),
+        // Fully idle cluster between busy ones (8 cores in pairs).
+        (1, vec![stream, mid, None, None, web, stream, None, loc0]),
+        (1, vec![None, at_cap, None, None, None, None, stream, None]),
+        // Ragged last cluster, idle head of each cluster.
+        (2, vec![None, mid, stream, web, None, loc1]),
+        // Working set exactly the even share (two per cluster) and
+        // exactly the L2 capacity.
+        (0, vec![at_even, at_even, at_cap, None]),
+        (0, vec![at_cap, at_even, at_cap, stream]),
+        (0, vec![at_cap, None, at_even, None]),
+        // Zero-weight claimants beside positive ones, and alone.
+        (0, vec![no_refs, stream, no_refs, mid]),
+        (0, vec![no_refs, no_refs, None, no_refs]),
+        (
+            3,
+            vec![no_refs, stream, None, web, no_refs, mid, at_cap, loc1],
+        ),
+        // Locality at both ends of its range.
+        (0, vec![loc0, loc1, loc1, loc0]),
+        (3, vec![loc0, None, loc1, stream, None, loc0, at_even, mid]),
+        // Every core busy with a streaming scan (saturated bandwidth).
+        (1, vec![stream; 8]),
+    ];
+    let mut solver = ContentionSolver::default();
+    for (step, (which, running)) in cases.iter().enumerate() {
+        let spec = &specs[*which];
+        let reference = reference::Ref(spec);
+        let mut out = vec![None; spec.topology.cores];
+        let ctx = format!("case {step} (spec {which})");
+        spec.evaluate_into(running, &mut solver, &mut out);
+        assert_bits(&out, &reference.evaluate(running), &ctx);
+
+        // Equal static slices of each cluster among its occupied cores.
+        let cpc = spec.topology.cores_per_cluster;
+        let shares: Vec<f64> = (0..spec.topology.cores)
+            .map(|core| {
+                let lo = core / cpc * cpc;
+                let hi = (lo + cpc).min(running.len());
+                let occupied = running[lo..hi].iter().flatten().count();
+                if running[core].is_some() {
+                    spec.l2_capacity_bytes / occupied as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let ctx = format!("{ctx}, partitioned");
+        spec.evaluate_partitioned_into(running, &shares, &mut solver, &mut out);
+        assert_bits(
+            &out,
+            &reference.evaluate_partitioned(running, &shares),
+            &ctx,
+        );
+    }
+}
+
+/// Water-fill claim sets with negative, zero and NaN weights, zero and
+/// exactly-fitting limits, and an empty or exhausted capacity.
+#[test]
+fn fill_boundary_cases_are_bit_identical_to_reference() {
+    let cases: [(f64, &[f64], &[f64]); 10] = [
+        (100.0, &[-1.0, 2.0, 3.0], &[60.0, 60.0, 60.0]),
+        (100.0, &[-5.0, 1.0, 1.0, 4.0], &[10.0, 30.0, 80.0, 35.0]),
+        (100.0, &[0.0, -0.0, 2.0], &[50.0, 50.0, 50.0]),
+        (100.0, &[1.0, 1.0], &[50.0, 50.0]),
+        (100.0, &[1.0, 3.0], &[25.0, 75.0]),
+        (100.0, &[2.0, 1.0, 1.0], &[0.0, 100.0, 100.0]),
+        (100.0, &[f64::NAN, 1.0, 2.0], &[40.0, 40.0, 40.0]),
+        (0.0, &[1.0, 2.0], &[10.0, 10.0]),
+        (30.0, &[1.0, 2.0, 3.0], &[10.0, 10.0, 10.0]),
+        (100.0, &[], &[]),
+    ];
+    for (capacity, weights, limits) in cases {
+        let ours = proportional_fill(capacity, weights, limits);
+        let theirs = reference::proportional_fill(capacity, weights, limits);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&ours),
+            bits(&theirs),
+            "weights {weights:?} limits {limits:?}"
+        );
     }
 }
 
