@@ -8,13 +8,12 @@
 //! split into per-tier *legs* (consecutive same-machine stages), every
 //! leg runs on its machine as an ordinary injected request, and every
 //! inter-tier transfer is a network *hop* with explicit serialization
-//! and propagation delay. The loop emits
-//! [`rbv_telemetry::TraceEvent::TierLeg`] /
-//! [`rbv_telemetry::TraceEvent::TierHop`] events
-//! into [`rbv_trace::TierSpanCollector`], whose reconstruction enforces
-//! the cross-tier extension of the span-accounting invariant: per-tier
-//! residencies plus network hops **exactly partition** each request's
-//! client-visible latency, in integer cycles.
+//! and propagation delay. The loop records every request's begin, legs,
+//! hops and end by direct call into [`rbv_trace::TierSpanCollector`],
+//! whose reconstruction enforces the cross-tier extension of the
+//! span-accounting invariant: per-tier residencies plus network hops
+//! **exactly partition** each request's client-visible latency, in
+//! integer cycles.
 //!
 //! Determinism is the same contract as the rest of the workspace:
 //!
@@ -25,10 +24,11 @@
 //! * The shard plan depends only on the request count, shard digests
 //!   merge in shard order, and the serialized `rbv-cluster/v1` ledger is
 //!   byte-identical at any `--threads` value.
-//! * A [`ClusterTopology::Single`] run drives one machine through the
-//!   same [`Machine::start`]/[`Machine::step`] loop the cluster uses and
-//!   is bit-identical to [`rbv_os::run_simulation`] on the same config
-//!   (property-tested).
+//! * A [`ClusterTopology::Single`] run is the serve harness's open-loop
+//!   engine run ([`rbv_os::run_simulation_streaming`]) with each finished
+//!   request recorded as one leg and no hops. The three-tier loop steps
+//!   machines through [`Machine::start`]/[`Machine::step`], which is
+//!   property-tested bit-identical to [`rbv_os::run_simulation`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -38,13 +38,13 @@ use std::collections::{BTreeMap, HashMap};
 
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
-    easing_threshold, ArrivalProcess, Machine, RbvError, RunResult, RunStats, SchedulerPolicy,
-    SimConfig,
+    easing_threshold, run_simulation, run_simulation_streaming, ArrivalProcess, CompletedRequest,
+    CompletionSink, FailedRequest, Machine, RbvError, RunStats, SchedulerPolicy, SimConfig,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
-use rbv_telemetry::{Json, TraceEvent, TraceSink};
-use rbv_trace::{ClusterSpanRecord, TierSpanCollector, TierSummary};
+use rbv_telemetry::Json;
+use rbv_trace::{ClusterHopRecord, ClusterSpanRecord, TierSpanCollector, TierSummary};
 use rbv_workloads::{factory_for, AppId, Component, Request, RequestFactory};
 
 /// Schema tag embedded in every cluster ledger; bumped on layout changes.
@@ -236,10 +236,8 @@ fn machine_config(
 }
 
 /// Simulation config for the degenerate single-machine topology: the
-/// serve harness's open-loop Poisson config, so the cluster's
-/// [`machine_loop_run`] on it must be bit-identical to
-/// [`rbv_os::run_simulation`] (the PR 9 engine) on the same config.
-pub fn single_machine_config(
+/// serve harness's open-loop Poisson config.
+fn single_machine_config(
     spec: &ClusterSpec,
     mean_service: f64,
     shard_seed_value: u64,
@@ -260,29 +258,6 @@ pub fn single_machine_config(
         cfg.easing_error_gate = Some(0.35);
     }
     cfg
-}
-
-/// Drives one self-spawning [`Machine`] to its target through the same
-/// start/step/finish loop the cluster uses — the degenerate
-/// single-machine path, exposed so the bit-identity property test can
-/// compare it against [`rbv_os::run_simulation`] directly.
-///
-/// # Errors
-///
-/// Returns [`RbvError::Config`] if `cfg` is invalid.
-pub fn machine_loop_run(
-    cfg: SimConfig,
-    factory: &mut dyn RequestFactory,
-    target: usize,
-) -> Result<RunResult, RbvError> {
-    let mut machine = Machine::new(cfg, target)?;
-    machine.start(factory);
-    while !machine.target_reached() {
-        if !machine.step(factory) {
-            break;
-        }
-    }
-    Ok(machine.finish())
 }
 
 /// A request's path through the cluster: its per-tier legs (sub-requests
@@ -337,15 +312,6 @@ fn split_legs(request: &Request, topology: ClusterTopology) -> PathState {
     }
 }
 
-/// An in-flight network transfer, keyed in the delivery map by
-/// `(deliver_at, rid, hop)` — the canonical delivery order.
-struct Transfer {
-    from: usize,
-    to: usize,
-    departed: u64,
-    bytes: u64,
-}
-
 /// Per-machine engine totals surfaced in the ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineTotals {
@@ -377,6 +343,38 @@ struct ShardOutput {
 /// stream): 256 B to 4 KiB, a request/response envelope.
 fn hop_bytes(shard_seed_value: u64, rid: u64, hop: u32) -> u64 {
     256 + mix64(shard_seed_value ^ (rid << 20) ^ (u64::from(hop) << 52)) % 3840
+}
+
+/// A tier span collector, retaining span records for Perfetto export
+/// when `retain` is set.
+fn span_collector(retain: bool) -> TierSpanCollector {
+    if retain {
+        TierSpanCollector::retaining()
+    } else {
+        TierSpanCollector::new()
+    }
+}
+
+/// Records a finished engine request as leg `machine` of request `rid`:
+/// its on-CPU cycles (capped at its residence) are the service share.
+fn record_leg(
+    collector: &mut TierSpanCollector,
+    rid: u64,
+    machine: usize,
+    tier: &str,
+    done: &CompletedRequest,
+) {
+    let (arrived, finished) = (done.arrived_at.get(), done.finished_at.get());
+    let service = (done.cpu_cycles().round() as u64).min(finished - arrived);
+    collector.leg(
+        rid,
+        machine as u32,
+        tier,
+        arrived,
+        finished,
+        service,
+        done.request_cpi().unwrap_or(0.0),
+    );
 }
 
 /// One shard's slice of the plan: its derived seed, request count, and
@@ -434,14 +432,12 @@ fn run_tier_shard(
     let mut arrival_rng = SimRng::seed_from(mix64(shard_seed_value ^ 0xA441_73A1));
     let mut factory = factory_for(spec.app, shard_seed_value, spec.app.harness_scale());
 
-    let mut collector = if retain {
-        TierSpanCollector::retaining()
-    } else {
-        TierSpanCollector::new()
-    };
+    let mut collector = span_collector(retain);
     let mut paths: Vec<PathState> = Vec::with_capacity(n);
-    let mut inflight: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    let mut transfers: BTreeMap<(u64, u64, u32), Transfer> = BTreeMap::new();
+    let mut inflight: HashMap<(usize, usize), usize> = HashMap::new();
+    // In-flight transfers keyed by `(deliver_at, rid, hop)` — the
+    // canonical delivery order.
+    let mut transfers: BTreeMap<(u64, u64, u32), ClusterHopRecord> = BTreeMap::new();
     let mut links = vec![vec![0u64; n_machines]; n_machines];
     let mut next_arrival: u64 = 0;
     let mut offered: usize = 0;
@@ -456,7 +452,7 @@ fn run_tier_shard(
                 to: usize,
                 departed: u64,
                 paths: &mut Vec<PathState>,
-                transfers: &mut BTreeMap<(u64, u64, u32), Transfer>,
+                transfers: &mut BTreeMap<(u64, u64, u32), ClusterHopRecord>,
                 links: &mut Vec<Vec<u64>>,
                 departures: &mut u64| {
         let rid = rid_base + local as u64;
@@ -470,10 +466,11 @@ fn run_tier_shard(
         *departures += 1;
         transfers.insert(
             (deliver_at, rid, hop),
-            Transfer {
-                from,
-                to,
+            ClusterHopRecord {
+                from: from as u32,
+                to: to as u32,
                 departed,
+                delivered: deliver_at,
                 bytes,
             },
         );
@@ -515,30 +512,20 @@ fn run_tier_shard(
             let Some(transfer) = transfers.remove(&key) else {
                 continue;
             };
-            let (at, rid, hop) = key;
+            let (at, rid, _) = key;
+            let to = transfer.to as usize;
             deliveries += 1;
-            collector.record(TraceEvent::TierHop {
-                ts: Cycles::new(at),
-                rid,
-                from_machine: transfer.from as u32,
-                to_machine: transfer.to as u32,
-                hop,
-                departed: Cycles::new(transfer.departed),
-                bytes: transfer.bytes,
-            });
+            collector.hop(rid, transfer);
             let local = (rid - rid_base) as usize;
             if paths[local].next_leg == paths[local].legs.len() {
                 // The response hop reached the frontend: client end.
                 resolved += 1;
-                collector.record(TraceEvent::RequestEnd {
-                    ts: Cycles::new(at),
-                    rid,
-                });
+                collector.end(rid, at);
             } else {
                 let leg_idx = paths[local].next_leg;
                 let leg = paths[local].take_leg(leg_idx);
-                let machine_local = machines[transfer.to].inject(leg, Cycles::new(at));
-                inflight.insert((transfer.to, machine_local), (local, leg_idx));
+                let machine_local = machines[to].inject(leg, Cycles::new(at));
+                inflight.insert((to, machine_local), local);
             }
         } else if rank == 1 {
             // Offer the next client request.
@@ -547,18 +534,13 @@ fn run_tier_shard(
             let rid = rid_base + local as u64;
             offered += 1;
             let request = factory.next_request();
-            collector.record(TraceEvent::RequestBegin {
-                ts: Cycles::new(at),
-                rid,
-                app: request.app.to_string(),
-                class: request.class.to_string(),
-            });
+            collector.begin(rid, at, request.app, request.class);
             let path = split_legs(&request, spec.topology);
             let first = path.machines.first().copied().unwrap_or(0);
             paths.push(path);
             if first == 0 {
                 let machine_local = machines[0].inject(paths[local].take_leg(0), Cycles::new(at));
-                inflight.insert((0, machine_local), (local, 0));
+                inflight.insert((0, machine_local), local);
             } else {
                 // Ingress hop: the frontend forwards the request.
                 send(
@@ -579,7 +561,7 @@ fn run_tier_shard(
             machines[i].step(factories[i].as_mut());
             let (completed, failed) = machines[i].drain_finished();
             for done in completed {
-                let Some((local, leg_idx)) = inflight.remove(&(i, done.id)) else {
+                let Some(local) = inflight.remove(&(i, done.id)) else {
                     return Err(RbvError::Config(format!(
                         "cluster shard: machine {i} completed unknown request {}",
                         done.id
@@ -589,19 +571,7 @@ fn run_tier_shard(
                     mpi[i].extend(done.l2_mpi_samples());
                 }
                 let rid = rid_base + local as u64;
-                let residence = done.finished_at.get() - done.arrived_at.get();
-                let service = (done.cpu_cycles().round() as u64).min(residence);
-                collector.record(TraceEvent::TierLeg {
-                    ts: done.finished_at,
-                    rid,
-                    machine: i as u32,
-                    tier: tiers[i].to_string(),
-                    leg: leg_idx as u32,
-                    arrived: done.arrived_at,
-                    wait_cycles: residence - service,
-                    service_cycles: service,
-                    cpi: done.request_cpi().unwrap_or(0.0),
-                });
+                record_leg(&mut collector, rid, i, tiers[i], &done);
                 paths[local].next_leg += 1;
                 if paths[local].next_leg < paths[local].legs.len() {
                     let to = paths[local].machines[paths[local].next_leg];
@@ -619,10 +589,7 @@ fn run_tier_shard(
                     // Final leg ran on the frontend: the client sees the
                     // completion directly, no response hop.
                     resolved += 1;
-                    collector.record(TraceEvent::RequestEnd {
-                        ts: done.finished_at,
-                        rid,
-                    });
+                    collector.end(rid, done.finished_at.get());
                 } else {
                     // Response hop back to the frontend.
                     send(
@@ -641,15 +608,14 @@ fn run_tier_shard(
                 // Unreachable in v1: External arrivals exclude every
                 // failure source. Kept total so an engine change cannot
                 // silently strand a request.
-                let Some((local, _)) = inflight.remove(&(i, lost.id)) else {
-                    continue;
+                let Some(local) = inflight.remove(&(i, lost.id)) else {
+                    return Err(RbvError::Config(format!(
+                        "cluster shard: machine {i} failed unknown request {}",
+                        lost.id
+                    )));
                 };
                 resolved += 1;
-                collector.record(TraceEvent::RequestFailed {
-                    ts: lost.failed_at,
-                    rid: rid_base + local as u64,
-                    reason: lost.reason.label().to_string(),
-                });
+                collector.fail(rid_base + local as u64, lost.failed_at.get());
             }
         }
     }
@@ -674,73 +640,52 @@ fn run_tier_shard(
     })
 }
 
+/// Records a single-topology shard's finished requests as they stream
+/// out of the engine: one leg on machine 0, no hops, so the partition
+/// invariant degenerates to `wait + service == latency ==
+/// client-visible`.
+struct SingleSink {
+    collector: TierSpanCollector,
+    rid_base: u64,
+}
+
+impl CompletionSink for SingleSink {
+    fn on_complete(&mut self, done: &CompletedRequest) {
+        let rid = self.rid_base + done.id as u64;
+        let tier = ClusterTopology::Single.tiers()[0];
+        self.collector
+            .begin(rid, done.arrived_at.get(), done.app, done.class);
+        record_leg(&mut self.collector, rid, 0, tier, done);
+        self.collector.end(rid, done.finished_at.get());
+    }
+
+    fn on_fail(&mut self, lost: &FailedRequest) {
+        let rid = self.rid_base + lost.id as u64;
+        self.collector
+            .begin(rid, lost.arrived_at.get(), lost.app, lost.class);
+        self.collector.fail(rid, lost.failed_at.get());
+    }
+}
+
 /// Runs one single-topology shard: the machine self-spawns open-loop
-/// arrivals through [`machine_loop_run`], and tier attribution is
-/// synthesized from the run result (one leg, zero hops, so the
-/// partition invariant degenerates to `wait + service == latency ==
-/// client-visible`).
+/// arrivals and streams every finished request into the collector.
 fn run_single_shard(
     spec: &ClusterSpec,
     mean_service: f64,
-    shard_seed_value: u64,
-    n: usize,
-    rid_base: u64,
+    job: ShardJob,
     threshold: Option<f64>,
-    retain: bool,
 ) -> Result<ShardOutput, RbvError> {
-    let cfg = single_machine_config(spec, mean_service, shard_seed_value, threshold);
-    let mut factory = factory_for(spec.app, shard_seed_value, spec.app.harness_scale());
-    let result = machine_loop_run(cfg, factory.as_mut(), n)?;
-    let mut collector = if retain {
-        TierSpanCollector::retaining()
-    } else {
-        TierSpanCollector::new()
+    let cfg = single_machine_config(spec, mean_service, job.seed, threshold);
+    let mut factory = factory_for(spec.app, job.seed, spec.app.harness_scale());
+    let mut sink = SingleSink {
+        collector: span_collector(spec.trace_spans),
+        rid_base: job.rid_base,
     };
-    for done in &result.completed {
-        let rid = rid_base + done.id as u64;
-        collector.record(TraceEvent::RequestBegin {
-            ts: done.arrived_at,
-            rid,
-            app: done.app.to_string(),
-            class: done.class.to_string(),
-        });
-        let residence = done.finished_at.get() - done.arrived_at.get();
-        let service = (done.cpu_cycles().round() as u64).min(residence);
-        collector.record(TraceEvent::TierLeg {
-            ts: done.finished_at,
-            rid,
-            machine: 0,
-            tier: "standalone".to_string(),
-            leg: 0,
-            arrived: done.arrived_at,
-            wait_cycles: residence - service,
-            service_cycles: service,
-            cpi: done.request_cpi().unwrap_or(0.0),
-        });
-        collector.record(TraceEvent::RequestEnd {
-            ts: done.finished_at,
-            rid,
-        });
-    }
-    for lost in &result.failed {
-        let rid = rid_base + lost.id as u64;
-        collector.record(TraceEvent::RequestBegin {
-            ts: lost.arrived_at,
-            rid,
-            app: lost.app.to_string(),
-            class: lost.class.to_string(),
-        });
-        collector.record(TraceEvent::RequestFailed {
-            ts: lost.failed_at,
-            rid,
-            reason: lost.reason.label().to_string(),
-        });
-    }
-    let offered = (result.completed.len() + result.failed.len()) as u64;
-    let (mut summary, records) = collector.into_parts();
+    let result = run_simulation_streaming(cfg, factory.as_mut(), job.n, &mut sink)?;
+    let (mut summary, records) = sink.collector.into_parts();
     summary
         .invariants
-        .check_request_conservation(offered, summary.completed, summary.failed);
+        .check_request_conservation(job.n as u64, summary.completed, summary.failed);
     summary.invariants.check_hop_accounting(0, 0);
     Ok(ShardOutput {
         summary,
@@ -761,37 +706,22 @@ fn run_shard(
     rid_base: u64,
 ) -> Result<ShardOutput, RbvError> {
     let seed = shard_seed(spec.seed, index);
+    let job = ShardJob { seed, n, rid_base };
     match spec.topology {
         ClusterTopology::Single => {
             let threshold = if spec.easing {
                 let stock = single_machine_config(spec, mean_service, seed, None);
                 let mut factory = factory_for(spec.app, seed, spec.app.harness_scale());
-                let result = machine_loop_run(stock, factory.as_mut(), n)?;
-                Some(result.easing_threshold())
+                Some(run_simulation(stock, factory.as_mut(), n)?.easing_threshold())
             } else {
                 None
             };
-            run_single_shard(
-                spec,
-                mean_service,
-                seed,
-                n,
-                rid_base,
-                threshold,
-                spec.trace_spans,
-            )
+            run_single_shard(spec, mean_service, job, threshold)
         }
         ClusterTopology::ThreeTier => {
             let thresholds = if spec.easing {
                 let mut mpi: Vec<Vec<f64>> = Vec::new();
-                run_tier_shard(
-                    spec,
-                    mean_service,
-                    ShardJob { seed, n, rid_base },
-                    None,
-                    false,
-                    Some(&mut mpi),
-                )?;
+                run_tier_shard(spec, mean_service, job, None, false, Some(&mut mpi))?;
                 Some(
                     mpi.iter()
                         .map(|samples| easing_threshold(samples))
@@ -803,7 +733,7 @@ fn run_shard(
             run_tier_shard(
                 spec,
                 mean_service,
-                ShardJob { seed, n, rid_base },
+                job,
                 thresholds.as_deref(),
                 spec.trace_spans,
                 None,

@@ -1,20 +1,20 @@
 //! Cluster identity and invariant gates.
 //!
-//! * The degenerate single-machine cluster path must be **bit-identical**
-//!   to the single-machine engine (`rbv_os::run_simulation`) on the same
-//!   config — the cluster's `Machine` start/step/finish loop is pure code
-//!   motion over the engine's `run`, and this property pins that.
+//! * A `Machine` driven through start/step/finish — the loop the
+//!   three-tier cluster steps every machine with — must be
+//!   **bit-identical** to the single-machine engine
+//!   (`rbv_os::run_simulation`) on the same config: the incremental API
+//!   is pure code motion over the engine's `run`, and this property pins
+//!   that.
 //! * A three-tier run's per-tier stages plus network hops must exactly
 //!   partition every request's client-visible latency, with zero
 //!   invariant violations, for every application.
 
 use proptest::prelude::*;
-use rbv_cluster::{
-    machine_loop_run, run_cluster, shard_seed, single_machine_config, ClusterSpec, ClusterTopology,
-    NetworkModel,
-};
-use rbv_os::run_simulation;
+use rbv_cluster::{run_cluster, shard_seed, ClusterSpec, ClusterTopology, NetworkModel};
+use rbv_os::{run_simulation, ArrivalProcess, Machine, SimConfig};
 use rbv_par::Pool;
+use rbv_sim::Cycles;
 use rbv_workloads::{factory_for, AppId};
 
 fn spec(app: AppId, topology: ClusterTopology, requests: usize, seed: u64) -> ClusterSpec {
@@ -34,29 +34,38 @@ fn spec(app: AppId, topology: ClusterTopology, requests: usize, seed: u64) -> Cl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The PR 9 parity property: for any seed/app/overload, the cluster's
-    /// single-machine loop and the engine's `run_simulation` produce the
-    /// same `RunResult`, field for field — completion order, timelines,
-    /// stats, total time.
+    /// For any seed/app/open-loop load, a self-spawning `Machine`
+    /// stepped to its target and the engine's `run_simulation` produce
+    /// the same `RunResult`, field for field — completion order,
+    /// timelines, stats, total time.
     #[test]
-    fn single_machine_cluster_is_bit_identical_to_the_engine(
+    fn machine_step_loop_is_bit_identical_to_the_engine(
         seed in 0u64..1_000_000,
         app_idx in 0usize..3,
         overload in prop::sample::select(vec![0.5f64, 1.0, 2.0]),
     ) {
+        const REQUESTS: usize = 24;
         let app = [AppId::WebServer, AppId::Tpcc, AppId::Rubis][app_idx];
-        let mut s = spec(app, ClusterTopology::Single, 24, seed);
-        s.overload = overload;
         let mean_service = rbv_openloop::probe_mean_service(app, seed).expect("probe");
         let shard = shard_seed(seed, 0);
-        let cfg = single_machine_config(&s, mean_service, shard, None);
+        // The single-topology shard's open-loop config.
+        let mut cfg =
+            SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
+        cfg.seed = shard;
+        let cores = cfg.machine.topology.cores as f64;
+        cfg.arrivals = ArrivalProcess::OpenPoisson {
+            mean_interarrival: Cycles::new((mean_service / (cores * overload)).max(1.0) as u64),
+        };
 
         let mut f1 = factory_for(app, shard, app.harness_scale());
-        let via_cluster = machine_loop_run(cfg.clone(), f1.as_mut(), s.requests).expect("cluster loop");
+        let mut machine = Machine::new(cfg.clone(), REQUESTS).expect("valid config");
+        machine.start(f1.as_mut());
+        while !machine.target_reached() && machine.step(f1.as_mut()) {}
+        let via_machine = machine.finish();
         let mut f2 = factory_for(app, shard, app.harness_scale());
-        let via_engine = run_simulation(cfg, f2.as_mut(), s.requests).expect("engine run");
+        let via_engine = run_simulation(cfg, f2.as_mut(), REQUESTS).expect("engine run");
 
-        prop_assert_eq!(via_cluster, via_engine);
+        prop_assert_eq!(via_machine, via_engine);
     }
 }
 

@@ -364,49 +364,6 @@ pub enum TraceEvent {
         /// Core temperature at the edge, in milli-°C.
         temp_milli_c: i64,
     },
-    /// One tier leg of a multi-machine request resolved: the request
-    /// finished (or failed) its consecutive same-tier stages on one
-    /// cluster machine (cluster runs only; emitted by the `rbv-cluster`
-    /// event loop, never by a single-machine engine).
-    TierLeg {
-        /// Leg completion instant on the cluster clock.
-        ts: Cycles,
-        /// Cluster-global request id.
-        rid: u64,
-        /// Index of the machine that served the leg.
-        machine: u32,
-        /// Tier label of that machine (e.g. `frontend`, `app`, `db`).
-        tier: String,
-        /// Leg index along the request's causal path (0 = first leg).
-        leg: u32,
-        /// When the leg arrived at the machine.
-        arrived: Cycles,
-        /// Queueing/wait share of the leg's residence time, in cycles.
-        wait_cycles: u64,
-        /// On-CPU service share of the leg's residence time, in cycles.
-        service_cycles: u64,
-        /// The leg's cycles-per-instruction, 0.0 if it ran nothing.
-        cpi: f64,
-    },
-    /// One inter-machine network hop of a multi-machine request was
-    /// delivered (cluster runs only; `ts` is the delivery instant at the
-    /// destination machine).
-    TierHop {
-        /// Delivery instant at the destination machine.
-        ts: Cycles,
-        /// Cluster-global request id.
-        rid: u64,
-        /// Machine the request departed from.
-        from_machine: u32,
-        /// Machine the request was delivered to.
-        to_machine: u32,
-        /// Hop index along the request's causal path (0 = first hop).
-        hop: u32,
-        /// Departure instant from the source machine.
-        departed: Cycles,
-        /// Payload bytes serialized onto the link.
-        bytes: u64,
-    },
 }
 
 impl TraceEvent {
@@ -437,9 +394,7 @@ impl TraceEvent {
             | TraceEvent::CampaignShard { ts, .. }
             | TraceEvent::CampaignMerge { ts, .. }
             | TraceEvent::DvfsTransition { ts, .. }
-            | TraceEvent::ThermalThrottle { ts, .. }
-            | TraceEvent::TierLeg { ts, .. }
-            | TraceEvent::TierHop { ts, .. } => *ts,
+            | TraceEvent::ThermalThrottle { ts, .. } => *ts,
         }
     }
 
@@ -471,8 +426,6 @@ impl TraceEvent {
             TraceEvent::CampaignMerge { .. } => "campaign_merge",
             TraceEvent::DvfsTransition { .. } => "dvfs_transition",
             TraceEvent::ThermalThrottle { .. } => "thermal_throttle",
-            TraceEvent::TierLeg { .. } => "tier_leg",
-            TraceEvent::TierHop { .. } => "tier_hop",
         }
     }
 }
@@ -628,31 +581,11 @@ mod tests {
                 engaged: true,
                 temp_milli_c: 95_200,
             },
-            TraceEvent::TierLeg {
-                ts: t,
-                rid: 1,
-                machine: 0,
-                tier: "frontend".into(),
-                leg: 0,
-                arrived: Cycles::new(7),
-                wait_cycles: 5,
-                service_cycles: 30,
-                cpi: 1.8,
-            },
-            TraceEvent::TierHop {
-                ts: t,
-                rid: 1,
-                from_machine: 0,
-                to_machine: 2,
-                hop: 0,
-                departed: Cycles::new(40),
-                bytes: 1500,
-            },
         ];
         let mut kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         assert!(events.iter().all(|e| e.ts() == t));
         kinds.dedup();
-        assert_eq!(kinds.len(), 27, "distinct kind per variant");
+        assert_eq!(kinds.len(), 25, "distinct kind per variant");
     }
 
     #[test]

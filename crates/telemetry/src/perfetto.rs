@@ -437,48 +437,6 @@ impl PerfettoTrace {
                         ],
                     ));
                 }
-                TraceEvent::TierLeg {
-                    rid,
-                    machine,
-                    tier,
-                    leg,
-                    wait_cycles,
-                    service_cycles,
-                    cpi,
-                    ..
-                } => {
-                    out.push(with_args(
-                        base("tier_leg", "cluster", "i", ts, tid_of(0)),
-                        vec![
-                            ("rid".into(), Json::Num(*rid as f64)),
-                            ("machine".into(), Json::Num(f64::from(*machine))),
-                            ("tier".into(), Json::str(tier.clone())),
-                            ("leg".into(), Json::Num(f64::from(*leg))),
-                            ("wait_cycles".into(), Json::Num(*wait_cycles as f64)),
-                            ("service_cycles".into(), Json::Num(*service_cycles as f64)),
-                            ("cpi".into(), Json::Num(*cpi)),
-                        ],
-                    ));
-                }
-                TraceEvent::TierHop {
-                    rid,
-                    from_machine,
-                    to_machine,
-                    hop,
-                    bytes,
-                    ..
-                } => {
-                    out.push(with_args(
-                        base("tier_hop", "cluster", "i", ts, tid_of(0)),
-                        vec![
-                            ("rid".into(), Json::Num(*rid as f64)),
-                            ("from_machine".into(), Json::Num(f64::from(*from_machine))),
-                            ("to_machine".into(), Json::Num(f64::from(*to_machine))),
-                            ("hop".into(), Json::Num(f64::from(*hop))),
-                            ("bytes".into(), Json::Num(*bytes as f64)),
-                        ],
-                    ));
-                }
             }
         }
 

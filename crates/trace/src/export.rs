@@ -19,16 +19,43 @@ use rbv_telemetry::{Json, PerfettoTrace};
 
 use crate::span::SpanRecord;
 
-fn event(name: &str, cat: &str, ph: &str, ts: u64, pid: f64, id: &str) -> Vec<(String, Json)> {
+/// One async/flow trace-event object's members (`ts` in cycles), in the
+/// fixed order both span exporters serialize; callers append `args` or
+/// `bp`.
+pub(crate) fn event(
+    name: &str,
+    cat: &str,
+    ph: &str,
+    ts: u64,
+    pid: f64,
+    tid: f64,
+    id: &str,
+) -> Vec<(String, Json)> {
     vec![
         ("name".into(), Json::str(name)),
         ("cat".into(), Json::str(cat)),
         ("ph".into(), Json::str(ph)),
         ("ts".into(), Json::Num(Cycles::new(ts).as_micros_f64())),
         ("pid".into(), Json::Num(pid)),
-        ("tid".into(), Json::Num(1.0)),
+        ("tid".into(), Json::Num(tid)),
         ("id".into(), Json::str(id)),
     ]
+}
+
+/// The `process_name` metadata event labelling process `pid`.
+pub(crate) fn process_name(pid: f64, name: String) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::str("process_name")),
+        ("cat".into(), Json::str("__metadata")),
+        ("ph".into(), Json::str("M")),
+        ("ts".into(), Json::Num(0.0)),
+        ("pid".into(), Json::Num(pid)),
+        ("tid".into(), Json::Num(0.0)),
+        (
+            "args".into(),
+            Json::Obj(vec![("name".into(), Json::str(name))]),
+        ),
+    ])
 }
 
 /// Renders retained spans — one `(shard, spans)` pair per serve shard,
@@ -37,25 +64,11 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
     let mut out = Vec::new();
     for (shard, spans) in shards {
         let pid = f64::from(*shard) + 1.0;
-        out.push(Json::Obj(vec![
-            ("name".into(), Json::str("process_name")),
-            ("cat".into(), Json::str("__metadata")),
-            ("ph".into(), Json::str("M")),
-            ("ts".into(), Json::Num(0.0)),
-            ("pid".into(), Json::Num(pid)),
-            ("tid".into(), Json::Num(0.0)),
-            (
-                "args".into(),
-                Json::Obj(vec![(
-                    "name".into(),
-                    Json::str(format!("serve shard {shard}")),
-                )]),
-            ),
-        ]));
+        out.push(process_name(pid, format!("serve shard {shard}")));
         for span in spans {
             let id = format!("{:#x}", span.rid);
             let name = format!("req #{}", span.rid);
-            let mut begin = event(&name, "request", "b", span.arrived, pid, &id);
+            let mut begin = event(&name, "request", "b", span.arrived, pid, 1.0, &id);
             begin.push((
                 "args".into(),
                 Json::Obj(vec![
@@ -103,6 +116,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     "b",
                     start,
                     pid,
+                    1.0,
                     &id,
                 )));
                 out.push(Json::Obj(event(
@@ -111,6 +125,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     "e",
                     end,
                     pid,
+                    1.0,
                     &id,
                 )));
             }
@@ -123,9 +138,10 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                     "s",
                     retry_ts,
                     pid,
+                    1.0,
                     &flow_id,
                 )));
-                let mut finish = event("retry", "retry_flow", "f", resume_ts, pid, &flow_id);
+                let mut finish = event("retry", "retry_flow", "f", resume_ts, pid, 1.0, &flow_id);
                 finish.push(("bp".into(), Json::str("e")));
                 out.push(Json::Obj(finish));
             }
@@ -135,6 +151,7 @@ pub fn spans_to_perfetto(shards: &[(u32, Vec<SpanRecord>)]) -> PerfettoTrace {
                 "e",
                 span.finished,
                 pid,
+                1.0,
                 &id,
             )));
         }

@@ -19,11 +19,15 @@
 //!   report (stage share of p99 vs p50, top-k slowest requests by stage
 //!   breakdown);
 //! * [`tier`] — [`TierSpanCollector`]: the cross-machine extension —
-//!   the `rbv-cluster` event loop's tier-leg/tier-hop stream folded
-//!   into per-tier latency/CPI attribution whose stages (per-tier
-//!   residence plus network hops) exactly partition each request's
-//!   client-visible latency, plus [`cluster_to_perfetto`] rendering one
-//!   track-group per machine with cross-tier flow arrows.
+//!   the `rbv-cluster` event loop records each request's begin, tier
+//!   legs, network hops and end by direct call, folded into per-tier
+//!   latency/CPI attribution whose stages (per-tier residence plus
+//!   network hops) exactly partition each request's client-visible
+//!   latency, plus [`cluster_to_perfetto`] rendering one track-group per
+//!   machine with cross-tier flow arrows.
+//!
+//! Both span families share one canonical top-k list (slowest first,
+//! ties by shard then request id) and one Perfetto event builder.
 //!
 //! Everything here is observation-only and deterministic: shard
 //!   summaries merged in canonical order serialize byte-identically at
@@ -38,6 +42,7 @@ pub mod explain;
 pub mod export;
 pub mod span;
 pub mod tier;
+mod topk;
 
 pub use explain::render_explain;
 pub use export::spans_to_perfetto;

@@ -35,6 +35,8 @@ use rbv_guard::{InvariantKind, InvariantMonitor};
 use rbv_sim::Cycles;
 use rbv_telemetry::{Json, QuantileSketch, TraceEvent, TraceSink};
 
+use crate::topk::{self, Ranked};
+
 /// Slowest-request entries retained per shard and after merging.
 pub const TOP_K: usize = 8;
 
@@ -157,11 +159,13 @@ pub struct TopSpan {
     pub other: u64,
 }
 
-impl TopSpan {
-    /// Canonical ordering: slowest first, ties broken by shard then rid
-    /// so merged lists are byte-stable.
+impl Ranked for TopSpan {
     fn key(&self) -> (std::cmp::Reverse<u64>, u32, u64) {
         (std::cmp::Reverse(self.total), self.shard, self.rid)
+    }
+
+    fn shard_mut(&mut self) -> &mut u32 {
+        &mut self.shard
     }
 }
 
@@ -221,9 +225,7 @@ impl SpanSummary {
     /// Stamps `shard` onto the top-k entries (called once per shard
     /// before merging, so merged entries stay attributable).
     pub fn set_shard(&mut self, shard: u32) {
-        for t in &mut self.top {
-            t.shard = shard;
-        }
+        topk::stamp_shard(&mut self.top, shard);
     }
 
     /// Folds `other` into `self`. Counts add, sketches merge losslessly,
@@ -257,9 +259,7 @@ impl SpanSummary {
         if self.first_violation.is_none() {
             self.first_violation = other.first_violation.clone();
         }
-        self.top.extend(other.top.iter().cloned());
-        self.top.sort_by_key(TopSpan::key);
-        self.top.truncate(TOP_K);
+        topk::merge(&mut self.top, &other.top);
     }
 
     /// Serializes the summary with a fixed member order (the serve
@@ -533,25 +533,19 @@ impl SpanCollector {
             self.summary
                 .client_visible_us
                 .observe(Cycles::new(total).as_micros_f64());
-            let entry = TopSpan {
-                shard: 0,
-                rid,
-                attempts: span.gen + 1,
-                total,
-                queue: span.queue,
-                service: span.service,
-                backoff: span.backoff,
-                other: span.other,
-            };
-            let pos = self
-                .summary
-                .top
-                .binary_search_by_key(&entry.key(), TopSpan::key)
-                .unwrap_or_else(|p| p);
-            if pos < TOP_K {
-                self.summary.top.insert(pos, entry);
-                self.summary.top.truncate(TOP_K);
-            }
+            topk::insert(
+                &mut self.summary.top,
+                TopSpan {
+                    shard: 0,
+                    rid,
+                    attempts: span.gen + 1,
+                    total,
+                    queue: span.queue,
+                    service: span.service,
+                    backoff: span.backoff,
+                    other: span.other,
+                },
+            );
         } else {
             self.summary.failed += 1;
         }

@@ -1,8 +1,9 @@
-//! Cross-tier span reconstruction: folds the cluster event loop's
-//! [`TraceEvent::TierLeg`]/[`TraceEvent::TierHop`] stream into per-tier
-//! latency/CPI attribution whose stages — per-tier residence plus
-//! network hops — exactly partition every request's client-visible
-//! latency.
+//! Cross-tier span reconstruction: the cluster event loop records each
+//! request's begin, tier legs, network hops and end into
+//! [`TierSpanCollector`] by direct call, and the collector folds them
+//! into per-tier latency/CPI attribution whose stages — per-tier
+//! residence plus network hops — exactly partition every request's
+//! client-visible latency.
 //!
 //! This is the multi-machine extension of [`crate::span`]: the same
 //! streaming discipline (state ∝ live requests, canonical shard merge,
@@ -10,12 +11,14 @@
 //! across frontend/app/DB machines instead of one machine's queue.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 
 use rbv_guard::InvariantTally;
 use rbv_sim::Cycles;
-use rbv_telemetry::{Json, PerfettoTrace, QuantileSketch, TraceEvent, TraceSink};
+use rbv_telemetry::{Json, PerfettoTrace, QuantileSketch};
 
-use crate::span::TOP_K;
+use crate::export::{event, process_name};
+use crate::topk::{self, Ranked};
 
 /// Aggregate latency/CPI attribution for one cluster machine (= one
 /// tier instance): how long requests waited and ran there, and at what
@@ -55,7 +58,8 @@ pub struct ClusterLegRecord {
     pub service: u64,
 }
 
-/// One network hop of a retained cluster span.
+/// One delivered network hop of a cluster span: recorded through
+/// [`TierSpanCollector::hop`] and kept in retained spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterHopRecord {
     /// Source machine.
@@ -112,12 +116,13 @@ pub struct TierTopSpan {
     pub legs: Vec<(u32, u64, u64)>,
 }
 
-impl TierTopSpan {
-    /// Canonical ordering: slowest first, ties broken by shard then
-    /// request id, so merged lists serialize identically at any thread
-    /// count.
+impl Ranked for TierTopSpan {
     fn key(&self) -> (std::cmp::Reverse<u64>, u32, u64) {
         (std::cmp::Reverse(self.total), self.shard, self.rid)
+    }
+
+    fn shard_mut(&mut self) -> &mut u32 {
+        &mut self.shard
     }
 }
 
@@ -159,9 +164,7 @@ impl TierSummary {
     /// Stamps `shard` onto the top-k entries (called once per shard
     /// before merging, so merged entries stay attributable).
     pub fn set_shard(&mut self, shard: u32) {
-        for t in &mut self.top {
-            t.shard = shard;
-        }
+        topk::stamp_shard(&mut self.top, shard);
     }
 
     /// Folds `other` into `self`: counts add, sketches merge losslessly,
@@ -193,9 +196,7 @@ impl TierSummary {
         self.hop_us.merge(&other.hop_us);
         self.client_visible_us.merge(&other.client_visible_us);
         self.invariants.absorb(&other.invariants);
-        self.top.extend(other.top.iter().cloned());
-        self.top.sort_by_key(TierTopSpan::key);
-        self.top.truncate(TOP_K);
+        topk::merge(&mut self.top, &other.top);
     }
 
     /// Serializes the summary with a fixed member order (the cluster
@@ -278,70 +279,43 @@ impl TierSummary {
 
 /// Per-request reconstruction state while the request is in flight.
 struct LiveTier {
+    /// Application and class labels (empty unless spans are retained).
     app: String,
     class: String,
     arrived: u64,
     leg_cycles: u64,
     hop_cycles: u64,
-    hop_bytes: u64,
     legs: Vec<ClusterLegRecord>,
+    /// Hops along the path (recorded only when spans are retained).
     hops: Vec<ClusterHopRecord>,
 }
 
-/// Streaming cross-tier span reconstructor: a [`TraceSink`] holding one
-/// state record per *live* request and folding each finished request
-/// into the aggregate [`TierSummary`].
+/// Streaming cross-tier span reconstructor holding one state record per
+/// *live* request and folding each finished request into the aggregate
+/// [`TierSummary`].
 ///
-/// The collector consumes the cluster loop's event stream —
-/// [`TraceEvent::RequestBegin`], [`TraceEvent::TierLeg`],
-/// [`TraceEvent::TierHop`], [`TraceEvent::RequestEnd`] /
-/// [`TraceEvent::RequestFailed`] — and ignores every single-machine
-/// event kind, so it can share a stream with other sinks.
+/// The cluster loop records each request by direct call: [`begin`] at
+/// client submission, [`leg`] per tier leg, [`hop`] per delivered
+/// network transfer, then [`end`] or [`fail`].
+///
+/// [`begin`]: TierSpanCollector::begin
+/// [`leg`]: TierSpanCollector::leg
+/// [`hop`]: TierSpanCollector::hop
+/// [`end`]: TierSpanCollector::end
+/// [`fail`]: TierSpanCollector::fail
 ///
 /// # Example
 ///
 /// ```
-/// use rbv_sim::Cycles;
-/// use rbv_telemetry::{TraceEvent, TraceSink};
-/// use rbv_trace::TierSpanCollector;
+/// use rbv_trace::{ClusterHopRecord, TierSpanCollector};
 ///
 /// let mut collector = TierSpanCollector::new();
-/// collector.record(TraceEvent::RequestBegin {
-///     ts: Cycles::new(0),
-///     rid: 1,
-///     app: "tpcc".into(),
-///     class: "NewOrder".into(),
-/// });
-/// collector.record(TraceEvent::TierLeg {
-///     ts: Cycles::new(900),
-///     rid: 1,
-///     machine: 2,
-///     tier: "db".into(),
-///     leg: 0,
-///     arrived: Cycles::new(100),
-///     wait_cycles: 300,
-///     service_cycles: 500,
-///     cpi: 1.7,
-/// });
-/// collector.record(TraceEvent::TierHop {
-///     ts: Cycles::new(100),
-///     rid: 1,
-///     from_machine: 0,
-///     to_machine: 2,
-///     hop: 0,
-///     departed: Cycles::new(0),
-///     bytes: 1024,
-/// });
-/// collector.record(TraceEvent::TierHop {
-///     ts: Cycles::new(1000),
-///     rid: 1,
-///     from_machine: 2,
-///     to_machine: 0,
-///     hop: 1,
-///     departed: Cycles::new(900),
-///     bytes: 256,
-/// });
-/// collector.record(TraceEvent::RequestEnd { ts: Cycles::new(1000), rid: 1 });
+/// collector.begin(1, 0, "tpcc", "NewOrder");
+/// collector.hop(1, ClusterHopRecord { from: 0, to: 2, departed: 0, delivered: 100, bytes: 1024 });
+/// // 500 service cycles of an 800-cycle residence: 300 cycles waiting.
+/// collector.leg(1, 2, "db", 100, 900, 500, 1.7);
+/// collector.hop(1, ClusterHopRecord { from: 2, to: 0, departed: 900, delivered: 1000, bytes: 256 });
+/// collector.end(1, 1000);
 /// let summary = collector.into_summary();
 /// assert_eq!(summary.completed, 1);
 /// // 800 leg cycles + 200 hop cycles partition the 1000-cycle latency.
@@ -371,11 +345,6 @@ impl TierSpanCollector {
         }
     }
 
-    /// Live (not yet finished) requests currently tracked.
-    pub fn live_len(&self) -> usize {
-        self.live.len()
-    }
-
     /// Seals the collector and returns the aggregate summary. Requests
     /// still live are counted as `unfinished`.
     pub fn into_summary(mut self) -> TierSummary {
@@ -391,6 +360,104 @@ impl TierSpanCollector {
         let mut records = std::mem::take(&mut self.records);
         records.sort_by_key(|r| r.rid);
         (self.summary, records)
+    }
+
+    /// A client submitted request `rid` at cycle `arrived`. The app and
+    /// class labels are formatted only when spans are retained.
+    pub fn begin(&mut self, rid: u64, arrived: u64, app: impl Display, class: impl Display) {
+        self.summary.arrived += 1;
+        let (app, class) = if self.retain {
+            (app.to_string(), class.to_string())
+        } else {
+            (String::new(), String::new())
+        };
+        self.live.insert(
+            rid,
+            LiveTier {
+                app,
+                class,
+                arrived,
+                leg_cycles: 0,
+                hop_cycles: 0,
+                legs: Vec::new(),
+                hops: Vec::new(),
+            },
+        );
+    }
+
+    /// Request `rid` finished a leg on `machine` (labelled `tier`): it
+    /// arrived at cycle `arrived`, finished at `finished`, and ran
+    /// `service` cycles on a core at `cpi`. The rest of the residence is
+    /// the leg's wait share, and the leg-partition check trips if
+    /// `service` exceeds the residence.
+    #[allow(clippy::too_many_arguments)]
+    pub fn leg(
+        &mut self,
+        rid: u64,
+        machine: u32,
+        tier: &str,
+        arrived: u64,
+        finished: u64,
+        service: u64,
+        cpi: f64,
+    ) {
+        let residence = finished.saturating_sub(arrived);
+        let wait = residence.saturating_sub(service);
+        let total = wait + service;
+        self.summary
+            .invariants
+            .check_leg_partition(rid, wait, service, residence);
+        let stats = self.tier_stats_mut(machine, tier);
+        stats.legs += 1;
+        stats.wait_us.observe(Cycles::new(wait).as_micros_f64());
+        stats
+            .service_us
+            .observe(Cycles::new(service).as_micros_f64());
+        stats.leg_us.observe(Cycles::new(total).as_micros_f64());
+        stats.cpi.observe(cpi);
+        let retain = self.retain;
+        if let Some(state) = self.live.get_mut(&rid) {
+            state.leg_cycles += total;
+            state.legs.push(ClusterLegRecord {
+                machine,
+                tier: if retain {
+                    tier.to_string()
+                } else {
+                    String::new()
+                },
+                arrived,
+                finished,
+                wait,
+                service,
+            });
+        }
+    }
+
+    /// A network transfer carrying request `rid` was delivered.
+    pub fn hop(&mut self, rid: u64, hop: ClusterHopRecord) {
+        let hop_cycles = hop.delivered.saturating_sub(hop.departed);
+        self.summary.hops += 1;
+        self.summary.hop_bytes += hop.bytes;
+        self.summary
+            .hop_us
+            .observe(Cycles::new(hop_cycles).as_micros_f64());
+        let retain = self.retain;
+        if let Some(state) = self.live.get_mut(&rid) {
+            state.hop_cycles += hop_cycles;
+            if retain {
+                state.hops.push(hop);
+            }
+        }
+    }
+
+    /// Request `rid` reached the client at cycle `at`.
+    pub fn end(&mut self, rid: u64, at: u64) {
+        self.finish_request(rid, at, true);
+    }
+
+    /// Request `rid` failed along its path at cycle `at`.
+    pub fn fail(&mut self, rid: u64, at: u64) {
+        self.finish_request(rid, at, false);
     }
 
     fn seal(&mut self) {
@@ -430,19 +497,20 @@ impl TierSpanCollector {
             self.summary
                 .client_visible_us
                 .observe(Cycles::new(client_visible).as_micros_f64());
-            self.summary.top.push(TierTopSpan {
-                shard: 0,
-                rid,
-                total: client_visible,
-                network: state.hop_cycles,
-                legs: state
-                    .legs
-                    .iter()
-                    .map(|l| (l.machine, l.wait, l.service))
-                    .collect(),
-            });
-            self.summary.top.sort_by_key(TierTopSpan::key);
-            self.summary.top.truncate(TOP_K);
+            topk::insert(
+                &mut self.summary.top,
+                TierTopSpan {
+                    shard: 0,
+                    rid,
+                    total: client_visible,
+                    network: state.hop_cycles,
+                    legs: state
+                        .legs
+                        .iter()
+                        .map(|l| (l.machine, l.wait, l.service))
+                        .collect(),
+                },
+            );
         } else {
             self.summary.failed += 1;
         }
@@ -458,106 +526,6 @@ impl TierSpanCollector {
                 legs: state.legs,
                 hops: state.hops,
             });
-        }
-    }
-}
-
-impl TraceSink for TierSpanCollector {
-    fn record(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::RequestBegin {
-                ts,
-                rid,
-                app,
-                class,
-                ..
-            } => {
-                self.summary.arrived += 1;
-                self.live.insert(
-                    rid,
-                    LiveTier {
-                        app,
-                        class,
-                        arrived: ts.get(),
-                        leg_cycles: 0,
-                        hop_cycles: 0,
-                        hop_bytes: 0,
-                        legs: Vec::new(),
-                        hops: Vec::new(),
-                    },
-                );
-            }
-            TraceEvent::TierLeg {
-                ts,
-                rid,
-                machine,
-                tier,
-                arrived,
-                wait_cycles,
-                service_cycles,
-                cpi,
-                ..
-            } => {
-                let residence = ts.get().saturating_sub(arrived.get());
-                let total = wait_cycles + service_cycles;
-                self.summary.invariants.check_leg_partition(
-                    rid,
-                    wait_cycles,
-                    service_cycles,
-                    residence,
-                );
-                let stats = self.tier_stats_mut(machine, &tier);
-                stats.legs += 1;
-                stats
-                    .wait_us
-                    .observe(Cycles::new(wait_cycles).as_micros_f64());
-                stats
-                    .service_us
-                    .observe(Cycles::new(service_cycles).as_micros_f64());
-                stats.leg_us.observe(Cycles::new(total).as_micros_f64());
-                stats.cpi.observe(cpi);
-                if let Some(state) = self.live.get_mut(&rid) {
-                    state.leg_cycles += total;
-                    state.legs.push(ClusterLegRecord {
-                        machine,
-                        tier,
-                        arrived: arrived.get(),
-                        finished: ts.get(),
-                        wait: wait_cycles,
-                        service: service_cycles,
-                    });
-                }
-            }
-            TraceEvent::TierHop {
-                ts,
-                rid,
-                from_machine,
-                to_machine,
-                departed,
-                bytes,
-                ..
-            } => {
-                let hop_cycles = ts.get().saturating_sub(departed.get());
-                self.summary.hops += 1;
-                self.summary.hop_bytes += bytes;
-                self.summary
-                    .hop_us
-                    .observe(Cycles::new(hop_cycles).as_micros_f64());
-                if let Some(state) = self.live.get_mut(&rid) {
-                    state.hop_cycles += hop_cycles;
-                    state.hop_bytes += bytes;
-                    state.hops.push(ClusterHopRecord {
-                        from: from_machine,
-                        to: to_machine,
-                        departed: departed.get(),
-                        delivered: ts.get(),
-                        bytes,
-                    });
-                }
-            }
-            TraceEvent::RequestEnd { ts, rid } => self.finish_request(rid, ts.get(), true),
-            TraceEvent::RequestFailed { ts, rid, .. } => self.finish_request(rid, ts.get(), false),
-            _ => {}
         }
     }
 }
@@ -578,34 +546,11 @@ pub fn cluster_to_perfetto(
 ) -> PerfettoTrace {
     let mut out = Vec::new();
     for (machine, tier) in machines {
-        let pid = f64::from(*machine) + 1.0;
-        out.push(Json::Obj(vec![
-            ("name".into(), Json::str("process_name")),
-            ("cat".into(), Json::str("__metadata")),
-            ("ph".into(), Json::str("M")),
-            ("ts".into(), Json::Num(0.0)),
-            ("pid".into(), Json::Num(pid)),
-            ("tid".into(), Json::Num(0.0)),
-            (
-                "args".into(),
-                Json::Obj(vec![(
-                    "name".into(),
-                    Json::str(format!("machine {machine} · {tier}")),
-                )]),
-            ),
-        ]));
+        out.push(process_name(
+            f64::from(*machine) + 1.0,
+            format!("machine {machine} · {tier}"),
+        ));
     }
-    let event = |name: &str, cat: &str, ph: &str, ts: u64, pid: f64, tid: f64, id: &str| {
-        vec![
-            ("name".into(), Json::str(name)),
-            ("cat".into(), Json::str(cat)),
-            ("ph".into(), Json::str(ph)),
-            ("ts".into(), Json::Num(Cycles::new(ts).as_micros_f64())),
-            ("pid".into(), Json::Num(pid)),
-            ("tid".into(), Json::Num(tid)),
-            ("id".into(), Json::str(id)),
-        ]
-    };
     for span in records {
         let id = format!("{:#x}", span.rid);
         let tid = f64::from(span.shard) + 1.0;
@@ -670,119 +615,70 @@ pub fn cluster_to_perfetto(
 mod tests {
     use super::*;
 
-    fn t(c: u64) -> Cycles {
-        Cycles::new(c)
+    fn hop(from: u32, to: u32, departed: u64, delivered: u64, bytes: u64) -> ClusterHopRecord {
+        ClusterHopRecord {
+            from,
+            to,
+            departed,
+            delivered,
+            bytes,
+        }
     }
 
-    fn three_tier_events(rid: u64, base: u64) -> Vec<TraceEvent> {
-        // frontend leg [base, base+100], hop to app [+100, +150],
-        // app leg [+150, +400], hop to db [+400, +450],
-        // db leg [+450, +900], egress hop [+900, +960].
-        vec![
-            TraceEvent::RequestBegin {
-                ts: t(base),
-                rid,
-                app: "rubis".into(),
-                class: "SearchItems".into(),
-            },
-            TraceEvent::TierLeg {
-                ts: t(base + 100),
-                rid,
-                machine: 0,
-                tier: "frontend".into(),
-                leg: 0,
-                arrived: t(base),
-                wait_cycles: 40,
-                service_cycles: 60,
-                cpi: 1.2,
-            },
-            TraceEvent::TierHop {
-                ts: t(base + 150),
-                rid,
-                from_machine: 0,
-                to_machine: 1,
-                hop: 0,
-                departed: t(base + 100),
-                bytes: 1024,
-            },
-            TraceEvent::TierLeg {
-                ts: t(base + 400),
-                rid,
-                machine: 1,
-                tier: "app".into(),
-                leg: 1,
-                arrived: t(base + 150),
-                wait_cycles: 50,
-                service_cycles: 200,
-                cpi: 1.9,
-            },
-            TraceEvent::TierHop {
-                ts: t(base + 450),
-                rid,
-                from_machine: 1,
-                to_machine: 2,
-                hop: 1,
-                departed: t(base + 400),
-                bytes: 512,
-            },
-            TraceEvent::TierLeg {
-                ts: t(base + 900),
-                rid,
-                machine: 2,
-                tier: "db".into(),
-                leg: 2,
-                arrived: t(base + 450),
-                wait_cycles: 150,
-                service_cycles: 300,
-                cpi: 2.4,
-            },
-            TraceEvent::TierHop {
-                ts: t(base + 960),
-                rid,
-                from_machine: 2,
-                to_machine: 0,
-                hop: 2,
-                departed: t(base + 900),
-                bytes: 256,
-            },
-            TraceEvent::RequestEnd {
-                ts: t(base + 960),
-                rid,
-            },
-        ]
+    /// Records one request's three-tier path — frontend leg [base,
+    /// base+100], hop to app [+100, +150], app leg [+150, +400], hop to
+    /// db [+400, +450], db leg [+450, +900], egress hop [+900, +960] —
+    /// and returns the instant the egress hop reached the client.
+    fn record_three_tier(c: &mut TierSpanCollector, rid: u64, base: u64) -> u64 {
+        c.begin(rid, base, "rubis", "SearchItems");
+        c.leg(rid, 0, "frontend", base, base + 100, 60, 1.2);
+        c.hop(rid, hop(0, 1, base + 100, base + 150, 1024));
+        c.leg(rid, 1, "app", base + 150, base + 400, 200, 1.9);
+        c.hop(rid, hop(1, 2, base + 400, base + 450, 512));
+        c.leg(rid, 2, "db", base + 450, base + 900, 300, 2.4);
+        c.hop(rid, hop(2, 0, base + 900, base + 960, 256));
+        base + 960
     }
 
-    fn collect(events: Vec<TraceEvent>, retain: bool) -> TierSpanCollector {
-        let mut c = if retain {
+    fn collector(retain: bool) -> TierSpanCollector {
+        if retain {
             TierSpanCollector::retaining()
         } else {
             TierSpanCollector::new()
-        };
-        for e in events {
-            c.record(e);
+        }
+    }
+
+    fn three_tier(rids: &[(u64, u64)], retain: bool) -> TierSpanCollector {
+        let mut c = collector(retain);
+        for &(rid, base) in rids {
+            let end = record_three_tier(&mut c, rid, base);
+            c.end(rid, end);
         }
         c
     }
 
     #[test]
     fn legs_and_hops_partition_client_visible_latency() {
-        let summary = collect(three_tier_events(1, 0), false).into_summary();
+        let summary = three_tier(&[(1, 0)], false).into_summary();
         assert_eq!(summary.completed, 1);
         assert_eq!(summary.hops, 3);
         // 3 leg-partition checks + 1 whole-path partition check.
         assert_eq!(summary.invariants.checks(), 4);
         assert_eq!(summary.invariants.violations(), 0);
+        assert_eq!(
+            summary.top[0].legs,
+            vec![(0, 40, 60), (1, 50, 200), (2, 150, 300)]
+        );
     }
 
     #[test]
     fn a_gap_in_the_path_trips_the_partition_invariant() {
-        let mut events = three_tier_events(1, 0);
+        let mut c = TierSpanCollector::new();
+        record_three_tier(&mut c, 1, 0);
         // Delay the client end past the egress delivery: 40 unaccounted
         // cycles appear in the client-visible latency.
-        if let Some(TraceEvent::RequestEnd { ts, .. }) = events.last_mut() {
-            *ts = t(1000);
-        }
-        let summary = collect(events, false).into_summary();
+        c.end(1, 1000);
+        let summary = c.into_summary();
         assert_eq!(summary.invariants.violations(), 1);
         assert!(summary
             .invariants
@@ -791,21 +687,27 @@ mod tests {
     }
 
     #[test]
+    fn service_beyond_residence_trips_the_leg_partition() {
+        let mut c = TierSpanCollector::new();
+        c.begin(1, 0, "tpcc", "NewOrder");
+        c.leg(1, 0, "frontend", 0, 100, 150, 1.0);
+        let summary = c.into_summary();
+        assert_eq!(summary.invariants.violations(), 1);
+        assert!(summary
+            .invariants
+            .first_violation()
+            .is_some_and(|v| v.contains("residence")));
+    }
+
+    #[test]
     fn merge_matches_concatenated_stream() {
-        let mut a = collect(three_tier_events(1, 0), false).into_summary();
-        let mut b = collect(three_tier_events(2, 5_000), false).into_summary();
+        let mut a = three_tier(&[(1, 0)], false).into_summary();
+        let mut b = three_tier(&[(2, 5_000)], false).into_summary();
         a.set_shard(0);
         b.set_shard(1);
         let mut merged = a.clone();
         merged.merge(&b);
-        let mut both = collect(
-            three_tier_events(1, 0)
-                .into_iter()
-                .chain(three_tier_events(2, 5_000))
-                .collect(),
-            false,
-        )
-        .into_summary();
+        let mut both = three_tier(&[(1, 0), (2, 5_000)], false).into_summary();
         both.set_shard(0);
         // Shard stamps differ on top entries; compare the aggregates.
         assert_eq!(merged.completed, both.completed);
@@ -827,7 +729,7 @@ mod tests {
 
     #[test]
     fn summary_serializes_with_fixed_member_order() {
-        let summary = collect(three_tier_events(1, 0), false).into_summary();
+        let summary = three_tier(&[(1, 0)], false).into_summary();
         let text = summary.to_json().to_string_compact();
         let arrived = text.find("\"arrived\"").expect("arrived present");
         let tiers = text.find("\"tiers\"").expect("tiers present");
@@ -837,8 +739,21 @@ mod tests {
     }
 
     #[test]
+    fn labels_are_kept_only_when_retaining() {
+        let (_, records) = three_tier(&[(1, 0)], true).into_parts();
+        assert_eq!(records[0].app, "rubis");
+        assert_eq!(records[0].class, "SearchItems");
+        assert_eq!(records[0].legs[2].tier, "db");
+        assert_eq!(records[0].hops.len(), 3);
+        let (summary, records) = three_tier(&[(1, 0)], false).into_parts();
+        assert!(records.is_empty());
+        // Tier labels reach the summary either way.
+        assert_eq!(summary.tiers[2].tier, "db");
+    }
+
+    #[test]
     fn perfetto_export_has_one_process_per_machine_and_flow_arrows() {
-        let (_, records) = collect(three_tier_events(1, 0), true).into_parts();
+        let (_, records) = three_tier(&[(1, 0)], true).into_parts();
         assert_eq!(records.len(), 1);
         let machines = vec![
             (0u32, "frontend".to_string()),
@@ -873,29 +788,11 @@ mod tests {
 
     #[test]
     fn failed_requests_keep_their_partial_path() {
-        let events = vec![
-            TraceEvent::RequestBegin {
-                ts: t(0),
-                rid: 9,
-                app: "tpcc".into(),
-                class: "NewOrder".into(),
-            },
-            TraceEvent::TierHop {
-                ts: t(50),
-                rid: 9,
-                from_machine: 0,
-                to_machine: 2,
-                hop: 0,
-                departed: t(0),
-                bytes: 700,
-            },
-            TraceEvent::RequestFailed {
-                ts: t(400),
-                rid: 9,
-                reason: "deadline_abort".into(),
-            },
-        ];
-        let (summary, records) = collect(events, true).into_parts();
+        let mut c = TierSpanCollector::retaining();
+        c.begin(9, 0, "tpcc", "NewOrder");
+        c.hop(9, hop(0, 2, 0, 50, 700));
+        c.fail(9, 400);
+        let (summary, records) = c.into_parts();
         assert_eq!(summary.failed, 1);
         assert_eq!(summary.completed, 0);
         assert_eq!(records.len(), 1);
