@@ -41,10 +41,9 @@ fn bench_distances(c: &mut Criterion) {
     group.finish();
 }
 
-/// Both instantiations of the column-blocked DTW kernel on a shape whose
-/// longer side is not a multiple of the four-column block: all-finite
-/// input takes the compare-select `min`, one `+∞` value the `f64::min`
-/// one. The stats scan times the cascade's shared abandon path.
+/// Both instantiations of the anti-diagonal DTW kernel on an odd shape:
+/// all-finite input takes the compare-select `min`, one `+∞` value the
+/// `f64::min` one. The stats scan times the cascade's shared abandon path.
 fn bench_dtw_kernel(c: &mut Criterion) {
     let x = random_series(47, 7);
     let y = random_series(131, 8);
@@ -64,6 +63,27 @@ fn bench_dtw_kernel(c: &mut Criterion) {
     c.bench_function("nearest_series_with_stats_64x96", |b| {
         b.iter(|| nearest_series_with_stats(black_box(&query), black_box(&candidates), 2.0))
     });
+}
+
+/// The series shapes the `classify-dtw` distance matrices are made of
+/// (two short requests, a short against a long one, two long ones), for
+/// the unconstrained kernel and for two of the band widths `repro
+/// ablate-dtw` sweeps. A band is expected to cost less than the full DP.
+fn bench_classify_shapes(c: &mut Criterion) {
+    for (m, n) in [(48usize, 48usize), (15, 120), (37, 287)] {
+        let x = random_series(m, 40);
+        let y = random_series(n, 41);
+        let mut group = c.benchmark_group(format!("dtw_classify_{m}x{n}"));
+        group.bench_function("full", |b| {
+            b.iter(|| dtw_distance_with_penalty(black_box(&x), black_box(&y), 2.0))
+        });
+        for band in [8usize, 32] {
+            group.bench_with_input(BenchmarkId::new("banded", band), &band, |b, &band| {
+                b.iter(|| dtw_banded(black_box(&x), black_box(&y), 2.0, band))
+            });
+        }
+        group.finish();
+    }
 }
 
 fn bench_levenshtein(c: &mut Criterion) {
@@ -272,6 +292,7 @@ criterion_group!(
     benches,
     bench_distances,
     bench_dtw_kernel,
+    bench_classify_shapes,
     bench_levenshtein,
     bench_kmedoids,
     bench_distance_matrix_par,

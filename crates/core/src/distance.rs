@@ -38,42 +38,56 @@
 //!
 //! # The penalty-DTW kernel
 //!
-//! [`dtw_distance_with_penalty`] and the last stage of the prune cascade
-//! share one private DP. It keeps one padded row buffer: slot `i + 1`
-//! holds the previous column's row-`i` value and slot 0 the virtual cell
-//! above row 0 (0.0 before column 0, `+∞` after it), so no cell branches
-//! on its position. Columns go four at a time in one pass over the rows:
-//! at each row, column `j + 1` takes column `j`'s fresh value as its
-//! `left`, so four dependent `+p → min → min → +local` chains are in
-//! flight instead of one. The remaining columns then go one at a time.
-//! The cascade tracks each column's minimum and, after every block,
-//! abandons if any of the block's columns lies wholly above the cutoff,
-//! the same decision as checking after every column.
+//! [`dtw_distance_with_penalty`], [`dtw_banded`] and the last stage of the
+//! prune cascade share one private DP that walks the cost matrix one
+//! anti-diagonal at a time. Cell `(i, j)` on diagonal `t = i + j` reads
+//! only diagonal `t − 1` (its `left` and `up` neighbours) and diagonal
+//! `t − 2` (its `diag` neighbour), so the cells of one diagonal do not
+//! depend on each other. Each diagonal is one branch-free loop over three
+//! rolling row-indexed buffers and a reversed copy of the column series,
+//! which the compiler vectorizes. A Sakoe–Chiba band only narrows each
+//! diagonal's row range; the cells outside it stay `+∞`. The cascade keeps
+//! every column's minimum, in reversed-column order so that one diagonal
+//! updates one contiguous run, and abandons once a completed column lies
+//! wholly above the cutoff.
 //!
 //! Every signature distance, medoid, ledger and benchmark digest in the
 //! repository is downstream of these bits, so the kernel follows a
 //! bit-identity rule:
 //!
-//! * **Fixed per-cell operations.** Each cell computes `|c − r|`,
-//!   `left + p`, `up + p`, two `min`s and `+ local` on the same operands
-//!   as the row-at-a-time DP it replaced. No `mul_add`, no reassociation
-//!   of the sums, no vectorized reduction that regroups them.
+//! * **Fixed additions.** Each cell computes `|c − r|`, one `+ p`, two
+//!   `min`s and `+ local`, all on values the row-at-a-time DP also
+//!   computes. No `mul_add`, no reassociation of the sums, no vectorized
+//!   reduction that regroups them.
+//! * **The visiting order is free.** A cell reads only final values of
+//!   its three neighbours, so any order that computes those first yields
+//!   the same bits; diagonal order is one such order.
 //! * **The `min` order is free.** `min` is exact, no DP value is ever
 //!   −0.0 (a cell is `best + |c − r|`, and `|·|` never yields −0.0), and
-//!   `f64::min` ignores a NaN operand in either position, so
-//!   `min(min(diag, left), up)` equals the old `diag.min(up).min(left)`
-//!   up to the payload of an all-NaN result.
+//!   `f64::min` ignores a NaN operand in either position, so any grouping
+//!   of the three candidates gives the old `diag.min(up).min(left)` up to
+//!   the payload of an all-NaN result.
+//! * **One penalty addition.** Rounding is monotone, so for non-NaN
+//!   values `min(left + p, up + p)` is `min(left, up) + p` bit for bit
+//!   (overflow to `+∞` included); if one of them is NaN, `f64::min` picks
+//!   the other on both sides. The kernel computes
+//!   `min(diag, min(left, up) + p)`.
 //! * **Compare-select only on all-finite input.** The kernel is generic
 //!   over `min`. When an `O(m + n)` scan finds every value finite, no NaN
 //!   can arise in the DP (`∞` appears only through overflow and is never
 //!   subtracted), so `if a < b { a } else { b }` equals `f64::min`;
 //!   otherwise the kernel runs with `f64::min`.
+//! * **The abandon predicate is order-free.** The cascade returns `None`
+//!   iff some column's minimum exceeds the cutoff. Which column is found
+//!   first depends on the visiting order; whether one exists does not, so
+//!   the distances and the [`PruneStats`] stay the same.
 //!
-//! `crates/core/tests/dtw_identity.rs` keeps the row-at-a-time DP and
-//! the old per-column cascade as test-only references and checks the
-//! kernel against them bit-for-bit across every length pair up to 70,
-//! values including `±∞`, NaN and overflowing `±1e308`, and penalties
-//! including −0.0 and `+∞`.
+//! `crates/core/tests/dtw_identity.rs` keeps the row-at-a-time DP, the
+//! per-column cascade, the column-blocked kernel and the row-at-a-time
+//! banded DP as test-only references and checks the kernel against them
+//! bit-for-bit across every length pair up to 70, values including `±∞`,
+//! NaN and overflowing `±1e308`, penalties including −0.0 and `+∞`, and
+//! every band up to `max(m, n) + 1`.
 
 use std::collections::VecDeque;
 
@@ -145,24 +159,70 @@ pub fn dtw_distance_with_penalty(x: &[f64], y: &[f64], penalty: f64) -> f64 {
     if x.is_empty() || y.is_empty() {
         return (x.len() + y.len()) as f64 * penalty;
     }
-    // No value exceeds an infinite cutoff, so this never abandons.
-    dtw_dp(x, y, penalty, f64::INFINITY).unwrap_or(f64::INFINITY)
+    // Without a cutoff the DP never abandons.
+    dtw_dp(x, y, penalty, usize::MAX, None).unwrap_or(f64::INFINITY)
 }
 
-/// The full-width penalty-DTW DP behind [`dtw_distance_with_penalty`] and
-/// the last stage of the prune cascade (see the module's bit-identity
-/// rule). Returns `None` once every cell of some column exceeds `cutoff`;
-/// an infinite `cutoff` never abandons. Both series must be non-empty.
-fn dtw_dp(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Option<f64> {
+/// The penalty-DTW DP behind [`dtw_distance_with_penalty`], [`dtw_banded`]
+/// and the last stage of the prune cascade (see the module's bit-identity
+/// rule). `band` is the Sakoe–Chiba half-width; one at least as long as
+/// the shorter series leaves the DP unconstrained. With `Some(cutoff)`
+/// it returns `None` once every cell of some column exceeds `cutoff`.
+/// Both series must be non-empty.
+fn dtw_dp(x: &[f64], y: &[f64], penalty: f64, band: usize, cutoff: Option<f64>) -> Option<f64> {
     // Keep the shorter series as the row for O(min) space.
     let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-    // Finite inputs keep every DP value NaN-free (and no DP value is ever
-    // −0.0), so the compare-select min returns the same bits as f64::min.
-    if rows.iter().chain(cols).all(|v| v.is_finite()) {
-        dtw_columns(rows, cols, penalty, cutoff, select_min)
+    let (m, n) = (rows.len(), cols.len());
+    if band >= m {
+        let full = move |t: usize| (t.saturating_sub(n - 1), t.min(m - 1));
+        by_min(rows, cols, penalty, full, cutoff)
     } else {
-        dtw_columns(rows, cols, penalty, cutoff, f64::min)
+        by_min(rows, cols, penalty, banded_span(m, n, band), cutoff)
     }
+}
+
+/// Picks the kernel's `min`. Finite inputs keep every DP value NaN-free
+/// (and no DP value is ever −0.0), so the compare-select min returns the
+/// same bits as `f64::min`.
+fn by_min(
+    rows: &[f64],
+    cols: &[f64],
+    penalty: f64,
+    span: impl FnMut(usize) -> (usize, usize),
+    cutoff: Option<f64>,
+) -> Option<f64> {
+    if rows.iter().chain(cols).all(|v| v.is_finite()) {
+        by_cutoff(rows, cols, penalty, span, select_min, cutoff)
+    } else {
+        by_cutoff(rows, cols, penalty, span, f64::min, cutoff)
+    }
+}
+
+/// Runs the kernel, with a cutoff abandoning once a completed column lies
+/// wholly above it. Every warp path to the final cell crosses each column,
+/// and all later additions (locals, penalties) are nonnegative, so the
+/// final distance then exceeds the cutoff too.
+fn by_cutoff(
+    rows: &[f64],
+    cols: &[f64],
+    penalty: f64,
+    span: impl FnMut(usize) -> (usize, usize),
+    min: impl Fn(f64, f64) -> f64 + Copy,
+    cutoff: Option<f64>,
+) -> Option<f64> {
+    let Some(cutoff) = cutoff else {
+        return wavefront(rows, cols, penalty, span, min, |_, _, _| false);
+    };
+    let (m, n) = (rows.len(), cols.len());
+    // Each column's minimum, in reversed-column order like `rev`.
+    let mut colmin = vec![f64::INFINITY; n];
+    wavefront(rows, cols, penalty, span, min, |t, k, cells| {
+        for (cm, &cell) in colmin[k..k + cells.len()].iter_mut().zip(cells) {
+            *cm = min(*cm, cell);
+        }
+        // Column t − (m − 1) ended with its bottom cell.
+        t + 1 >= m && colmin[n - 1 - (t + 1 - m)] > cutoff
+    })
 }
 
 /// `f64::min` for operands that are never NaN: a compare and a select,
@@ -175,70 +235,104 @@ fn select_min(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Runs the DP over `cols` four columns at a time, then the remainder one
-/// at a time. `d[i + 1]` holds the previous column's row-`i` value and
-/// `d[0]` the virtual cell above row 0: 0.0 before column 0, `+∞` after.
-fn dtw_columns(
+/// Rows `[a, b]` of each anti-diagonal that lie inside the Sakoe–Chiba
+/// band of `dtw_banded`: column `j` admits rows within `band` of its
+/// rescaled diagonal `j·m/n`. The admitted columns of row `i` form one
+/// interval `[first[i], last[i]]` whose ends never decrease with `i`, so
+/// on diagonal `t` the admitted rows are those with
+/// `i + first[i] <= t <= i + last[i]`: one interval whose ends each rise
+/// by zero or one per diagonal. It is never empty, because with
+/// `band >= 1` the intervals of rows `i` and `i + 1` share a column.
+/// Requires `m <= n`.
+fn banded_span(m: usize, n: usize, band: usize) -> impl FnMut(usize) -> (usize, usize) {
+    let (mut first, mut last) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    // `center` is j·m/n, stepped without a division: it rises by at most
+    // one per column because m <= n.
+    let (mut center, mut rem) = (0, 0);
+    for j in 0..n {
+        // Column j admits rows center − band ..= center + band.
+        while first.len() <= (center + band).min(m - 1) {
+            first.push(j);
+        }
+        while last.len() < center.saturating_sub(band) {
+            last.push(j - 1);
+        }
+        rem += m;
+        if rem >= n {
+            rem -= n;
+            center += 1;
+        }
+    }
+    last.resize(m, n - 1);
+    let (mut a, mut b) = (0, 0);
+    move |t| {
+        while a < m && a + last[a] < t {
+            a += 1;
+        }
+        while b + 1 < m && b + 1 + first[b + 1] <= t {
+            b += 1;
+        }
+        (a, b)
+    }
+}
+
+/// Runs the DP one anti-diagonal `t = i + j` at a time, over the rows
+/// `[a, b] = span(t)`: a non-empty interval whose ends each rise by zero
+/// or one per diagonal. After each diagonal, `abandon(t, k, cells)` sees
+/// its cells, the first of them in column `n − 1 − k`; the DP returns
+/// `None` as soon as `abandon` returns true.
+///
+/// `prev2`, `prev1` and `cur` hold diagonals `t − 2`, `t − 1` and `t`:
+/// slot `i + 1` is row `i`, and slot 0 the virtual row above row 0.
+/// Diagonals `t + 1` and `t + 2` read only rows `a − 1 ..= b + 1` of
+/// diagonal `t`. A buffer's earlier diagonals never reached beyond row
+/// `b`, so row `b + 1` is still `+∞`; row `a − 1` may hold an older
+/// diagonal's cell and is reset to `+∞`. `prev2[0]` starts as 0.0, the
+/// origin's virtual diagonal neighbour. Column `j` is `rev[n − 1 − j]`,
+/// so a diagonal reads `rows` and `rev` forwards.
+fn wavefront(
     rows: &[f64],
     cols: &[f64],
     penalty: f64,
-    cutoff: f64,
-    min: impl Fn(f64, f64) -> f64 + Copy,
-) -> Option<f64> {
-    let mut d = vec![f64::INFINITY; rows.len() + 1];
-    d[0] = 0.0;
-    let mut blocks = cols.chunks_exact(4);
-    for block in &mut blocks {
-        let block = [block[0], block[1], block[2], block[3]];
-        if sweep(block, rows, penalty, &mut d, min)
-            .iter()
-            .any(|&m| m > cutoff)
-        {
-            return None;
-        }
-    }
-    for &col in blocks.remainder() {
-        if sweep([col], rows, penalty, &mut d, min)[0] > cutoff {
-            return None;
-        }
-    }
-    Some(d[rows.len()])
-}
-
-/// Advances the DP by the `B` columns `cols` in one pass over the rows and
-/// returns each column's minimum. At each row, column `k + 1` takes column
-/// `k`'s fresh value as its `left`, so `B` recurrences are in flight.
-///
-/// Every warp path to the final cell crosses each column, and all later
-/// additions (locals, penalties) are nonnegative, so once a whole column
-/// exceeds a cutoff the final distance must too.
-#[inline(always)]
-fn sweep<const B: usize>(
-    cols: [f64; B],
-    rows: &[f64],
-    penalty: f64,
-    d: &mut [f64],
+    mut span: impl FnMut(usize) -> (usize, usize),
     min: impl Fn(f64, f64) -> f64,
-) -> [f64; B] {
-    let mut diag = std::mem::replace(&mut d[0], f64::INFINITY);
-    let mut up = [f64::INFINITY; B];
-    let mut colmin = [f64::INFINITY; B];
-    for (&rv, slot) in rows.iter().zip(&mut d[1..]) {
-        // Column k's left and diag are column k − 1's values at this row
-        // and the row above; column 0 takes them from the buffer.
-        let mut left = *slot;
-        let mut diag_k = std::mem::replace(&mut diag, left);
-        for k in 0..B {
-            let best = min(min(diag_k, left + penalty), up[k] + penalty);
-            let cell = best + (cols[k] - rv).abs();
-            diag_k = up[k];
-            up[k] = cell;
-            left = cell;
-            colmin[k] = min(colmin[k], cell);
-        }
-        *slot = left;
+    mut abandon: impl FnMut(usize, usize, &[f64]) -> bool,
+) -> Option<f64> {
+    let (m, n) = (rows.len(), cols.len());
+    // One allocation: `rev`, then the three diagonals.
+    let mut buf = vec![f64::INFINITY; n + 3 * (m + 1)];
+    let (rev, rest) = buf.split_at_mut(n);
+    for (r, &c) in rev.iter_mut().zip(cols.iter().rev()) {
+        *r = c;
     }
-    colmin
+    let (mut prev2, rest) = rest.split_at_mut(m + 1);
+    let (mut prev1, mut cur) = rest.split_at_mut(m + 1);
+    prev2[0] = 0.0;
+    for t in 0..m + n - 1 {
+        let (a, b) = span(t);
+        cur[a] = f64::INFINITY;
+        let len = b + 1 - a;
+        let k = n - 1 - (t - a);
+        let diag = &prev2[a..a + len];
+        let up = &prev1[a..a + len];
+        let left = &prev1[a + 1..a + 1 + len];
+        let out = &mut cur[a + 1..a + 1 + len];
+        let locals = rev[k..k + len].iter().zip(&rows[a..a + len]);
+        for ((cell, (&d, (&u, &l))), (&c, &r)) in out
+            .iter_mut()
+            .zip(diag.iter().zip(up.iter().zip(left)))
+            .zip(locals)
+        {
+            let best = min(d, min(l, u) + penalty);
+            *cell = best + (c - r).abs();
+        }
+        if abandon(t, k, out) {
+            return None;
+        }
+        std::mem::swap(&mut prev2, &mut prev1);
+        std::mem::swap(&mut prev1, &mut cur);
+    }
+    Some(prev1[m])
 }
 
 /// Sakoe–Chiba band-constrained DTW with asynchrony penalty.
@@ -271,46 +365,7 @@ pub fn dtw_banded(x: &[f64], y: &[f64], penalty: f64, band: usize) -> f64 {
     if x.is_empty() || y.is_empty() {
         return (x.len() + y.len()) as f64 * penalty;
     }
-    let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-    let m = rows.len();
-    let n = cols.len();
-    // Rescaled diagonal: row index ~ j * m / n.
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-
-    for (j, &cv) in cols.iter().enumerate() {
-        std::mem::swap(&mut prev, &mut cur);
-        cur.fill(f64::INFINITY);
-        let center = j * m / n;
-        let lo = center.saturating_sub(band);
-        let hi = (center + band).min(m - 1);
-        for i in lo..=hi {
-            let rv = rows[i];
-            let local = (cv - rv).abs();
-            let best = if i == 0 && j == 0 {
-                0.0
-            } else {
-                let diag = if i > 0 && j > 0 {
-                    prev[i - 1]
-                } else {
-                    f64::INFINITY
-                };
-                let up = if i > 0 {
-                    cur[i - 1] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                let left = if j > 0 {
-                    prev[i] + penalty
-                } else {
-                    f64::INFINITY
-                };
-                diag.min(up).min(left)
-            };
-            cur[i] = best + local;
-        }
-    }
-    cur[m - 1]
+    dtw_dp(x, y, penalty, band, None).unwrap_or(f64::INFINITY)
 }
 
 /// Levenshtein string edit distance over token sequences: the minimum
@@ -357,20 +412,36 @@ pub fn length_penalty(series: &[&[f64]], target_pairs: usize) -> f64 {
         return 0.0;
     }
     let target = target_pairs.max(16);
-    // Deterministic quasi-random pairing: golden-ratio stride walk.
     let mut diffs = Vec::with_capacity(target);
-    let mut a = 0usize;
-    let mut b = n / 2;
-    const STRIDE_A: usize = 7_919; // primes avoid short cycles
-    const STRIDE_B: usize = 104_729;
-    for _ in 0..target {
-        a = (a + STRIDE_A) % n;
-        b = (b + STRIDE_B) % n;
-        if a != b {
-            diffs.push((all[a] - all[b]).abs());
-        }
-    }
+    diffs.extend(
+        pair_walk(n, target)
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (all[a] - all[b]).abs()),
+    );
     crate::stats::percentile(&diffs, 0.99).unwrap_or(0.0)
+}
+
+/// The deterministic quasi-random point pairs [`length_penalty`] draws
+/// from `n >= 1` points: two pointers starting at 0 and `n / 2` take
+/// `steps` prime strides (primes avoid short cycles) around the points,
+/// yielding each position after its step. Each stride is reduced mod `n`
+/// once, so one conditional subtraction keeps a pointer below `n`.
+fn pair_walk(n: usize, steps: usize) -> impl Iterator<Item = (usize, usize)> {
+    const STRIDE_A: usize = 7_919;
+    const STRIDE_B: usize = 104_729;
+    let (stride_a, stride_b) = (STRIDE_A % n, STRIDE_B % n);
+    let (mut a, mut b) = (0, n / 2);
+    (0..steps).map(move |_| {
+        a += stride_a;
+        if a >= n {
+            a -= n;
+        }
+        b += stride_b;
+        if b >= n {
+            b -= n;
+        }
+        (a, b)
+    })
 }
 
 #[cfg(test)]
@@ -541,6 +612,19 @@ mod tests {
         // Constant values: all diffs zero.
         let c = vec![2.0; 100];
         assert_eq!(length_penalty(&[&c], 1000), 0.0);
+    }
+
+    #[test]
+    fn pair_walk_matches_the_modulo_walk() {
+        for n in [2usize, 3, 7_919, 7_920, 104_729, 200_000] {
+            let (mut a, mut b) = (0, n / 2);
+            let modulo = (0..250_000).map(|_| {
+                a = (a + 7_919) % n;
+                b = (b + 104_729) % n;
+                (a, b)
+            });
+            assert!(pair_walk(n, 250_000).eq(modulo), "n = {n}");
+        }
     }
 
     #[test]
@@ -874,7 +958,7 @@ fn dtw_pruned_staged(
             }
         }
     }
-    match dtw_dp(x, y, penalty, cutoff) {
+    match dtw_dp(x, y, penalty, usize::MAX, Some(cutoff)) {
         Some(d) => Settled::Full(d),
         None => Settled::Abandon,
     }

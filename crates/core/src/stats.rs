@@ -81,21 +81,34 @@ pub fn weighted_rmse(lengths: &[f64], actual: &[f64], predicted: &[f64]) -> Opti
 /// The `q`-quantile (0 ≤ q ≤ 1) of `values` by linear interpolation between
 /// order statistics. Returns `None` on an empty slice.
 ///
+/// Values are ordered by [`f64::total_cmp`]: −0.0 sorts before +0.0, a
+/// NaN with the sign bit clear above `+∞` and one with it set below `−∞`.
+/// If either order statistic is NaN the result is NaN. Both come from a
+/// selection, not a full sort, in `O(n)` expected time.
+///
 /// # Panics
 ///
-/// Panics if `q` is outside `[0, 1]` or any value is NaN.
+/// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
     if values.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let pos = q * (sorted.len() - 1) as f64;
+    let mut scratch: Vec<f64> = values.to_vec();
+    let pos = q * (scratch.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    // Order statistic `lo + 1` is the least value above position `lo`
+    // (there is one whenever hi > lo); values equal under `total_cmp`
+    // have equal bits.
+    let at_hi = if hi == lo {
+        at_lo
+    } else {
+        above.iter().copied().min_by(f64::total_cmp)?
+    };
+    Some(at_lo + (at_hi - at_lo) * frac)
 }
 
 /// Arithmetic mean; `None` on empty input.

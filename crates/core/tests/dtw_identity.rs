@@ -1,25 +1,39 @@
-//! Bit-identity gate for the column-blocked penalty-DTW kernel.
+//! Bit-identity gate for the classification path's kernels: the
+//! anti-diagonal penalty-DTW kernel and the selection-based percentile.
 //!
-//! `reference` holds the row-at-a-time DP and the prune cascade (with its
-//! per-column abandon) exactly as they stood before the column-blocked
-//! kernel replaced them, copied verbatim minus doc comments. The tests
-//! sweep every length pair in `0..=70` per side (every residue mod 4,
-//! the 1×n and n×1 shapes, the empty conventions), draw values from
-//! pools of finite numbers, `±∞`, NaN and `±1e308` (whose differences
-//! overflow), use the penalties 0.0, −0.0, 0.5, 1e300 and `+∞`, and
-//! require:
+//! `reference` holds, as test-only copies of code the kernel replaced:
 //!
-//! * `dtw_distance_with_penalty` equal to the reference to the bit, or
-//!   NaN on both sides;
-//! * `dtw_distance_with_penalty_pruned` equal to the reference cascade at
-//!   cutoffs at the true distance, one ulp below it and one ulp above it;
+//! * the row-at-a-time DP and the prune cascade with its per-column
+//!   abandon (the cascade's DP stage is a function argument, so it runs
+//!   with either DP below);
+//! * the column-blocked DP (`blocked`), four columns per pass;
+//! * the row-at-a-time Sakoe–Chiba `dtw_banded`;
+//! * the sort-based `percentile`.
+//!
+//! The DTW tests sweep every length pair in `0..=70` per side (every
+//! residue mod 4, the 1×n and n×1 shapes, the empty conventions), draw
+//! values from pools of finite numbers, `±∞`, NaN and `±1e308` (whose
+//! differences overflow), use the penalties 0.0, −0.0, 0.5, 1e300 and
+//! `+∞`, and require:
+//!
+//! * `dtw_distance_with_penalty` equal to both full references to the
+//!   bit, or NaN on all sides;
+//! * `dtw_distance_with_penalty_pruned` equal to the reference cascade,
+//!   with either DP stage, at cutoffs at the true distance, one ulp below
+//!   it and one ulp above it;
 //! * `nearest_series_with_stats` returning the same nearest candidate and
-//!   the same `PruneStats` as the reference scan.
+//!   the same `PruneStats` as the reference scan with either DP stage;
+//! * `dtw_banded` equal to the reference at bands `1..=max(m, n) + 1`.
+//!
+//! `percentile` must return the sort reference's bits on inputs with
+//! duplicates, ±0.0, NaN of either sign and `±∞`, at q = 0, 1 and
+//! interior quantiles.
 
 use rbv_core::distance::{
-    dtw_distance_with_penalty, dtw_distance_with_penalty_pruned, nearest_series_with_stats,
-    PruneStats,
+    dtw_banded, dtw_distance_with_penalty, dtw_distance_with_penalty_pruned,
+    nearest_series_with_stats, PruneStats,
 };
+use rbv_core::stats::percentile;
 
 #[allow(clippy::all)]
 mod reference {
@@ -122,7 +136,7 @@ mod reference {
         }
     }
 
-    pub fn dtw_pruned_staged(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Settled {
+    pub fn dtw_pruned_staged(x: &[f64], y: &[f64], penalty: f64, cutoff: f64, dp: Dp) -> Settled {
         if x.is_empty() || y.is_empty() {
             let d = (x.len() + y.len()) as f64 * penalty;
             return if d > cutoff {
@@ -171,6 +185,16 @@ mod reference {
                 }
             }
         }
+        match dp(x, y, penalty, cutoff) {
+            Some(d) => Settled::Full(d),
+            None => Settled::Abandon,
+        }
+    }
+
+    /// A cascade DP stage: `None` once a whole column exceeds the cutoff.
+    pub type Dp = fn(&[f64], &[f64], f64, f64) -> Option<f64>;
+
+    pub fn row_dp(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Option<f64> {
         // Full-width DP, mirroring dtw_distance_with_penalty cell for cell so
         // a completed run returns the exact same bits.
         let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
@@ -210,10 +234,10 @@ mod reference {
             // additions (locals, penalties) are nonnegative, so once the whole
             // column exceeds the cutoff the final distance must too.
             if colmin > cutoff {
-                return Settled::Abandon;
+                return None;
             }
         }
-        Settled::Full(cur[m - 1])
+        Some(cur[m - 1])
     }
 
     pub fn dtw_distance_with_penalty_pruned(
@@ -221,10 +245,11 @@ mod reference {
         y: &[f64],
         penalty: f64,
         cutoff: f64,
+        dp: Dp,
     ) -> Option<f64> {
         assert!(penalty >= 0.0, "penalty must be nonnegative");
         assert!(!cutoff.is_nan(), "cutoff must not be NaN");
-        match dtw_pruned_staged(x, y, penalty, cutoff) {
+        match dtw_pruned_staged(x, y, penalty, cutoff, dp) {
             Settled::Full(d) => Some(d),
             _ => None,
         }
@@ -234,6 +259,7 @@ mod reference {
         query: &[f64],
         candidates: &[S],
         penalty: f64,
+        dp: Dp,
     ) -> (Option<(usize, f64)>, PruneStats) {
         assert!(penalty >= 0.0, "penalty must be nonnegative");
         let mut stats = PruneStats::default();
@@ -246,7 +272,7 @@ mod reference {
                     stats.full_dp += 1;
                 }
                 Some((_, b)) => {
-                    let settled = dtw_pruned_staged(query, cand.as_ref(), penalty, b);
+                    let settled = dtw_pruned_staged(query, cand.as_ref(), penalty, b, dp);
                     settled.charge(&mut stats);
                     if let Settled::Full(d) = settled {
                         if d < b {
@@ -258,7 +284,154 @@ mod reference {
         }
         (best, stats)
     }
+
+    pub fn dtw_banded(x: &[f64], y: &[f64], penalty: f64, band: usize) -> f64 {
+        assert!(penalty >= 0.0, "penalty must be nonnegative");
+        assert!(band > 0, "band must be at least 1");
+        if x.is_empty() || y.is_empty() {
+            return (x.len() + y.len()) as f64 * penalty;
+        }
+        let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+        let m = rows.len();
+        let n = cols.len();
+        // Rescaled diagonal: row index ~ j * m / n.
+        let mut prev = vec![f64::INFINITY; m];
+        let mut cur = vec![f64::INFINITY; m];
+
+        for (j, &cv) in cols.iter().enumerate() {
+            std::mem::swap(&mut prev, &mut cur);
+            cur.fill(f64::INFINITY);
+            let center = j * m / n;
+            let lo = center.saturating_sub(band);
+            let hi = (center + band).min(m - 1);
+            for i in lo..=hi {
+                let rv = rows[i];
+                let local = (cv - rv).abs();
+                let best = if i == 0 && j == 0 {
+                    0.0
+                } else {
+                    let diag = if i > 0 && j > 0 {
+                        prev[i - 1]
+                    } else {
+                        f64::INFINITY
+                    };
+                    let up = if i > 0 {
+                        cur[i - 1] + penalty
+                    } else {
+                        f64::INFINITY
+                    };
+                    let left = if j > 0 {
+                        prev[i] + penalty
+                    } else {
+                        f64::INFINITY
+                    };
+                    diag.min(up).min(left)
+                };
+                cur[i] = best + local;
+            }
+        }
+        cur[m - 1]
+    }
+
+    pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
+        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+        if values.is_empty() {
+            return None;
+        }
+        let mut sorted: Vec<f64> = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let frac = pos - lo as f64;
+        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    }
+
+    /// The column-blocked kernel: four columns per pass over the rows.
+    pub mod blocked {
+        pub fn dtw_dp(x: &[f64], y: &[f64], penalty: f64, cutoff: f64) -> Option<f64> {
+            // Keep the shorter series as the row for O(min) space.
+            let (rows, cols) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+            // Finite inputs keep every DP value NaN-free (and no DP value is ever
+            // −0.0), so the compare-select min returns the same bits as f64::min.
+            if rows.iter().chain(cols).all(|v| v.is_finite()) {
+                dtw_columns(rows, cols, penalty, cutoff, select_min)
+            } else {
+                dtw_columns(rows, cols, penalty, cutoff, f64::min)
+            }
+        }
+
+        fn select_min(a: f64, b: f64) -> f64 {
+            if a < b {
+                a
+            } else {
+                b
+            }
+        }
+
+        fn dtw_columns(
+            rows: &[f64],
+            cols: &[f64],
+            penalty: f64,
+            cutoff: f64,
+            min: impl Fn(f64, f64) -> f64 + Copy,
+        ) -> Option<f64> {
+            let mut d = vec![f64::INFINITY; rows.len() + 1];
+            d[0] = 0.0;
+            let mut blocks = cols.chunks_exact(4);
+            for block in &mut blocks {
+                let block = [block[0], block[1], block[2], block[3]];
+                if sweep(block, rows, penalty, &mut d, min)
+                    .iter()
+                    .any(|&m| m > cutoff)
+                {
+                    return None;
+                }
+            }
+            for &col in blocks.remainder() {
+                if sweep([col], rows, penalty, &mut d, min)[0] > cutoff {
+                    return None;
+                }
+            }
+            Some(d[rows.len()])
+        }
+
+        #[inline(always)]
+        fn sweep<const B: usize>(
+            cols: [f64; B],
+            rows: &[f64],
+            penalty: f64,
+            d: &mut [f64],
+            min: impl Fn(f64, f64) -> f64,
+        ) -> [f64; B] {
+            let mut diag = std::mem::replace(&mut d[0], f64::INFINITY);
+            let mut up = [f64::INFINITY; B];
+            let mut colmin = [f64::INFINITY; B];
+            for (&rv, slot) in rows.iter().zip(&mut d[1..]) {
+                // Column k's left and diag are column k − 1's values at this row
+                // and the row above; column 0 takes them from the buffer.
+                let mut left = *slot;
+                let mut diag_k = std::mem::replace(&mut diag, left);
+                for k in 0..B {
+                    let best = min(min(diag_k, left + penalty), up[k] + penalty);
+                    let cell = best + (cols[k] - rv).abs();
+                    diag_k = up[k];
+                    up[k] = cell;
+                    left = cell;
+                    colmin[k] = min(colmin[k], cell);
+                }
+                *slot = left;
+            }
+            colmin
+        }
+    }
 }
+
+/// The cascade's DP stage in both reference forms.
+const DPS: [(&str, reference::Dp); 2] = [
+    ("row", reference::row_dp),
+    ("blocked", reference::blocked::dtw_dp),
+];
 
 /// Penalties: zero, negative zero (passes the `>= 0` check), a typical
 /// value, one whose sums overflow, and infinity.
@@ -367,41 +540,64 @@ fn cutoffs(d: f64) -> Vec<f64> {
 fn check_pair(x: &[f64], y: &[f64], penalty: f64) {
     let want = reference::dtw_distance_with_penalty(x, y, penalty);
     let got = dtw_distance_with_penalty(x, y, penalty);
+    let blocked = if x.is_empty() || y.is_empty() {
+        want
+    } else {
+        reference::blocked::dtw_dp(x, y, penalty, f64::INFINITY).unwrap()
+    };
     assert!(
-        same(got, want),
-        "full DP {got:e} != reference {want:e}: {}x{} penalty {penalty:e}\nx = {x:?}\ny = {y:?}",
+        same(got, want) && same(got, blocked),
+        "full DP {got:e} != references {want:e} (row), {blocked:e} (blocked): \
+         {}x{} penalty {penalty:e}\nx = {x:?}\ny = {y:?}",
         x.len(),
         y.len()
     );
     for cutoff in cutoffs(want) {
-        let want = reference::dtw_distance_with_penalty_pruned(x, y, penalty, cutoff);
         let got = dtw_distance_with_penalty_pruned(x, y, penalty, cutoff);
-        assert!(
-            same_opt(got, want),
-            "pruned {got:?} != reference {want:?}: {}x{} penalty {penalty:e} cutoff {cutoff:e}\n\
-             x = {x:?}\ny = {y:?}",
-            x.len(),
-            y.len()
-        );
+        for (name, dp) in DPS {
+            let want = reference::dtw_distance_with_penalty_pruned(x, y, penalty, cutoff, dp);
+            assert!(
+                same_opt(got, want),
+                "pruned {got:?} != {name} reference {want:?}: {}x{} penalty {penalty:e} \
+                 cutoff {cutoff:e}\nx = {x:?}\ny = {y:?}",
+                x.len(),
+                y.len()
+            );
+        }
     }
 }
 
-/// Checks the nearest-neighbor scan, result and stage counters, and
-/// returns the counters.
-fn check_scan(query: &[f64], candidates: &[Vec<f64>], penalty: f64) -> PruneStats {
-    let (want, want_stats): (Option<(usize, f64)>, PruneStats) =
-        reference::nearest_series_with_stats(query, candidates, penalty);
-    let (got, got_stats) = nearest_series_with_stats(query, candidates, penalty);
-    let same_best = match (got, want) {
-        (Some((gi, gd)), Some((wi, wd))) => gi == wi && same(gd, wd),
-        (None, None) => true,
-        _ => false,
-    };
+/// Checks the banded DP for one pair at one band.
+fn check_banded(x: &[f64], y: &[f64], penalty: f64, band: usize) {
+    let want = reference::dtw_banded(x, y, penalty, band);
+    let got = dtw_banded(x, y, penalty, band);
     assert!(
-        same_best && got_stats == want_stats,
-        "scan {got:?} {got_stats:?} != reference {want:?} {want_stats:?}: penalty {penalty:e}\n\
-         query = {query:?}\ncandidates = {candidates:?}"
+        same(got, want),
+        "banded {got:e} != reference {want:e}: {}x{} penalty {penalty:e} band {band}\n\
+         x = {x:?}\ny = {y:?}",
+        x.len(),
+        y.len()
     );
+}
+
+/// Checks the nearest-neighbor scan, result and stage counters, against
+/// the reference scan with either DP stage, and returns the counters.
+fn check_scan(query: &[f64], candidates: &[Vec<f64>], penalty: f64) -> PruneStats {
+    let (got, got_stats) = nearest_series_with_stats(query, candidates, penalty);
+    for (name, dp) in DPS {
+        let (want, want_stats): (Option<(usize, f64)>, PruneStats) =
+            reference::nearest_series_with_stats(query, candidates, penalty, dp);
+        let same_best = match (got, want) {
+            (Some((gi, gd)), Some((wi, wd))) => gi == wi && same(gd, wd),
+            (None, None) => true,
+            _ => false,
+        };
+        assert!(
+            same_best && got_stats == want_stats,
+            "scan {got:?} {got_stats:?} != {name} reference {want:?} {want_stats:?}: \
+             penalty {penalty:e}\nquery = {query:?}\ncandidates = {candidates:?}"
+        );
+    }
     got_stats
 }
 
@@ -499,4 +695,95 @@ fn nearest_scan_matches_reference_stats() {
     ] {
         assert!(count > 0, "no candidate settled by {stage}: {total:?}");
     }
+}
+
+#[test]
+fn every_length_pair_and_band_is_bit_identical_to_reference() {
+    let mut gen = Gen(0xBA4D_0ED5);
+    for m in 0..=70 {
+        for n in 0..=70 {
+            let pool = POOLS[gen.below(POOLS.len())];
+            let penalty = PENALTIES[gen.below(PENALTIES.len())];
+            let x = gen.series(m, pool);
+            let y = gen.series(n, pool);
+            // The narrowest band, one drawn at random and the first one
+            // that no longer constrains either series.
+            let widest = m.max(n) + 1;
+            for band in [1, 1 + gen.below(widest), widest] {
+                check_banded(&x, &y, penalty, band);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_band_is_bit_identical_to_reference() {
+    let mut gen = Gen(0xBA4D_0005);
+    // Square, thin, transposed and long shapes, each at every band from 1
+    // to one past the longer side.
+    let shapes = [
+        (1, 1),
+        (1, 9),
+        (9, 1),
+        (2, 30),
+        (5, 8),
+        (8, 5),
+        (12, 12),
+        (13, 40),
+        (23, 23),
+        (47, 131),
+    ];
+    for pool in POOLS {
+        for penalty in [0.0, 0.5, 3.0] {
+            for &(m, n) in &shapes {
+                let x = gen.series(m, pool);
+                let y = gen.series(n, pool);
+                for band in 1..=m.max(n) + 1 {
+                    check_banded(&x, &y, penalty, band);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn percentile_matches_the_sort_reference() {
+    let mut gen = Gen(0x9E4C_E471);
+    let pick = |gen: &mut Gen| match gen.below(10) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => -f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        // Repeats, so order statistics tie.
+        6 | 7 => [1.0, 2.5, -3.0][gen.below(3)],
+        _ => gen.finite(),
+    };
+    for round in 0..3_000 {
+        // Mostly short inputs, some past the selection's small-slice cutoff.
+        let len = if round % 10 == 0 {
+            1 + gen.below(3_000)
+        } else {
+            1 + gen.below(40)
+        };
+        let special = round % 3 != 0;
+        let values: Vec<f64> = (0..len)
+            .map(|_| {
+                if special {
+                    pick(&mut gen)
+                } else {
+                    gen.finite()
+                }
+            })
+            .collect();
+        let interior = (gen.next() >> 11) as f64 / (1u64 << 53) as f64;
+        let at_rank = gen.below(len) as f64 / (len - 1).max(1) as f64;
+        for q in [0.0, 1.0, 0.5, 0.99, interior, at_rank] {
+            let want = reference::percentile(&values, q).map(f64::to_bits);
+            let got = percentile(&values, q).map(f64::to_bits);
+            assert_eq!(got, want, "q {q} values {values:?}");
+        }
+    }
+    assert_eq!(percentile(&[], 0.5), None);
 }

@@ -403,7 +403,7 @@ fn fig12_contention_easing_keeps_cpi_flat() {
 }
 
 #[test]
-#[ignore = "full-scale (1000-request, 3-seed) run; takes minutes"]
+#[ignore = "full-scale (1000-request, 3-seed) run, about a minute in release; CI runs it as its own step"]
 fn fig12_contention_easing_cuts_simultaneous_high_usage_full_scale() {
     let outcomes = fig12_13::compute(false);
     for pair in outcomes.chunks(2) {
