@@ -40,6 +40,7 @@ use rbv_openloop::probe_mean_service;
 use rbv_os::{
     easing_threshold, run_simulation, run_simulation_streaming, ArrivalProcess, CompletedRequest,
     CompletionSink, FailedRequest, Machine, RbvError, RunStats, SchedulerPolicy, SimConfig,
+    EASING_ERROR_GATE,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
@@ -230,7 +231,7 @@ fn machine_config(
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
         };
-        cfg.easing_error_gate = Some(0.35);
+        cfg.easing_error_gate = Some(EASING_ERROR_GATE);
     }
     cfg
 }
@@ -255,7 +256,7 @@ fn single_machine_config(
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
         };
-        cfg.easing_error_gate = Some(0.35);
+        cfg.easing_error_gate = Some(EASING_ERROR_GATE);
     }
     cfg
 }

@@ -20,8 +20,8 @@
 use std::io::{self, Write};
 
 use rbv_os::{
-    config::ArrivalProcess, run_simulation, GovernorPolicy, LadderRung, MeasurementFaults,
-    OverloadPolicy, RbvError, RunResult, SchedulerPolicy, SimConfig,
+    config::ArrivalProcess, run_simulation, LadderRung, MeasurementFaults, OverloadPolicy,
+    RbvError, RunResult, SchedulerPolicy, SimConfig, DO_NO_HARM_BUDGET, EASING_ERROR_GATE,
 };
 use rbv_sim::Cycles;
 use rbv_telemetry::Json;
@@ -845,7 +845,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: threshold,
             };
-            cfg.easing_error_gate = Some(0.35);
+            cfg.easing_error_gate = Some(EASING_ERROR_GATE);
         }
         let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());
         run_simulation(cfg, factory.as_mut(), n)
@@ -881,7 +881,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
             };
             // The ladder replaces the one-shot confidence gate.
             cfg.easing_error_gate = None;
-            cfg.governor = Some(GovernorPolicy::default());
+            cfg.guard = true;
         }
         let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());
         run_simulation(cfg, factory.as_mut(), n)
@@ -899,7 +899,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
         final_scale: stats.governor_final_scale,
         overhead_frac: stats.governor_overhead_frac,
         slack_frac: stats.governor_slack_frac,
-        budget_frac: GovernorPolicy::default().budget_frac,
+        budget_frac: DO_NO_HARM_BUDGET,
         health_transitions: stats.health_transitions,
         final_rung: LadderRung::ALL[stats.health_final_rung as usize]
             .label()

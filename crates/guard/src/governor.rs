@@ -10,17 +10,16 @@
 //!
 //! Control is AIMD in the paper's "do no harm" direction: on a budget
 //! breach the sampling intervals back off *multiplicatively* (scaled by at
-//! least [`GovernorPolicy::backoff_factor`], or by the measured overshoot
-//! ratio plus headroom when that is larger, so a single correction is
-//! normally sufficient); while comfortably under budget they recover
-//! *additively* ([`GovernorPolicy::recover_step`] of scale per window)
-//! back toward the configured baseline.
+//! least [`BACKOFF_FACTOR`], or by the measured overshoot ratio plus
+//! headroom when that is larger, so a single correction is normally
+//! sufficient); while comfortably under budget they recover *additively*
+//! ([`RECOVER_STEP`] of scale per window) back toward the configured
+//! baseline.
 //!
 //! The governor is a pure state machine: it draws no randomness and its
 //! decisions are a deterministic function of the window inputs, so the
 //! same seed yields the same decision sequence.
 
-use crate::health::HealthPolicy;
 use rbv_sim::Cycles;
 use rbv_telemetry::Json;
 
@@ -69,117 +68,30 @@ impl WindowSample {
     }
 }
 
-/// Configuration of the guard: governor gains, health-ladder bands, and
-/// which guard components are active.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GovernorPolicy {
-    /// Do-no-harm budget: sampling may spend at most this fraction of the
-    /// workload's busy cycles per accounting window (default 1%).
-    pub budget_frac: f64,
-    /// Accounting-window length in simulated cycles (default 250 µs —
-    /// short enough that the loop closes several times within the
-    /// simulator's millisecond-scale runs).
-    pub window: Cycles,
-    /// Minimum multiplicative interval back-off on a budget breach.
-    pub backoff_factor: f64,
-    /// Additive scale recovery per comfortably-under-budget window.
-    pub recover_step: f64,
-    /// Upper bound on the interval scale (1 = configured baseline).
-    pub max_scale: f64,
-    /// Recover only while window overhead is below `recover_margin *
-    /// budget_frac` — the hysteresis band that keeps the controller from
-    /// oscillating around the budget line.
-    pub recover_margin: f64,
-    /// Health scoring and ladder bands.
-    pub health: HealthPolicy,
-    /// Whether the degradation ladder drives the easing scheduler.
-    pub ladder: bool,
-    /// Whether the runtime invariant monitor runs each window.
-    pub invariants: bool,
-    /// Power-capping ladder bands; `None` (the default) leaves thermal
-    /// defense entirely to the firmware throttle. Only meaningful when
-    /// the kernel runs with a power model.
-    pub power_cap: Option<crate::power::PowerCapPolicy>,
-}
+/// Do-no-harm budget: sampling may spend at most this fraction of the
+/// workload's busy cycles per accounting window.
+pub const BUDGET_FRAC: f64 = 0.01;
+/// Accounting-window length in simulated cycles — short enough that the
+/// loop closes several times within the simulator's millisecond-scale
+/// runs.
+pub const WINDOW: Cycles = Cycles::from_micros(250);
+/// Minimum multiplicative interval back-off on a budget breach.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+/// Additive scale recovery per comfortably-under-budget window.
+pub const RECOVER_STEP: f64 = 0.25;
+/// Upper bound on the interval scale (1 = configured baseline).
+pub const MAX_SCALE: f64 = 64.0;
+/// Recover only while window overhead is below `RECOVER_MARGIN *
+/// BUDGET_FRAC` — the hysteresis band that keeps the controller from
+/// oscillating around the budget line.
+pub const RECOVER_MARGIN: f64 = 0.5;
 
-impl Default for GovernorPolicy {
-    fn default() -> GovernorPolicy {
-        GovernorPolicy {
-            budget_frac: 0.01,
-            window: Cycles::from_micros(250),
-            backoff_factor: 2.0,
-            recover_step: 0.25,
-            max_scale: 64.0,
-            recover_margin: 0.5,
-            health: HealthPolicy::default(),
-            ladder: true,
-            invariants: true,
-            power_cap: None,
-        }
-    }
-}
-
-impl GovernorPolicy {
-    /// An observe-only governor: it accounts windows, scores health, and
-    /// checks invariants, but never adjusts sampling (the budget is set
-    /// unreachably high and the ladder is disabled).
-    pub fn observe_only() -> GovernorPolicy {
-        GovernorPolicy {
-            budget_frac: 1.0,
-            ladder: false,
-            ..GovernorPolicy::default()
-        }
-    }
-
-    /// Validates field ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first out-of-range field.
-    // Negated comparisons are deliberate throughout: `!(x > 0.0)`
-    // rejects NaN along with out-of-range values, which `x <= 0.0`
-    // would silently admit.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.budget_frac > 0.0 && self.budget_frac <= 1.0) {
-            return Err(format!(
-                "governor budget_frac must be in (0, 1], got {}",
-                self.budget_frac
-            ));
-        }
-        if self.window.is_zero() {
-            return Err("governor window must be nonzero".into());
-        }
-        if !(self.backoff_factor > 1.0) {
-            return Err(format!(
-                "governor backoff_factor must exceed 1, got {}",
-                self.backoff_factor
-            ));
-        }
-        if !(self.recover_step > 0.0) {
-            return Err(format!(
-                "governor recover_step must be positive, got {}",
-                self.recover_step
-            ));
-        }
-        if !(self.max_scale >= 1.0) {
-            return Err(format!(
-                "governor max_scale must be at least 1, got {}",
-                self.max_scale
-            ));
-        }
-        if !(self.recover_margin > 0.0 && self.recover_margin < 1.0) {
-            return Err(format!(
-                "governor recover_margin must be in (0, 1), got {}",
-                self.recover_margin
-            ));
-        }
-        if let Some(power_cap) = &self.power_cap {
-            power_cap.validate()?;
-        }
-        self.health.validate()
-    }
-}
+const _: () = assert!(BUDGET_FRAC > 0.0 && BUDGET_FRAC <= 1.0);
+const _: () = assert!(!WINDOW.is_zero());
+const _: () = assert!(BACKOFF_FACTOR > 1.0);
+const _: () = assert!(RECOVER_STEP > 0.0);
+const _: () = assert!(MAX_SCALE >= 1.0);
+const _: () = assert!(RECOVER_MARGIN > 0.0 && RECOVER_MARGIN < 1.0);
 
 /// What the governor did with one window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,11 +129,6 @@ pub struct GovernorDecision {
 /// The AIMD controller state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Governor {
-    budget_frac: f64,
-    backoff_factor: f64,
-    recover_step: f64,
-    max_scale: f64,
-    recover_margin: f64,
     scale: f64,
     windows: u64,
     backoffs: u64,
@@ -234,15 +141,16 @@ pub struct Governor {
     max_window_sampling: f64,
 }
 
+impl Default for Governor {
+    fn default() -> Governor {
+        Governor::new()
+    }
+}
+
 impl Governor {
-    /// Builds a controller from the policy gains, starting at scale 1.
-    pub fn new(policy: &GovernorPolicy) -> Governor {
+    /// Builds a controller starting at scale 1.
+    pub fn new() -> Governor {
         Governor {
-            budget_frac: policy.budget_frac,
-            backoff_factor: policy.backoff_factor,
-            recover_step: policy.recover_step,
-            max_scale: policy.max_scale,
-            recover_margin: policy.recover_margin,
             scale: 1.0,
             windows: 0,
             backoffs: 0,
@@ -310,11 +218,6 @@ impl Governor {
         }
     }
 
-    /// The budget the controller regulates against.
-    pub fn budget_frac(&self) -> f64 {
-        self.budget_frac
-    }
-
     /// Accounts one window and returns the control decision.
     ///
     /// An idle window (no busy cycles) counts as within budget: there is
@@ -326,7 +229,7 @@ impl Governor {
         self.cum_sampling += window.sampling_cycles;
         self.max_window_sampling = self.max_window_sampling.max(window.sampling_cycles);
         let overhead = window.overhead_frac();
-        let action = if overhead > self.budget_frac {
+        let action = if overhead > BUDGET_FRAC {
             self.breaches += 1;
             self.breach_streak += 1;
             self.max_breach_streak = self.max_breach_streak.max(self.breach_streak);
@@ -336,14 +239,14 @@ impl Governor {
             // when the load dips between windows or the context-switch
             // decimation stride rounds down (the one-window-slack
             // contract tolerates no second consecutive breach).
-            let factor = (overhead / self.budget_frac * 3.0).max(self.backoff_factor);
-            self.scale = (self.scale * factor).min(self.max_scale);
+            let factor = (overhead / BUDGET_FRAC * 3.0).max(BACKOFF_FACTOR);
+            self.scale = (self.scale * factor).min(MAX_SCALE);
             self.backoffs += 1;
             GovernorAction::Backoff
         } else {
             self.breach_streak = 0;
-            if overhead < self.budget_frac * self.recover_margin && self.scale > 1.0 {
-                self.scale = (self.scale - self.recover_step).max(1.0);
+            if overhead < BUDGET_FRAC * RECOVER_MARGIN && self.scale > 1.0 {
+                self.scale = (self.scale - RECOVER_STEP).max(1.0);
                 self.recoveries += 1;
                 GovernorAction::Recover
             } else {
@@ -374,7 +277,7 @@ impl Governor {
                 Json::Num(self.cumulative_overhead_frac()),
             ),
             ("slack_frac".into(), Json::Num(self.slack_frac())),
-            ("budget_frac".into(), Json::Num(self.budget_frac)),
+            ("budget_frac".into(), Json::Num(BUDGET_FRAC)),
         ])
     }
 }
@@ -393,53 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_validates() {
-        GovernorPolicy::default().validate().unwrap();
-        GovernorPolicy::observe_only().validate().unwrap();
-    }
-
-    #[test]
-    fn bad_fields_are_rejected() {
-        for bad in [
-            GovernorPolicy {
-                budget_frac: 0.0,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                window: Cycles::ZERO,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                backoff_factor: 1.0,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                recover_step: 0.0,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                max_scale: 0.5,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                recover_margin: 1.0,
-                ..GovernorPolicy::default()
-            },
-            GovernorPolicy {
-                power_cap: Some(crate::power::PowerCapPolicy {
-                    cap_pstate: 0,
-                    ..Default::default()
-                }),
-                ..GovernorPolicy::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should not validate");
-        }
-    }
-
-    #[test]
     fn breach_backs_off_multiplicatively() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         // 5% overhead against a 1% budget: scale by overshoot * 3 = 15.
         let d = g.observe(&window(1e6, 5e4));
         assert_eq!(d.action, GovernorAction::Backoff);
@@ -450,7 +308,7 @@ mod tests {
 
     #[test]
     fn recovery_is_additive_and_floored_at_one() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         g.observe(&window(1e6, 5e4)); // scale 15
         let mut last = g.scale();
         // Quiet windows (0.1% overhead, under the recover margin) walk the
@@ -468,7 +326,7 @@ mod tests {
 
     #[test]
     fn band_between_margin_and_budget_holds() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         g.observe(&window(1e6, 5e4));
         // 0.8% overhead: under budget but above the 0.5% recover margin.
         let d = g.observe(&window(1e6, 8e3));
@@ -477,7 +335,7 @@ mod tests {
 
     #[test]
     fn idle_window_is_within_budget() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         let d = g.observe(&window(0.0, 0.0));
         assert_eq!(d.action, GovernorAction::Hold);
         assert_eq!(d.overhead_frac, 0.0);
@@ -486,7 +344,7 @@ mod tests {
 
     #[test]
     fn breach_streak_tracks_consecutive_overruns() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         g.observe(&window(1e6, 5e4));
         g.observe(&window(1e6, 1e3));
         g.observe(&window(1e6, 5e4));
@@ -496,19 +354,19 @@ mod tests {
 
     #[test]
     fn scale_saturates_at_max() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         for _ in 0..20 {
             g.observe(&window(1e6, 9e5));
         }
-        assert_eq!(g.scale(), GovernorPolicy::default().max_scale);
+        assert_eq!(g.scale(), MAX_SCALE);
     }
 
     #[test]
     fn decisions_are_deterministic() {
         let windows: Vec<WindowSample> =
             (0..50).map(|i| window(1e6, (i % 7) as f64 * 4e3)).collect();
-        let mut a = Governor::new(&GovernorPolicy::default());
-        let mut b = Governor::new(&GovernorPolicy::default());
+        let mut a = Governor::new();
+        let mut b = Governor::new();
         for w in &windows {
             assert_eq!(a.observe(w), b.observe(w));
         }
@@ -517,7 +375,7 @@ mod tests {
 
     #[test]
     fn json_reports_counters() {
-        let mut g = Governor::new(&GovernorPolicy::default());
+        let mut g = Governor::new();
         g.observe(&window(1e6, 5e4));
         let json = g.to_json();
         assert_eq!(

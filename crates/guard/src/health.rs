@@ -16,11 +16,11 @@
 //! A health score in [0, 1] — fed by the lost-interrupt rate, the
 //! counter-noise variance proxy, syscall-sampling starvation, and sample
 //! staleness — moves the ladder one rung per observation: down when the
-//! smoothed score falls below [`HealthPolicy::degrade_below`], up when it
-//! rises above [`HealthPolicy::recover_above`]. The gap between the two
-//! thresholds is the hysteresis band, and [`HealthPolicy::dwell`] imposes
-//! a minimum simulated time between any two transitions, so the ladder
-//! cannot flap even when the score oscillates around a threshold.
+//! smoothed score falls below [`DEGRADE_BELOW`], up when it rises above
+//! [`RECOVER_ABOVE`]. The gap between the two thresholds is the
+//! hysteresis band, and [`DWELL`] imposes a minimum simulated time
+//! between any two transitions, so the ladder cannot flap even when the
+//! score oscillates around a threshold.
 //!
 //! Below [`LadderRung::Stock`] the ladder continues into *overload*
 //! territory, driven not by measurement health but by a separate
@@ -33,11 +33,10 @@
 //!    is rejected outright to protect goodput of the admitted rest.
 //!
 //! Health-driven degradation is capped at `Stock`; only sustained
-//! pressure above [`HealthPolicy::shed_above`] pushes the ladder into
-//! `Shed`/`Brownout`, and pressure must fall below
-//! [`HealthPolicy::pressure_recover_below`] before the ladder climbs back
-//! to `Stock`. Zero-pressure windows therefore reproduce the original
-//! three-rung behavior bit for bit.
+//! pressure above [`SHED_ABOVE`] pushes the ladder into `Shed`/`Brownout`,
+//! and pressure must fall below [`PRESSURE_RECOVER_BELOW`] before the
+//! ladder climbs back to `Stock`. Zero-pressure windows therefore
+//! reproduce the original three-rung behavior bit for bit.
 
 use crate::governor::WindowSample;
 use rbv_sim::Cycles;
@@ -123,160 +122,88 @@ impl LadderRung {
     }
 }
 
-/// Health scoring weights and ladder bands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthPolicy {
-    /// Degrade one rung when the smoothed score falls below this.
-    pub degrade_below: f64,
-    /// Recover one rung when the smoothed score rises above this; must
-    /// exceed `degrade_below` (the gap is the hysteresis band).
-    pub recover_above: f64,
-    /// Minimum simulated time between two ladder transitions.
-    pub dwell: Cycles,
-    /// Penalty weight of the lost-interrupt rate.
-    pub w_lost: f64,
-    /// Penalty weight of counter noise (prediction-error EWMA or the
-    /// low-confidence sample rate, whichever indicts the counters more).
-    pub w_noise: f64,
-    /// Penalty weight of syscall-sampling starvation.
-    pub w_starved: f64,
-    /// Penalty weight of sample staleness.
-    pub w_stale: f64,
-    /// Prediction error treated as total noise (normalization reference
-    /// for the noise term; matches the chaos easing gate's 0.35).
-    pub noise_ref: f64,
-    /// Smoothing factor for the score EWMA (weight of the new window).
-    pub alpha: f64,
-    /// Degrade one rung toward `Shed`/`Brownout` when the smoothed
-    /// overload pressure rises above this.
-    pub shed_above: f64,
-    /// Recover one rung out of the overload band when the smoothed
-    /// pressure falls below this; must be below `shed_above` (the gap is
-    /// the overload hysteresis band).
-    pub pressure_recover_below: f64,
+/// Prediction error the easing scheduler treats as untrustworthy: the
+/// one-shot confidence gate's threshold (`SimConfig::easing_error_gate`
+/// in `rbv-os`) wherever callers arm it, and the health ladder's
+/// [`NOISE_REF`].
+pub const EASING_ERROR_GATE: f64 = 0.35;
+
+/// Degrade one rung when the smoothed score falls below this.
+pub const DEGRADE_BELOW: f64 = 0.6;
+/// Recover one rung when the smoothed score rises above this; the gap
+/// above [`DEGRADE_BELOW`] is the hysteresis band.
+pub const RECOVER_ABOVE: f64 = 0.8;
+/// Minimum simulated time between two ladder transitions.
+pub const DWELL: Cycles = Cycles::from_millis(2);
+/// Penalty weight of the lost-interrupt rate.
+pub const W_LOST: f64 = 0.35;
+/// Penalty weight of counter noise (prediction-error EWMA or the
+/// low-confidence sample rate, whichever indicts the counters more).
+pub const W_NOISE: f64 = 0.25;
+/// Penalty weight of syscall-sampling starvation.
+pub const W_STARVED: f64 = 0.2;
+/// Penalty weight of sample staleness.
+pub const W_STALE: f64 = 0.2;
+/// Prediction error treated as total noise (normalization reference for
+/// the noise term).
+pub const NOISE_REF: f64 = EASING_ERROR_GATE;
+/// Smoothing factor for the score and pressure EWMAs (weight of the new
+/// window).
+pub const ALPHA: f64 = 0.5;
+/// Degrade one rung toward `Shed`/`Brownout` when the smoothed overload
+/// pressure rises above this.
+pub const SHED_ABOVE: f64 = 0.5;
+/// Recover one rung out of the overload band when the smoothed pressure
+/// falls below this; the gap below [`SHED_ABOVE`] is the overload
+/// hysteresis band.
+pub const PRESSURE_RECOVER_BELOW: f64 = 0.2;
+
+const _: () = assert!(DEGRADE_BELOW > 0.0 && DEGRADE_BELOW < 1.0);
+const _: () = assert!(RECOVER_ABOVE > DEGRADE_BELOW && RECOVER_ABOVE <= 1.0);
+const _: () = assert!(!DWELL.is_zero());
+const _: () = assert!(W_LOST >= 0.0 && W_NOISE >= 0.0 && W_STARVED >= 0.0 && W_STALE >= 0.0);
+const _: () = assert!(W_LOST <= 1.0 && W_NOISE <= 1.0 && W_STARVED <= 1.0 && W_STALE <= 1.0);
+const _: () = assert!(NOISE_REF > 0.0);
+const _: () = assert!(ALPHA > 0.0 && ALPHA <= 1.0);
+const _: () = assert!(SHED_ABOVE > 0.0 && SHED_ABOVE <= 1.0);
+const _: () = assert!(PRESSURE_RECOVER_BELOW > 0.0 && PRESSURE_RECOVER_BELOW < SHED_ABOVE);
+
+/// Scores one window's measurement health in [0, 1] (1 = healthy).
+pub fn score(window: &WindowSample) -> f64 {
+    let taken = window.samples + window.samples_lost;
+    let lost_rate = if taken > 0 {
+        window.samples_lost as f64 / taken as f64
+    } else {
+        0.0
+    };
+    let lowconf_rate = if window.samples > 0 {
+        window.samples_low_confidence as f64 / window.samples as f64
+    } else {
+        0.0
+    };
+    let noise = (window.noise_ewma / NOISE_REF)
+        .max(lowconf_rate)
+        .clamp(0.0, 1.0);
+    let starved = (window.starvation_windows as f64 / 2.0).clamp(0.0, 1.0);
+    let stale = window.staleness_frac.clamp(0.0, 1.0);
+    let penalty = W_LOST * lost_rate + W_NOISE * noise + W_STARVED * starved + W_STALE * stale;
+    (1.0 - penalty).clamp(0.0, 1.0)
 }
 
-impl Default for HealthPolicy {
-    fn default() -> HealthPolicy {
-        HealthPolicy {
-            degrade_below: 0.6,
-            recover_above: 0.8,
-            dwell: Cycles::from_millis(2),
-            w_lost: 0.35,
-            w_noise: 0.25,
-            w_starved: 0.2,
-            w_stale: 0.2,
-            noise_ref: 0.35,
-            alpha: 0.5,
-            shed_above: 0.5,
-            pressure_recover_below: 0.2,
-        }
-    }
-}
-
-impl HealthPolicy {
-    /// Validates field ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first out-of-range field.
-    // Negated comparisons are deliberate throughout: `!(x > 0.0)`
-    // rejects NaN along with out-of-range values, which `x <= 0.0`
-    // would silently admit.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.degrade_below > 0.0 && self.degrade_below < 1.0) {
-            return Err(format!(
-                "health degrade_below must be in (0, 1), got {}",
-                self.degrade_below
-            ));
-        }
-        if !(self.recover_above > self.degrade_below && self.recover_above <= 1.0) {
-            return Err(format!(
-                "health recover_above must be in (degrade_below, 1], got {}",
-                self.recover_above
-            ));
-        }
-        if self.dwell.is_zero() {
-            return Err("health dwell must be nonzero".into());
-        }
-        for (name, w) in [
-            ("w_lost", self.w_lost),
-            ("w_noise", self.w_noise),
-            ("w_starved", self.w_starved),
-            ("w_stale", self.w_stale),
-        ] {
-            if !(0.0..=1.0).contains(&w) {
-                return Err(format!("health {name} must be in [0, 1], got {w}"));
-            }
-        }
-        if !(self.noise_ref > 0.0) {
-            return Err(format!(
-                "health noise_ref must be positive, got {}",
-                self.noise_ref
-            ));
-        }
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!(
-                "health alpha must be in (0, 1], got {}",
-                self.alpha
-            ));
-        }
-        if !(self.shed_above > 0.0 && self.shed_above <= 1.0) {
-            return Err(format!(
-                "health shed_above must be in (0, 1], got {}",
-                self.shed_above
-            ));
-        }
-        if !(self.pressure_recover_below > 0.0 && self.pressure_recover_below < self.shed_above) {
-            return Err(format!(
-                "health pressure_recover_below must be in (0, shed_above), got {}",
-                self.pressure_recover_below
-            ));
-        }
-        Ok(())
-    }
-
-    /// Scores one window's measurement health in [0, 1] (1 = healthy).
-    pub fn score(&self, window: &WindowSample) -> f64 {
-        let taken = window.samples + window.samples_lost;
-        let lost_rate = if taken > 0 {
-            window.samples_lost as f64 / taken as f64
-        } else {
-            0.0
-        };
-        let lowconf_rate = if window.samples > 0 {
-            window.samples_low_confidence as f64 / window.samples as f64
-        } else {
-            0.0
-        };
-        let noise = (window.noise_ewma / self.noise_ref)
-            .max(lowconf_rate)
-            .clamp(0.0, 1.0);
-        let starved = (window.starvation_windows as f64 / 2.0).clamp(0.0, 1.0);
-        let stale = window.staleness_frac.clamp(0.0, 1.0);
-        let penalty = self.w_lost * lost_rate
-            + self.w_noise * noise
-            + self.w_starved * starved
-            + self.w_stale * stale;
-        (1.0 - penalty).clamp(0.0, 1.0)
-    }
-
-    /// Scores one window's overload pressure in [0, 1] (0 = no overload).
-    ///
-    /// Weighs the rejection rate (admission rejections + sheds per
-    /// offered arrival) against queue depth relative to the admission
-    /// bound. A window with no arrivals and empty queues scores 0, so
-    /// closed-loop runs never see the overload rungs.
-    pub fn pressure(&self, window: &WindowSample) -> f64 {
-        let reject_rate = if window.offered > 0 {
-            (window.rejected as f64 / window.offered as f64).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        let queue = window.queue_frac.clamp(0.0, 1.0);
-        (0.6 * reject_rate + 0.4 * queue).clamp(0.0, 1.0)
-    }
+/// Scores one window's overload pressure in [0, 1] (0 = no overload).
+///
+/// Weighs the rejection rate (admission rejections + sheds per offered
+/// arrival) against queue depth relative to the admission bound. A
+/// window with no arrivals and empty queues scores 0, so closed-loop
+/// runs never see the overload rungs.
+pub fn pressure(window: &WindowSample) -> f64 {
+    let reject_rate = if window.offered > 0 {
+        (window.rejected as f64 / window.offered as f64).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    let queue = window.queue_frac.clamp(0.0, 1.0);
+    (0.6 * reject_rate + 0.4 * queue).clamp(0.0, 1.0)
 }
 
 /// A ladder transition, as reported to telemetry.
@@ -295,7 +222,6 @@ pub struct LadderTransition {
 /// The degradation-ladder state machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthLadder {
-    policy: HealthPolicy,
     rung: LadderRung,
     smoothed: f64,
     pressure_smoothed: f64,
@@ -304,11 +230,16 @@ pub struct HealthLadder {
     transitions: u64,
 }
 
+impl Default for HealthLadder {
+    fn default() -> HealthLadder {
+        HealthLadder::new()
+    }
+}
+
 impl HealthLadder {
     /// Builds a ladder starting on the healthiest rung.
-    pub fn new(policy: HealthPolicy) -> HealthLadder {
+    pub fn new() -> HealthLadder {
         HealthLadder {
-            policy,
             rung: LadderRung::Easing,
             smoothed: 1.0,
             pressure_smoothed: 0.0,
@@ -339,44 +270,42 @@ impl HealthLadder {
     }
 
     /// Scores one window, updates the smoothed health and pressure, and
-    /// moves at most one rung — but never within [`HealthPolicy::dwell`]
-    /// of the previous transition.
+    /// moves at most one rung — but never within [`DWELL`] of the previous
+    /// transition.
     ///
-    /// Pressure outranks health: a window over
-    /// [`HealthPolicy::shed_above`] pushes the ladder one rung down
-    /// (toward `Brownout`) regardless of the health score, and the ladder
-    /// cannot climb out of the overload band until pressure falls below
-    /// [`HealthPolicy::pressure_recover_below`]. With zero pressure the
+    /// Pressure outranks health: a window over [`SHED_ABOVE`] pushes the
+    /// ladder one rung down (toward `Brownout`) regardless of the health
+    /// score, and the ladder cannot climb out of the overload band until
+    /// pressure falls below [`PRESSURE_RECOVER_BELOW`]. With zero pressure the
     /// original three-rung health behavior is reproduced exactly —
     /// health-driven degradation is capped at `Stock`.
     pub fn observe(&mut self, window: &WindowSample, now: Cycles) -> Option<LadderTransition> {
-        let score = self.policy.score(window);
-        let pressure = self.policy.pressure(window);
+        let score = score(window);
+        let pressure = pressure(window);
         if self.primed {
-            self.smoothed = (1.0 - self.policy.alpha) * self.smoothed + self.policy.alpha * score;
-            self.pressure_smoothed =
-                (1.0 - self.policy.alpha) * self.pressure_smoothed + self.policy.alpha * pressure;
+            self.smoothed = (1.0 - ALPHA) * self.smoothed + ALPHA * score;
+            self.pressure_smoothed = (1.0 - ALPHA) * self.pressure_smoothed + ALPHA * pressure;
         } else {
             self.primed = true;
             self.smoothed = score;
             self.pressure_smoothed = pressure;
         }
         if let Some(last) = self.last_transition {
-            if now.saturating_sub(last) < self.policy.dwell {
+            if now.saturating_sub(last) < DWELL {
                 return None;
             }
         }
-        let next = if self.pressure_smoothed > self.policy.shed_above {
+        let next = if self.pressure_smoothed > SHED_ABOVE {
             self.rung.pressured()
         } else if self.rung.is_overloaded() {
-            if self.pressure_smoothed < self.policy.pressure_recover_below {
+            if self.pressure_smoothed < PRESSURE_RECOVER_BELOW {
                 self.rung.recovered()
             } else {
                 self.rung
             }
-        } else if self.smoothed < self.policy.degrade_below {
+        } else if self.smoothed < DEGRADE_BELOW {
             self.rung.degraded()
-        } else if self.smoothed > self.policy.recover_above {
+        } else if self.smoothed > RECOVER_ABOVE {
             self.rung.recovered()
         } else {
             self.rung
@@ -447,57 +376,39 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_validates() {
-        HealthPolicy::default().validate().unwrap();
-    }
-
-    #[test]
-    fn inverted_bands_are_rejected() {
-        let bad = HealthPolicy {
-            degrade_below: 0.8,
-            recover_above: 0.6,
-            ..HealthPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn score_is_one_when_clean_and_low_when_stormy() {
-        let p = HealthPolicy::default();
-        assert_eq!(p.score(&healthy()), 1.0);
-        assert!(p.score(&sick()) < 0.3, "score {}", p.score(&sick()));
+        assert_eq!(score(&healthy()), 1.0);
+        assert!(score(&sick()) < 0.3, "score {}", score(&sick()));
     }
 
     #[test]
     fn ladder_degrades_one_rung_at_a_time() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         let t1 = ladder.observe(&sick(), Cycles::new(1)).unwrap();
         assert_eq!(t1.from, LadderRung::Easing);
         assert_eq!(t1.to, LadderRung::FrozenPredictions);
-        let t2 = ladder.observe(&sick(), Cycles::new(1) + dwell).unwrap();
+        let t2 = ladder.observe(&sick(), Cycles::new(1) + DWELL).unwrap();
         assert_eq!(t2.to, LadderRung::Stock);
         // Already at the bottom: stays put.
         assert!(ladder
-            .observe(&sick(), Cycles::new(1) + dwell * 2)
+            .observe(&sick(), Cycles::new(1) + DWELL * 2)
             .is_none());
         assert_eq!(ladder.rung(), LadderRung::Stock);
     }
 
     #[test]
     fn ladder_recovers_when_health_returns() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         ladder.observe(&sick(), Cycles::new(1));
-        ladder.observe(&sick(), Cycles::new(1) + dwell);
+        ladder.observe(&sick(), Cycles::new(1) + DWELL);
         assert_eq!(ladder.rung(), LadderRung::Stock);
-        let mut now = Cycles::new(1) + dwell * 2;
+        let mut now = Cycles::new(1) + DWELL * 2;
         let mut rungs = vec![];
         for _ in 0..8 {
             if let Some(t) = ladder.observe(&healthy(), now) {
                 rungs.push(t.to);
             }
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(
             rungs,
@@ -508,14 +419,13 @@ mod tests {
 
     #[test]
     fn dwell_blocks_back_to_back_transitions() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         assert!(ladder.observe(&sick(), Cycles::new(1)).is_some());
         // Inside the dwell window nothing moves, however sick.
         assert!(ladder
             .observe(
                 &sick(),
-                Cycles::new(1) + dwell.saturating_sub(Cycles::new(1))
+                Cycles::new(1) + DWELL.saturating_sub(Cycles::new(1))
             )
             .is_none());
         assert_eq!(ladder.rung(), LadderRung::FrozenPredictions);
@@ -524,14 +434,14 @@ mod tests {
     #[test]
     fn hysteresis_band_holds_between_thresholds() {
         // Score landing between the bands moves nothing in either direction.
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
+        let mut ladder = HealthLadder::new();
         let in_band = WindowSample {
             samples: 10,
             samples_lost: 14,
             staleness_frac: 0.5,
             ..healthy()
         };
-        let score = HealthPolicy::default().score(&in_band);
+        let score = score(&in_band);
         assert!(
             score > 0.6 && score < 0.8,
             "fixture must land in the band, got {score}"
@@ -546,7 +456,7 @@ mod tests {
 
     #[test]
     fn json_reports_rung_and_score() {
-        let ladder = HealthLadder::new(HealthPolicy::default());
+        let ladder = HealthLadder::new();
         let json = ladder.to_json();
         assert_eq!(json.get("rung").and_then(Json::as_str), Some("easing"));
         assert_eq!(json.get("transitions").and_then(Json::as_f64), Some(0.0));
@@ -567,23 +477,21 @@ mod tests {
 
     #[test]
     fn pressure_is_zero_without_arrivals_and_high_under_rejections() {
-        let p = HealthPolicy::default();
-        assert_eq!(p.pressure(&healthy()), 0.0);
-        assert_eq!(p.pressure(&sick()), 0.0, "health faults are not pressure");
-        assert!(p.pressure(&overloaded()) > 0.9);
+        assert_eq!(pressure(&healthy()), 0.0);
+        assert_eq!(pressure(&sick()), 0.0, "health faults are not pressure");
+        assert!(pressure(&overloaded()) > 0.9);
     }
 
     #[test]
     fn sustained_pressure_walks_the_ladder_into_brownout() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         let mut now = Cycles::new(1);
         let mut rungs = vec![];
         for _ in 0..8 {
             if let Some(t) = ladder.observe(&overloaded(), now) {
                 rungs.push(t.to);
             }
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(
             rungs,
@@ -600,12 +508,11 @@ mod tests {
 
     #[test]
     fn overload_band_recovers_only_when_pressure_clears() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         let mut now = Cycles::new(1);
         for _ in 0..8 {
             ladder.observe(&overloaded(), now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), LadderRung::Brownout);
         // Healthy but still-pressured windows hold the rung.
@@ -615,15 +522,14 @@ mod tests {
             queue_frac: 0.5,
             ..healthy()
         };
-        let p = HealthPolicy::default();
-        let lp = p.pressure(&lingering);
+        let lp = pressure(&lingering);
         assert!(
-            lp < p.shed_above && lp > p.pressure_recover_below,
+            lp < SHED_ABOVE && lp > PRESSURE_RECOVER_BELOW,
             "fixture must land in the pressure band, got {lp}"
         );
         for _ in 0..6 {
             assert!(ladder.observe(&lingering, now).is_none());
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), LadderRung::Brownout);
         // Pressure clears: one rung back per dwell, through Shed and
@@ -633,7 +539,7 @@ mod tests {
             if let Some(t) = ladder.observe(&healthy(), now) {
                 rungs.push(t.to);
             }
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(
             rungs,
@@ -648,32 +554,16 @@ mod tests {
 
     #[test]
     fn zero_pressure_keeps_stock_as_the_health_floor() {
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
-        let dwell = HealthPolicy::default().dwell;
+        let mut ladder = HealthLadder::new();
         let mut now = Cycles::new(1);
         for _ in 0..10 {
             ladder.observe(&sick(), now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(
             ladder.rung(),
             LadderRung::Stock,
             "health faults alone never reach the overload band"
         );
-    }
-
-    #[test]
-    fn pressure_bands_are_validated() {
-        let bad = HealthPolicy {
-            shed_above: 0.2,
-            pressure_recover_below: 0.5,
-            ..HealthPolicy::default()
-        };
-        assert!(bad.validate().is_err());
-        let nan = HealthPolicy {
-            shed_above: f64::NAN,
-            ..HealthPolicy::default()
-        };
-        assert!(nan.validate().is_err());
     }
 }

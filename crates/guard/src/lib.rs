@@ -25,6 +25,10 @@
 //! * [`fsx`] — crash-safe artifact files: tempfile + atomic-rename writes
 //!   and corrupt-document detection on read.
 //!
+//! Each component's gains, bands and dwell are `const`s in its module
+//! (checked against each other at compile time): no caller varies them,
+//! so the engine arms the whole guard with one switch.
+//!
 //! Everything here is a pure, RNG-free state machine over scalar window
 //! inputs: the kernel (`rbv-os::machine`) owns the feedback loop and
 //! feeds it counter deltas, which keeps this crate below `rbv-os` in the
@@ -43,7 +47,7 @@ pub mod invariant;
 pub mod power;
 
 pub use fsx::{read_document, write_atomic, DocumentError};
-pub use governor::{Governor, GovernorAction, GovernorDecision, GovernorPolicy, WindowSample};
-pub use health::{HealthLadder, HealthPolicy, LadderRung, LadderTransition};
+pub use governor::{Governor, GovernorAction, GovernorDecision, WindowSample};
+pub use health::{HealthLadder, LadderRung, LadderTransition, EASING_ERROR_GATE};
 pub use invariant::{InvariantKind, InvariantMonitor, InvariantTally};
-pub use power::{PowerCapPolicy, PowerLadder, PowerRung, PowerTransition};
+pub use power::{PowerLadder, PowerRung, PowerTransition};

@@ -10,17 +10,16 @@
 //! hysteresis-plus-dwell machinery as the measurement-health ladder:
 //!
 //! 1. [`PowerRung::Nominal`] — full frequency, every core available;
-//! 2. [`PowerRung::FreqCap`] — every core capped at
-//!    [`PowerCapPolicy::cap_pstate`], a mild cut that sheds heat while
-//!    costing far less CPI than the firmware clamp; engages when the
-//!    smoothed pressure crosses [`PowerCapPolicy::engage_above`];
+//! 2. [`PowerRung::FreqCap`] — every core capped at [`CAP_PSTATE`], a
+//!    mild cut that sheds heat while costing far less CPI than the
+//!    firmware clamp; engages when the smoothed pressure crosses
+//!    [`ENGAGE_ABOVE`];
 //! 3. [`PowerRung::CorePark`] — the emergency rung: the frequency cap
 //!    stays and the hottest core is parked (no new placements), trading
 //!    capacity for thermal headroom. Reserved for extreme pressure
-//!    ([`PowerCapPolicy::park_above`], default 1.0 — a core at or past
-//!    the firmware cap itself), because parking costs a quarter of the
-//!    machine and sustained-but-contained heat is better answered by
-//!    the cap alone.
+//!    ([`PARK_ABOVE`], 1.0 — a core at or past the firmware cap itself),
+//!    because parking costs a quarter of the machine and
+//!    sustained-but-contained heat is better answered by the cap alone.
 //!
 //! The ladder is a pure state machine over a scalar input: the kernel
 //! computes the pressure from its per-core thermal state and feeds it in
@@ -35,7 +34,7 @@ use rbv_telemetry::Json;
 pub enum PowerRung {
     /// Full frequency, every core available.
     Nominal,
-    /// Every core capped at the policy's cap P-state.
+    /// Every core capped at [`CAP_PSTATE`].
     FreqCap,
     /// Frequency cap plus the hottest core parked.
     CorePark,
@@ -84,88 +83,32 @@ impl PowerRung {
     }
 }
 
-/// Bands, dwell, and cap level of the power-capping ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerCapPolicy {
-    /// Degrade one rung when the smoothed thermal pressure rises above
-    /// this.
-    pub engage_above: f64,
-    /// Recover one rung when the smoothed pressure falls below this; must
-    /// sit below `engage_above` (the gap is the hysteresis band).
-    pub recover_below: f64,
-    /// Enter the core-parking emergency rung only at or above this
-    /// smoothed pressure; must sit above `engage_above`. The default 1.0
-    /// means "some core is at or past the firmware cap" — anything less
-    /// is answered by the frequency cap alone.
-    pub park_above: f64,
-    /// Minimum simulated time between two ladder transitions.
-    pub dwell: Cycles,
-    /// Smoothing factor for the pressure EWMA (weight of the new window).
-    pub alpha: f64,
-    /// The P-state index every core is capped at on the capping rungs —
-    /// a mild cut (not the firmware clamp's slowest state).
-    pub cap_pstate: usize,
-}
+/// Degrade one rung when the smoothed thermal pressure rises above this.
+pub const ENGAGE_ABOVE: f64 = 0.55;
+/// Recover one rung when the smoothed pressure falls below this; the gap
+/// below [`ENGAGE_ABOVE`] is the hysteresis band.
+pub const RECOVER_BELOW: f64 = 0.4;
+/// Enter the core-parking emergency rung only at or above this smoothed
+/// pressure: 1.0 means "some core is at or past the firmware cap" —
+/// anything less is answered by the frequency cap alone.
+pub const PARK_ABOVE: f64 = 1.0;
+/// Minimum simulated time between two ladder transitions.
+pub const DWELL: Cycles = Cycles::from_millis(1);
+/// Smoothing factor for the pressure EWMA (weight of the new window).
+pub const ALPHA: f64 = 0.5;
+/// The P-state index every core is capped at on the capping rungs — a
+/// mild cut, not the firmware clamp's slowest state. P-state 3 (0.7×)
+/// under the paper-default ladder is deep enough that a capped core's
+/// heatwave steady state sits below the firmware cap, and mild enough
+/// to beat the clamp.
+pub const CAP_PSTATE: usize = 3;
 
-impl Default for PowerCapPolicy {
-    fn default() -> PowerCapPolicy {
-        PowerCapPolicy {
-            engage_above: 0.55,
-            recover_below: 0.4,
-            park_above: 1.0,
-            dwell: Cycles::from_millis(1),
-            alpha: 0.5,
-            // P-state 3 (0.7×) under the paper-default ladder: deep
-            // enough that a capped core's heatwave steady state sits
-            // below the firmware cap, mild enough to beat the clamp.
-            cap_pstate: 3,
-        }
-    }
-}
-
-impl PowerCapPolicy {
-    /// Validates field ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first out-of-range field.
-    // Negated comparisons are deliberate: `!(x > 0.0)` rejects NaN along
-    // with out-of-range values, which `x <= 0.0` would silently admit.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.engage_above > 0.0 && self.engage_above < 1.0) {
-            return Err(format!(
-                "power cap engage_above must be in (0, 1), got {}",
-                self.engage_above
-            ));
-        }
-        if !(self.recover_below > 0.0 && self.recover_below < self.engage_above) {
-            return Err(format!(
-                "power cap recover_below must be in (0, engage_above), got {}",
-                self.recover_below
-            ));
-        }
-        if !(self.park_above > self.engage_above) {
-            return Err(format!(
-                "power cap park_above must sit above engage_above, got {}",
-                self.park_above
-            ));
-        }
-        if self.dwell.is_zero() {
-            return Err("power cap dwell must be nonzero".into());
-        }
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!(
-                "power cap alpha must be in (0, 1], got {}",
-                self.alpha
-            ));
-        }
-        if self.cap_pstate == 0 {
-            return Err("power cap cap_pstate must be a slowed state (not 0)".into());
-        }
-        Ok(())
-    }
-}
+const _: () = assert!(ENGAGE_ABOVE > 0.0 && ENGAGE_ABOVE < 1.0);
+const _: () = assert!(RECOVER_BELOW > 0.0 && RECOVER_BELOW < ENGAGE_ABOVE);
+const _: () = assert!(PARK_ABOVE > ENGAGE_ABOVE);
+const _: () = assert!(!DWELL.is_zero());
+const _: () = assert!(ALPHA > 0.0 && ALPHA <= 1.0);
+const _: () = assert!(CAP_PSTATE > 0);
 
 /// A power-ladder transition, as reported to telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,7 +124,6 @@ pub struct PowerTransition {
 /// The power-capping ladder state machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerLadder {
-    policy: PowerCapPolicy,
     rung: PowerRung,
     smoothed: f64,
     primed: bool,
@@ -189,11 +131,16 @@ pub struct PowerLadder {
     transitions: u64,
 }
 
+impl Default for PowerLadder {
+    fn default() -> PowerLadder {
+        PowerLadder::new()
+    }
+}
+
 impl PowerLadder {
     /// Builds a ladder starting on the coolest rung.
-    pub fn new(policy: PowerCapPolicy) -> PowerLadder {
+    pub fn new() -> PowerLadder {
         PowerLadder {
-            policy,
             rung: PowerRung::Nominal,
             smoothed: 0.0,
             primed: false,
@@ -205,11 +152,6 @@ impl PowerLadder {
     /// The current rung.
     pub fn rung(&self) -> PowerRung {
         self.rung
-    }
-
-    /// The policy this ladder runs.
-    pub fn policy(&self) -> &PowerCapPolicy {
-        &self.policy
     }
 
     /// The smoothed thermal pressure (0 before any observation).
@@ -224,30 +166,28 @@ impl PowerLadder {
 
     /// Folds one window's thermal pressure into the EWMA and moves at
     /// most one rung toward the rung the pressure calls for — but never
-    /// within [`PowerCapPolicy::dwell`] of the previous transition, and
-    /// never while the pressure sits inside the hysteresis band. The
-    /// park rung is reachable only at or above
-    /// [`PowerCapPolicy::park_above`]; once the pressure falls back
-    /// under it the ladder un-parks to the frequency cap.
+    /// within [`DWELL`] of the previous transition, and never while the
+    /// pressure sits inside the hysteresis band. The park rung is
+    /// reachable only at or above [`PARK_ABOVE`]; once the pressure falls
+    /// back under it the ladder un-parks to the frequency cap.
     pub fn observe(&mut self, pressure: f64, now: Cycles) -> Option<PowerTransition> {
         let pressure = pressure.clamp(0.0, 2.0);
         if self.primed {
-            self.smoothed =
-                (1.0 - self.policy.alpha) * self.smoothed + self.policy.alpha * pressure;
+            self.smoothed = (1.0 - ALPHA) * self.smoothed + ALPHA * pressure;
         } else {
             self.primed = true;
             self.smoothed = pressure;
         }
         if let Some(last) = self.last_transition {
-            if now.saturating_sub(last) < self.policy.dwell {
+            if now.saturating_sub(last) < DWELL {
                 return None;
             }
         }
-        let desired = if self.smoothed >= self.policy.park_above {
+        let desired = if self.smoothed >= PARK_ABOVE {
             PowerRung::CorePark
-        } else if self.smoothed > self.policy.engage_above {
+        } else if self.smoothed > ENGAGE_ABOVE {
             PowerRung::FreqCap
-        } else if self.smoothed < self.policy.recover_below {
+        } else if self.smoothed < RECOVER_BELOW {
             PowerRung::Nominal
         } else {
             // Inside the hysteresis band: hold whatever rung we're on.
@@ -287,61 +227,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_validates() {
-        PowerCapPolicy::default().validate().unwrap();
-    }
-
-    #[test]
-    fn bad_fields_are_rejected() {
-        for bad in [
-            PowerCapPolicy {
-                engage_above: 1.0,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                recover_below: 0.6,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                park_above: 0.5,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                park_above: f64::NAN,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                dwell: Cycles::ZERO,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                alpha: 0.0,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                cap_pstate: 0,
-                ..PowerCapPolicy::default()
-            },
-            PowerCapPolicy {
-                engage_above: f64::NAN,
-                ..PowerCapPolicy::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should not validate");
-        }
-    }
-
-    #[test]
     fn extreme_heat_walks_down_one_rung_per_dwell() {
-        let mut ladder = PowerLadder::new(PowerCapPolicy::default());
-        let dwell = PowerCapPolicy::default().dwell;
+        let mut ladder = PowerLadder::new();
         let mut now = Cycles::new(1);
         let mut rungs = vec![];
         for _ in 0..6 {
             if let Some(t) = ladder.observe(1.5, now) {
                 rungs.push(t.to);
             }
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(rungs, vec![PowerRung::FreqCap, PowerRung::CorePark]);
         assert_eq!(ladder.rung(), PowerRung::CorePark);
@@ -354,36 +248,34 @@ mod tests {
         // Pressure above engage but below park: the ladder caps and
         // holds — parking a quarter of the machine needs a core at or
         // past the firmware cap, not just sustained warmth.
-        let mut ladder = PowerLadder::new(PowerCapPolicy::default());
-        let dwell = PowerCapPolicy::default().dwell;
+        let mut ladder = PowerLadder::new();
         let mut now = Cycles::new(1);
         for _ in 0..6 {
             ladder.observe(0.95, now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), PowerRung::FreqCap);
         // A core crossing the firmware cap escalates; falling back under
         // the park threshold un-parks to the cap rung.
         for _ in 0..4 {
             ladder.observe(1.2, now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), PowerRung::CorePark);
         for _ in 0..4 {
             ladder.observe(0.9, now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), PowerRung::FreqCap);
     }
 
     #[test]
     fn hysteresis_band_holds_and_cooling_recovers() {
-        let mut ladder = PowerLadder::new(PowerCapPolicy::default());
-        let dwell = PowerCapPolicy::default().dwell;
+        let mut ladder = PowerLadder::new();
         let mut now = Cycles::new(1);
         for _ in 0..4 {
             ladder.observe(1.5, now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), PowerRung::CorePark);
         // In-band raw pressure: the smoothed signal decays below the
@@ -391,13 +283,13 @@ mod tests {
         // inside the hysteresis band, where the cap holds.
         for _ in 0..6 {
             ladder.observe(0.5, now);
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.rung(), PowerRung::FreqCap);
         let settled = ladder.transitions();
         for _ in 0..4 {
             assert!(ladder.observe(0.5, now).is_none(), "in-band must hold");
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(ladder.transitions(), settled);
         // Cool pressure recovers the last rung.
@@ -406,7 +298,7 @@ mod tests {
             if let Some(t) = ladder.observe(0.05, now) {
                 rungs.push(t.to);
             }
-            now += dwell;
+            now += DWELL;
         }
         assert_eq!(rungs, vec![PowerRung::Nominal]);
         assert_eq!(ladder.rung(), PowerRung::Nominal);
@@ -414,7 +306,7 @@ mod tests {
 
     #[test]
     fn dwell_blocks_back_to_back_transitions() {
-        let mut ladder = PowerLadder::new(PowerCapPolicy::default());
+        let mut ladder = PowerLadder::new();
         assert!(ladder.observe(1.0, Cycles::new(1)).is_some());
         assert!(ladder.observe(1.0, Cycles::new(2)).is_none());
         assert_eq!(ladder.rung(), PowerRung::FreqCap);
@@ -435,7 +327,7 @@ mod tests {
 
     #[test]
     fn json_reports_rung_and_pressure() {
-        let ladder = PowerLadder::new(PowerCapPolicy::default());
+        let ladder = PowerLadder::new();
         let json = ladder.to_json();
         assert_eq!(json.get("rung").and_then(Json::as_str), Some("nominal"));
         assert_eq!(json.get("transitions").and_then(Json::as_f64), Some(0.0));

@@ -18,10 +18,8 @@
 
 use proptest::prelude::*;
 
-use rbv_guard::{
-    HealthLadder, HealthPolicy, LadderRung, PowerCapPolicy, PowerLadder, PowerRung, WindowSample,
-};
-use rbv_os::{run_simulation, GovernorPolicy, RunResult, SimConfig};
+use rbv_guard::{health, HealthLadder, LadderRung, PowerLadder, PowerRung, WindowSample};
+use rbv_os::{run_simulation, RunResult, SimConfig, DO_NO_HARM_BUDGET};
 use rbv_sim::Cycles;
 use rbv_workloads::{factory_for, AppId};
 
@@ -29,7 +27,7 @@ fn storm_run(app: AppId, seed: u64, faults: rbv_os::MeasurementFaults, n: usize)
     let mut cfg = SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
     cfg.seed = seed;
     cfg.faults = faults;
-    cfg.governor = Some(GovernorPolicy::default());
+    cfg.guard = true;
     let mut factory = factory_for(app, seed, 1.0);
     run_simulation(cfg, factory.as_mut(), n).expect("valid governed config")
 }
@@ -63,7 +61,7 @@ proptest! {
             "breach streak {} exceeds the one-window correction lag",
             s.governor_max_breach_streak
         );
-        let budget = GovernorPolicy::default().budget_frac;
+        let budget = DO_NO_HARM_BUDGET;
         prop_assert!(
             s.governor_overhead_frac <= budget + s.governor_slack_frac + 1e-9,
             "cumulative overhead {:.5} above budget {:.3} + slack {:.5}",
@@ -86,9 +84,8 @@ proptest! {
         ),
         step_micros in 20u64..400,
     ) {
-        let policy = HealthPolicy::default();
-        let dwell = policy.dwell;
-        let mut ladder = HealthLadder::new(policy);
+        let dwell = health::DWELL;
+        let mut ladder = HealthLadder::new();
         let step = Cycles::from_micros(step_micros);
         let mut now = Cycles::ZERO;
         let mut last_transition_at: Option<Cycles> = None;
@@ -137,10 +134,9 @@ proptest! {
         ]),
         noises in prop::collection::vec(0.0f64..1.0, 1..30),
     ) {
-        let policy = HealthPolicy::default();
-        let (lo, hi) = (policy.degrade_below, policy.recover_above);
-        let noise_ref = policy.noise_ref;
-        let mut ladder = HealthLadder::new(policy);
+        let (lo, hi) = (health::DEGRADE_BELOW, health::RECOVER_ABOVE);
+        let noise_ref = health::NOISE_REF;
+        let mut ladder = HealthLadder::new();
         let mut now = Cycles::ZERO;
         // Walk the ladder to the starting rung with decisively sick
         // windows, then clear the dwell.
@@ -207,7 +203,7 @@ proptest! {
         thermal_pressures in prop::collection::vec(0.6f64..2.0, 1..20),
     ) {
         // Health ladder: arbitrary sustained overload, then calm.
-        let mut ladder = HealthLadder::new(HealthPolicy::default());
+        let mut ladder = HealthLadder::new();
         let mut now = Cycles::ZERO;
         let hot = WindowSample {
             busy_cycles: 1e6,
@@ -247,7 +243,7 @@ proptest! {
 
         // Power ladder: arbitrary thermal-pressure history (including
         // readings past the firmware cap), then cool readings.
-        let mut power = PowerLadder::new(PowerCapPolicy::default());
+        let mut power = PowerLadder::new();
         let mut pnow = Cycles::ZERO;
         for pressure in thermal_pressures {
             pnow += Cycles::from_millis(2);

@@ -97,7 +97,7 @@ fn stage_easing(
     cfg.scheduler = SchedulerPolicy::ContentionEasing {
         high_usage_threshold: standard.easing_threshold(),
     };
-    cfg.easing_error_gate = Some(0.35);
+    cfg.easing_error_gate = Some(rbv_os::EASING_ERROR_GATE);
     let eased = run(cfg, app, seed, n)?;
     profiler.stop(timer);
     Ok(eased)
@@ -217,17 +217,14 @@ fn stage_energy(
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: threshold,
             };
-            cfg.easing_error_gate = Some(0.35);
+            cfg.easing_error_gate = Some(rbv_os::EASING_ERROR_GATE);
         }
         if mode == 2 {
-            let governor = rbv_os::GovernorPolicy {
-                power_cap: Some(rbv_os::PowerCapPolicy::default()),
-                ..rbv_os::GovernorPolicy::default()
-            };
             // The ladder supersedes the one-shot gate (as in the
-            // governed storm).
+            // governed storm); with the power model on, the guard also
+            // runs its power-capping ladder.
             cfg.easing_error_gate = None;
-            cfg.governor = Some(governor);
+            cfg.guard = true;
         }
         run(cfg, app, seed ^ 0xE76, n)
     };

@@ -25,8 +25,8 @@
 use rbv_os::{
     joules, run_simulation, run_simulation_streaming, run_simulation_streaming_traced,
     ArrivalProcess, ClientPolicy, CompletedRequest, CompletionSink, EnergyStats, FailReason,
-    FailedRequest, GovernorPolicy, LadderRung, OverloadPolicy, PowerCapPolicy, PowerPolicy,
-    PowerRung, QueueDiscipline, RbvError, ShedPolicy, SimConfig, ThermalFaults,
+    FailedRequest, LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline, RbvError,
+    ShedPolicy, SimConfig, ThermalFaults,
 };
 use rbv_sim::{rng, Cycles};
 use rbv_telemetry::{Json, QuantileSketch};
@@ -271,13 +271,7 @@ fn shard_config(spec: &ServeSpec, mean_service: f64, shard_seed: u64) -> SimConf
             retry_backoff: cycles_at_least_one(mean_service),
         });
     }
-    if spec.guard {
-        let mut governor = GovernorPolicy::default();
-        if spec.power {
-            governor.power_cap = Some(PowerCapPolicy::default());
-        }
-        cfg.governor = Some(governor);
-    }
+    cfg.guard = spec.guard;
     if spec.power {
         cfg.power = Some(PowerPolicy::paper_default());
         if spec.thermal {

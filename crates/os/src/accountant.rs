@@ -19,8 +19,9 @@ use crate::result::RunStats;
 use rbv_telemetry::Json;
 
 /// "Do no harm" budget: sampling may spend at most this fraction of the
-/// workload's busy cycles (§3.4).
-pub const DO_NO_HARM_BUDGET: f64 = 0.01;
+/// workload's busy cycles (§3.4). The same budget the guard's sampling
+/// governor enforces per accounting window.
+pub const DO_NO_HARM_BUDGET: f64 = rbv_guard::governor::BUDGET_FRAC;
 
 /// The priced cost of one sampling mode over a run.
 #[derive(Debug, Clone, Copy, PartialEq)]

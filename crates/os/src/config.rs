@@ -3,7 +3,6 @@
 
 use std::collections::HashSet;
 
-use rbv_guard::GovernorPolicy;
 use rbv_mem::MachineSpec;
 use rbv_sim::Cycles;
 use rbv_workloads::SyscallName;
@@ -455,11 +454,12 @@ pub struct SimConfig {
     pub easing_error_gate: Option<f64>,
     /// Runtime guardrails (`rbv-guard`): the adaptive do-no-harm sampling
     /// governor, the measurement-health degradation ladder (which
-    /// supersedes [`SimConfig::easing_error_gate`] while enabled), and
-    /// the online invariant monitor. `None` (the default) schedules no
-    /// governor ticks and leaves the engine's event stream bit-identical
-    /// to an ungoverned build.
-    pub governor: Option<GovernorPolicy>,
+    /// supersedes [`SimConfig::easing_error_gate`] while enabled), the
+    /// online invariant monitor, and — with [`SimConfig::power`] also
+    /// set — the power-capping ladder. `false` (the default) schedules
+    /// no guard ticks and leaves the engine's event stream bit-identical
+    /// to an unguarded build.
+    pub guard: bool,
     /// Per-core DVFS/power/thermal model (`rbv-power`): a discrete
     /// P-state frequency ladder, a fixed-point energy accumulator, RC
     /// heating/cooling, and firmware thermal throttling. `None` (the
@@ -497,7 +497,7 @@ impl SimConfig {
             faults: MeasurementFaults::none(),
             overload: None,
             easing_error_gate: None,
-            governor: None,
+            guard: false,
             power: None,
             thermal_faults: None,
             seed: 0,
@@ -659,9 +659,6 @@ impl SimConfig {
         self.faults.validate()?;
         if let Some(overload) = &self.overload {
             overload.validate()?;
-        }
-        if let Some(governor) = &self.governor {
-            governor.validate().map_err(RbvError::Config)?;
         }
         if let Some(power) = &self.power {
             power.validate().map_err(RbvError::Config)?;

@@ -58,8 +58,8 @@ pub use config::{
     ArrivalProcess, ClientPolicy, MeasurementFaults, OverloadPolicy, QueueDiscipline,
     SamplingPolicy, SchedulerPolicy, ShedPolicy, SimConfig,
 };
-// Guard re-exports so callers configuring `SimConfig::governor` need not
-// depend on `rbv-guard` directly.
+// Guard re-exports so callers arming `SimConfig::guard` need not depend
+// on `rbv-guard` directly.
 pub use error::RbvError;
 pub use machine::{
     run_simulation, run_simulation_streaming, run_simulation_streaming_traced,
@@ -67,10 +67,10 @@ pub use machine::{
 };
 pub use observer::{measure_sampling_cost, SampleCost, SampleMode, SamplingContext};
 pub use projection::PlatformProjection;
-pub use rbv_guard::{GovernorPolicy, HealthPolicy, InvariantKind, LadderRung};
+pub use rbv_guard::{InvariantKind, LadderRung, EASING_ERROR_GATE};
 // Power re-exports so callers configuring `SimConfig::power` and
 // `SimConfig::thermal_faults` need not depend on `rbv-power` directly.
-pub use rbv_guard::{PowerCapPolicy, PowerRung};
+pub use rbv_guard::PowerRung;
 pub use rbv_power::{joules, PowerPolicy, ThermalFaults};
 pub use result::{
     easing_threshold, CompletedRequest, EnergyStats, FailReason, FailedRequest, RunResult,

@@ -44,7 +44,7 @@ use std::collections::VecDeque;
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_core::series::{Metric, SamplePeriod, Timeline};
 use rbv_guard::{
-    Governor, GovernorAction, GovernorPolicy, HealthLadder, InvariantMonitor, LadderRung,
+    governor, health, Governor, GovernorAction, HealthLadder, InvariantMonitor, LadderRung,
     PowerLadder, WindowSample,
 };
 use rbv_mem::{ContentionSolver, PerfEstimate, SegmentProfile};
@@ -333,7 +333,7 @@ enum Event {
     /// Guard accounting-window boundary: the governor reads the window's
     /// observer costs, the health ladder rescores, and the invariant
     /// monitor runs its checks. Never scheduled when
-    /// [`SimConfig::governor`] is `None`.
+    /// [`SimConfig::guard`] is off.
     GuardTick,
 }
 
@@ -407,12 +407,11 @@ impl LiveRequest {
 /// in its own struct so `on_guard_tick` can `take()` it while borrowing
 /// the rest of the engine.
 struct GuardState {
-    policy: GovernorPolicy,
     governor: Governor,
     ladder: HealthLadder,
     monitor: InvariantMonitor,
-    /// Power-capping ladder, armed by [`GovernorPolicy::power_cap`]. Only
-    /// acts when the engine also has a power model to read pressure from.
+    /// Power-capping ladder, armed exactly when the engine also has a
+    /// power model to read thermal pressure from.
     power_ladder: Option<PowerLadder>,
     /// Core parked by the ladder's emergency rung: chosen as the hottest
     /// core at the instant the ladder enters the park rung, and latched
@@ -432,14 +431,13 @@ struct GuardState {
 }
 
 impl GuardState {
-    fn new(policy: GovernorPolicy) -> GuardState {
+    fn new(powered: bool) -> GuardState {
         GuardState {
-            governor: Governor::new(&policy),
-            ladder: HealthLadder::new(policy.health.clone()),
+            governor: Governor::new(),
+            ladder: HealthLadder::new(),
             monitor: InvariantMonitor::new(),
-            power_ladder: policy.power_cap.clone().map(PowerLadder::new),
+            power_ladder: powered.then(PowerLadder::new),
             parked: None,
-            policy,
             win_start: Cycles::ZERO,
             base_busy: 0.0,
             base_sampling: 0.0,
@@ -560,7 +558,7 @@ impl<'s> Engine<'s> {
     fn new(cfg: SimConfig, target: usize, sink: Option<&'s mut dyn TraceSink>) -> Engine<'s> {
         let cores = cfg.machine.topology.cores;
         let seed = cfg.seed;
-        let guard = cfg.governor.clone().map(GuardState::new);
+        let guard = cfg.guard.then(|| GuardState::new(cfg.power.is_some()));
         let power = cfg.power.clone().map(|policy| PowerState {
             faults: cfg
                 .thermal_faults
@@ -646,9 +644,9 @@ impl<'s> Engine<'s> {
             ArrivalProcess::External => {}
         }
         self.flush_rates();
-        if let Some(guard) = &self.guard {
+        if self.guard.is_some() {
             self.queue
-                .schedule_after(guard.policy.window, Event::GuardTick);
+                .schedule_after(governor::WINDOW, Event::GuardTick);
         }
     }
 
@@ -810,7 +808,7 @@ impl<'s> Engine<'s> {
             && self
                 .guard
                 .as_ref()
-                .is_some_and(|g| g.policy.ladder && g.ladder.rung() == LadderRung::Brownout)
+                .is_some_and(|g| g.ladder.rung() == LadderRung::Brownout)
             && mix64(self.cfg.seed ^ 0xb407 ^ (id as u64)) & 1 == 0
         {
             self.fail_request(id, self.queue.now(), FailReason::BrownoutReject, factory);
@@ -1127,7 +1125,7 @@ impl<'s> Engine<'s> {
     fn shed_rung_active(&self) -> bool {
         self.guard
             .as_ref()
-            .is_some_and(|g| g.policy.ladder && g.ladder.rung().is_overloaded())
+            .is_some_and(|g| g.ladder.rung().is_overloaded())
     }
 
     /// The least-loaded core, skipping a parked one; ties go to the lowest
@@ -1299,15 +1297,13 @@ impl<'s> Engine<'s> {
         let Some(ps) = &mut self.power else {
             return;
         };
-        let cap = self.guard.as_ref().and_then(|g| {
-            g.power_ladder
-                .as_ref()
-                .filter(|l| l.rung().caps_frequency())
-                .map(|l| l.policy().cap_pstate)
-        });
+        let cap = match self.guard.as_ref().and_then(|g| g.power_ladder.as_ref()) {
+            Some(ladder) if ladder.rung().caps_frequency() => rbv_guard::power::CAP_PSTATE,
+            _ => 0,
+        };
         let now = self.queue.now();
         for c in 0..self.cores.len() {
-            let effective = ps.cores[c].effective_pstate(&ps.policy, cap.unwrap_or(0));
+            let effective = ps.cores[c].effective_pstate(&ps.policy, cap);
             ps.slice_pstate[c] = effective;
             ps.slice_act_milli[c] = match self.rates[c].as_mut() {
                 Some(rate) => {
@@ -1567,8 +1563,7 @@ impl<'s> Engine<'s> {
         // its lower rungs freeze predictor training. A governed run
         // tracks prediction error even without a configured gate — it is
         // the ladder's counter-noise input.
-        let ladder_active = self.guard.as_ref().is_some_and(|g| g.policy.ladder);
-        let gate_cfg = if ladder_active {
+        let gate_cfg = if self.guard.is_some() {
             None
         } else {
             self.cfg.easing_error_gate
@@ -1908,7 +1903,7 @@ impl<'s> Engine<'s> {
             .max()
         {
             Some(last) => {
-                (now.saturating_sub(last).as_f64() / guard.policy.window.as_f64()).clamp(0.0, 1.0)
+                (now.saturating_sub(last).as_f64() / governor::WINDOW.as_f64()).clamp(0.0, 1.0)
             }
             None => 0.0,
         };
@@ -1945,21 +1940,19 @@ impl<'s> Engine<'s> {
                     action: decision.action.label().to_string(),
                     scale: decision.scale,
                     overhead_frac: decision.overhead_frac,
-                    budget_frac: guard.governor.budget_frac(),
+                    budget_frac: governor::BUDGET_FRAC,
                 });
             }
         }
 
-        if guard.policy.ladder {
-            if let Some(t) = guard.ladder.observe(&window, now) {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record(TraceEvent::HealthTransition {
-                        ts: now,
-                        from: t.from.label().to_string(),
-                        to: t.to.label().to_string(),
-                        score: t.score,
-                    });
-                }
+        if let Some(t) = guard.ladder.observe(&window, now) {
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink.record(TraceEvent::HealthTransition {
+                    ts: now,
+                    from: t.from.label().to_string(),
+                    to: t.to.label().to_string(),
+                    score: t.score,
+                });
             }
         }
 
@@ -2004,65 +1997,63 @@ impl<'s> Engine<'s> {
             guard.parked = parked;
         }
 
-        if guard.policy.invariants {
-            let live = self.live.iter().filter(|l| l.is_some()).count() as u64;
-            let before = guard.monitor.violations_total();
-            guard.monitor.check_request_conservation(
-                self.generated as u64,
-                live,
-                self.n_completed as u64,
-                self.n_failed as u64,
-                0,
-            );
+        let live = self.live.iter().filter(|l| l.is_some()).count() as u64;
+        let before = guard.monitor.violations_total();
+        guard.monitor.check_request_conservation(
+            self.generated as u64,
+            live,
+            self.n_completed as u64,
+            self.n_failed as u64,
+            0,
+        );
+        guard
+            .monitor
+            .check_clock_monotonic(guard.win_start.get(), now.get());
+        guard.monitor.check_counter_monotonic(
+            "busy_cycles",
+            guard.base_busy,
+            self.stats.busy_cycles,
+        );
+        guard
+            .monitor
+            .check_counter_monotonic("sampling_cycles", guard.base_sampling, priced);
+        guard.monitor.check_quantum_accounting(
+            window.busy_cycles,
+            now.saturating_sub(guard.win_start).get(),
+            self.cores.len() as u64,
+        );
+        guard
+            .monitor
+            .check_non_negative_slack(guard.governor.max_breach_streak());
+        if let Some(ps) = &self.power {
+            let core_sum: u128 = ps.cores.iter().map(|c| c.energy_uw_cycles).sum();
             guard
                 .monitor
-                .check_clock_monotonic(guard.win_start.get(), now.get());
-            guard.monitor.check_counter_monotonic(
-                "busy_cycles",
-                guard.base_busy,
-                self.stats.busy_cycles,
-            );
-            guard
-                .monitor
-                .check_counter_monotonic("sampling_cycles", guard.base_sampling, priced);
-            guard.monitor.check_quantum_accounting(
-                window.busy_cycles,
-                now.saturating_sub(guard.win_start).get(),
-                self.cores.len() as u64,
-            );
-            guard
-                .monitor
-                .check_non_negative_slack(guard.governor.max_breach_streak());
-            if let Some(ps) = &self.power {
-                let core_sum: u128 = ps.cores.iter().map(|c| c.energy_uw_cycles).sum();
-                guard
-                    .monitor
-                    .check_energy_conservation(core_sum, ps.total_uw_cycles);
-                for c in 0..ps.cores.len() {
-                    let pstate = ps.slice_pstate[c];
-                    guard.monitor.check_frequency_bounds(
-                        c as u64,
-                        pstate as u64,
-                        ps.policy.pstates() as u64,
-                        u64::from(ps.policy.ratio_milli(pstate)),
-                    );
-                }
-                let engages: u64 = ps.cores.iter().map(|c| c.throttle_engages).sum();
-                let releases: u64 = ps.cores.iter().map(|c| c.throttle_releases).sum();
-                let throttled = ps.cores.iter().filter(|c| c.throttled).count() as u64;
-                guard
-                    .monitor
-                    .check_throttle_conservation(engages, releases, throttled);
+                .check_energy_conservation(core_sum, ps.total_uw_cycles);
+            for c in 0..ps.cores.len() {
+                let pstate = ps.slice_pstate[c];
+                guard.monitor.check_frequency_bounds(
+                    c as u64,
+                    pstate as u64,
+                    ps.policy.pstates() as u64,
+                    u64::from(ps.policy.ratio_milli(pstate)),
+                );
             }
-            if guard.monitor.violations_total() > before {
-                if let Some((kind, detail)) = guard.monitor.last_violation() {
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.record(TraceEvent::InvariantViolation {
-                            ts: now,
-                            invariant: kind.label().to_string(),
-                            detail: detail.to_string(),
-                        });
-                    }
+            let engages: u64 = ps.cores.iter().map(|c| c.throttle_engages).sum();
+            let releases: u64 = ps.cores.iter().map(|c| c.throttle_releases).sum();
+            let throttled = ps.cores.iter().filter(|c| c.throttled).count() as u64;
+            guard
+                .monitor
+                .check_throttle_conservation(engages, releases, throttled);
+        }
+        if guard.monitor.violations_total() > before {
+            if let Some((kind, detail)) = guard.monitor.last_violation() {
+                if let Some(sink) = self.sink.as_deref_mut() {
+                    sink.record(TraceEvent::InvariantViolation {
+                        ts: now,
+                        invariant: kind.label().to_string(),
+                        detail: detail.to_string(),
+                    });
                 }
             }
         }
@@ -2079,7 +2070,7 @@ impl<'s> Engine<'s> {
 
         if reschedule {
             self.queue
-                .schedule_after(guard.policy.window, Event::GuardTick);
+                .schedule_after(governor::WINDOW, Event::GuardTick);
         }
         self.guard = Some(guard);
     }
@@ -2278,13 +2269,11 @@ impl<'s> Engine<'s> {
     /// ladder the one-shot prediction-confidence gate decides.
     fn easing_gated(&self) -> bool {
         if let Some(guard) = &self.guard {
-            if guard.policy.ladder {
-                // Stock and every overload rung below it suspend easing.
-                if guard.ladder.rung().index() >= LadderRung::Stock.index() {
-                    return true;
-                }
-                return self.pred_err_primed && self.pred_err > guard.policy.health.noise_ref;
+            // Stock and every overload rung below it suspend easing.
+            if guard.ladder.rung().index() >= LadderRung::Stock.index() {
+                return true;
             }
+            return self.pred_err_primed && self.pred_err > health::NOISE_REF;
         }
         self.cfg.easing_error_gate.is_some() && self.gate_engaged
     }
@@ -2295,7 +2284,7 @@ impl<'s> Engine<'s> {
     fn predictions_frozen(&self) -> bool {
         self.guard
             .as_ref()
-            .is_some_and(|g| g.policy.ladder && g.ladder.rung() != LadderRung::Easing)
+            .is_some_and(|g| g.ladder.rung() != LadderRung::Easing)
     }
 
     /// Dequeues the next request for `core`, shedding CoDel casualties on
@@ -2816,19 +2805,10 @@ mod tests {
     fn power_capping_ladder_engages_under_storm() {
         // Defended: guard power-capping rungs react to smoothed thermal
         // pressure well before the firmware cap.
-        let governor = GovernorPolicy {
-            power_cap: Some(rbv_guard::PowerCapPolicy {
-                engage_above: 0.3,
-                recover_below: 0.2,
-                dwell: Cycles::from_micros(250),
-                ..rbv_guard::PowerCapPolicy::default()
-            }),
-            ..GovernorPolicy::default()
-        };
         let cfg = SimConfig {
             power: Some(touchy_power()),
             thermal_faults: Some(rbv_power::ThermalFaults::storm(42)),
-            governor: Some(governor),
+            guard: true,
             ..SimConfig::paper_default()
         };
         let r = small_run(cfg, AppId::Tpcc, 40);
@@ -3241,14 +3221,12 @@ mod fault_and_overload_tests {
             max_retries: 1,
             retry_backoff: Cycles::from_micros(50),
         });
-        let mut governor = GovernorPolicy::default();
-        // The default 2 ms dwell spaces rungs further apart than this
-        // short run; a tighter dwell lets the descent reach brownout.
-        governor.health.dwell = Cycles::from_micros(300);
-        cfg.governor = Some(governor);
+        cfg.guard = true;
         let mut sink = rbv_telemetry::MemorySink::new();
         let mut f = Tpcc::new(13, 0.05);
-        let r = run_simulation_traced(cfg, &mut f, 800, &mut sink).expect("valid");
+        // Long enough for the descent to reach brownout at one rung per
+        // 2 ms dwell.
+        let r = run_simulation_traced(cfg, &mut f, 1600, &mut sink).expect("valid");
         assert!(r.stats.admission_rejections > 0);
         let moves: Vec<(String, String)> = sink
             .into_events()

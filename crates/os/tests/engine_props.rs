@@ -1,12 +1,12 @@
 //! Property-based tests of the execution engine: randomized configurations
 //! must preserve the accounting invariants no matter how the scheduler,
-//! sampling, and arrival knobs are combined.
+//! sampling, arrival, guard, and power knobs are combined.
 
 use proptest::prelude::*;
 
 use rbv_core::series::Metric;
 use rbv_os::config::ArrivalProcess;
-use rbv_os::{run_simulation, SamplingPolicy, SchedulerPolicy, SimConfig};
+use rbv_os::{run_simulation, PowerPolicy, SamplingPolicy, SchedulerPolicy, SimConfig};
 use rbv_sim::Cycles;
 use rbv_workloads::{factory_for, AppId};
 
@@ -41,6 +41,8 @@ proptest! {
         contention_easing in prop::bool::ANY,
         work_stealing in prop::bool::ANY,
         open_loop in prop::bool::ANY,
+        guard in prop::bool::ANY,
+        power in prop::bool::ANY,
         noise in 0.0f64..0.3,
     ) {
         let mut cfg = SimConfig::paper_default();
@@ -50,6 +52,10 @@ proptest! {
         cfg.sampling = sampling;
         cfg.counter_noise = noise;
         cfg.work_stealing = work_stealing;
+        cfg.guard = guard;
+        if power {
+            cfg.power = Some(PowerPolicy::paper_default());
+        }
         if contention_easing {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: 0.004,

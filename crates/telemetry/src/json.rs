@@ -116,11 +116,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax error,
-    /// including trailing garbage after the top-level value.
+    /// including trailing garbage after the top-level value and arrays
+    /// or objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -170,7 +171,13 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The writers in
+/// this workspace nest fewer than 10 levels; the bound keeps a hostile or
+/// corrupt input from overflowing the stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing containers number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -178,8 +185,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
         Some(&b) => Err(format!("unexpected byte {:?} at {}", b as char, *pos)),
     }
@@ -250,19 +261,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar (input is a valid &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("unterminated string".into());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step. Both are ASCII, so they never fall inside a
+                // multi-byte scalar and the run of a valid &str is itself
+                // valid UTF-8; validating only the run keeps the whole
+                // parse linear in the document length.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid utf-8")?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -271,7 +286,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -284,7 +299,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -303,7 +318,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -372,5 +387,33 @@ mod tests {
         assert!(v.as_array().is_none());
         assert_eq!(v.as_object().unwrap().len(), 1);
         assert!(Json::Num(1.0).get("a").is_none());
+    }
+
+    #[test]
+    fn strings_mix_multibyte_scalars_and_escapes() {
+        let text = "\"µ\\u00e9\\n→𝄞\\\"日本\\\\é\"";
+        assert_eq!(Json::parse(text).unwrap().as_str(), Some("µé\n→𝄞\"日本\\é"));
+        let doc = Json::Obj(vec![("ключ ✓".into(), Json::str("α\tβ \"γ\" 🦀\\"))]);
+        assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc);
+    }
+
+    #[test]
+    fn parses_a_million_character_string() {
+        let long: String = "aé→🦀".chars().cycle().take(1_000_000).collect();
+        let doc = Json::Arr(vec![Json::str(&long), Json::str(&long)]);
+        let parsed = Json::parse(&doc.to_string_compact()).unwrap();
+        assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+        let deeper = "{\"a\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&deeper).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 }
