@@ -42,6 +42,17 @@ pub fn run(
         let mut outw = io::stdout().lock();
         outw.write_all(report.render().as_bytes())?;
     }
+    if let Some(wall) = report.wall_seconds {
+        // The non-diffed profile: wall time and how much of each pass
+        // stepped its machines side by side in lookahead windows.
+        eprintln!("[cluster wall-clock {wall:.3}s]");
+        for pass in &report.passes {
+            eprintln!(
+                "[{} pass: {} windows, {} window events, {} serial-tail events]",
+                pass.pass, pass.windows, pass.window_events, pass.serial_tail_events
+            );
+        }
+    }
     if let Some(path) = out {
         rbv_guard::write_atomic(path, format!("{text}\n").as_bytes())?;
         eprintln!("[cluster ledger written to {}]", path.display());

@@ -17,10 +17,13 @@
 //!
 //! Determinism is the same contract as the rest of the workspace:
 //!
-//! * The cross-machine event loop is serial per shard and picks the
-//!   globally next event under a canonical ordering (pending network
-//!   deliveries, then the next client arrival, then machines in index
-//!   order), so a shard's event sequence is a pure function of its seed.
+//! * A shard's events follow a canonical serial ordering (pending
+//!   network deliveries, then the next client arrival, then machines in
+//!   index order), so its event sequence is a pure function of its seed.
+//!   The machines step side by side within network-lookahead windows,
+//!   and everything shard-wide is applied in that serial order, so the
+//!   bytes are those of one thread taking one event at a time (see
+//!   `tier_shard`).
 //! * The shard plan depends only on the request count, shard digests
 //!   merge in shard order, and the serialized `rbv-cluster/v1` ledger is
 //!   byte-identical at any `--threads` value.
@@ -34,19 +37,21 @@
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, HashMap};
+mod tier_shard;
 
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
     easing_threshold, run_simulation, run_simulation_streaming, ArrivalProcess, CompletedRequest,
-    CompletionSink, FailedRequest, Machine, RbvError, RunStats, SchedulerPolicy, SimConfig,
+    CompletionSink, FailedRequest, RbvError, RunStats, SchedulerPolicy, SimConfig,
     EASING_ERROR_GATE,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
 use rbv_telemetry::Json;
-use rbv_trace::{ClusterHopRecord, ClusterSpanRecord, TierSpanCollector, TierSummary};
-use rbv_workloads::{factory_for, AppId, Component, Request, RequestFactory};
+use rbv_trace::{ClusterSpanRecord, TierSpanCollector, TierSummary};
+use rbv_workloads::{factory_for, AppId, Component, Request};
+
+use tier_shard::run_tier_shard;
 
 /// Schema tag embedded in every cluster ledger; bumped on layout changes.
 pub const SCHEMA: &str = "rbv-cluster/v1";
@@ -271,6 +276,17 @@ struct PathState {
 }
 
 impl PathState {
+    /// For each machine the path visits after leg `leg`: the machine and
+    /// the hops from leg `leg` to its first visit there.
+    fn visits_after(&self, leg: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let later = self.machines.get(leg + 1..).unwrap_or_default();
+        later
+            .iter()
+            .enumerate()
+            .filter(|&(i, m)| !later[..i].contains(m))
+            .map(|(i, &m)| (m, i + 1))
+    }
+
     /// Moves leg `idx` out for injection. Each leg is injected exactly
     /// once, so its slot keeps only an empty stage list and `legs.len()`
     /// still counts the path's legs.
@@ -287,22 +303,21 @@ impl PathState {
 /// Splits a request's stages into per-tier legs under the topology's
 /// placement. Consecutive stages on the same machine stay one leg, so a
 /// leg is itself a well-formed [`Request`].
-fn split_legs(request: &Request, topology: ClusterTopology) -> PathState {
+fn split_legs(request: Request, topology: ClusterTopology) -> PathState {
     let mut legs: Vec<Request> = Vec::new();
     let mut machines: Vec<usize> = Vec::new();
-    for stage in &request.stages {
+    for stage in request.stages {
         let machine = topology.place(stage.component);
-        if machines.last() == Some(&machine) {
-            if let Some(leg) = legs.last_mut() {
-                leg.stages.push(stage.clone());
+        match legs.last_mut() {
+            Some(leg) if machines.last() == Some(&machine) => leg.stages.push(stage),
+            _ => {
+                legs.push(Request {
+                    app: request.app,
+                    class: request.class,
+                    stages: vec![stage],
+                });
+                machines.push(machine);
             }
-        } else {
-            legs.push(Request {
-                app: request.app,
-                class: request.class,
-                stages: vec![stage.clone()],
-            });
-            machines.push(machine);
         }
     }
     PathState {
@@ -338,12 +353,9 @@ struct ShardOutput {
     summary: TierSummary,
     records: Vec<ClusterSpanRecord>,
     machines: Vec<RunStats>,
-}
-
-/// The hop payload size in bytes — hash-derived (consumes no RNG
-/// stream): 256 B to 4 KiB, a request/response envelope.
-fn hop_bytes(shard_seed_value: u64, rid: u64, hop: u32) -> u64 {
-    256 + mix64(shard_seed_value ^ (rid << 20) ^ (u64::from(hop) << 52)) % 3840
+    /// How each three-tier pass was stepped, in pass order (empty for
+    /// the single topology).
+    passes: Vec<PassWindows>,
 }
 
 /// A tier span collector, retaining span records for Perfetto export
@@ -356,26 +368,40 @@ fn span_collector(retain: bool) -> TierSpanCollector {
     }
 }
 
-/// Records a finished engine request as leg `machine` of request `rid`:
-/// its on-CPU cycles (capped at its residence) are the service share.
-fn record_leg(
-    collector: &mut TierSpanCollector,
-    rid: u64,
-    machine: usize,
-    tier: &str,
-    done: &CompletedRequest,
-) {
-    let (arrived, finished) = (done.arrived_at.get(), done.finished_at.get());
-    let service = (done.cpu_cycles().round() as u64).min(finished - arrived);
-    collector.leg(
-        rid,
-        machine as u32,
-        tier,
-        arrived,
-        finished,
-        service,
-        done.request_cpi().unwrap_or(0.0),
-    );
+/// What the collector records of one finished leg: its residence on the
+/// machine, and its on-CPU cycles (capped at that residence) as the
+/// service share.
+#[derive(Debug, Clone, Copy)]
+struct LegTimes {
+    arrived: u64,
+    finished: u64,
+    service: u64,
+    cpi: f64,
+}
+
+impl LegTimes {
+    fn of(done: &CompletedRequest) -> LegTimes {
+        let (arrived, finished) = (done.arrived_at.get(), done.finished_at.get());
+        LegTimes {
+            arrived,
+            finished,
+            service: (done.cpu_cycles().round() as u64).min(finished - arrived),
+            cpi: done.request_cpi().unwrap_or(0.0),
+        }
+    }
+
+    /// Records the leg as machine `machine`'s leg of request `rid`.
+    fn record(self, collector: &mut TierSpanCollector, rid: u64, machine: usize, tier: &str) {
+        collector.leg(
+            rid,
+            machine as u32,
+            tier,
+            self.arrived,
+            self.finished,
+            self.service,
+            self.cpi,
+        );
+    }
 }
 
 /// One shard's slice of the plan: its derived seed, request count, and
@@ -387,258 +413,29 @@ struct ShardJob {
     rid_base: u64,
 }
 
-/// Runs one three-tier shard: `job.n` requests with globally unique ids
-/// starting at `job.rid_base`, stepped under the canonical cross-machine
-/// ordering. When `calibration` is given, per-machine L2-miss samples
-/// are collected into it (the easing stock pass).
-#[allow(clippy::too_many_lines)]
-fn run_tier_shard(
-    spec: &ClusterSpec,
-    mean_service: f64,
-    job: ShardJob,
-    thresholds: Option<&[f64]>,
-    retain: bool,
-    mut calibration: Option<&mut Vec<Vec<f64>>>,
-) -> Result<ShardOutput, RbvError> {
-    let ShardJob {
-        seed: shard_seed_value,
-        n,
-        rid_base,
-    } = job;
-    let tiers = spec.topology.tiers();
-    let n_machines = tiers.len();
-    let mut machines: Vec<Machine> = Vec::with_capacity(n_machines);
-    let mut factories: Vec<Box<dyn RequestFactory + Send>> = Vec::with_capacity(n_machines);
-    for m in 0..n_machines {
-        let threshold = thresholds.and_then(|t| t.get(m).copied());
-        let cfg = machine_config(spec, shard_seed_value, m, threshold);
-        machines.push(Machine::new(cfg, n)?);
-        // Stub factories: External machines never spawn, but the step
-        // API is uniform; give each a distinct derived seed anyway.
-        factories.push(factory_for(
-            spec.app,
-            mix64(shard_seed_value ^ (0xFAC7_0000 + m as u64)),
-            spec.app.harness_scale(),
-        ));
+/// How one pass over a three-tier plan was stepped: how many machine
+/// events ran inside lookahead windows (machines side by side) and how
+/// many ran one at a time in the serial tail. Summed over shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassWindows {
+    /// `"calibration"` (the easing stock pass) or `"run"` (the pass the
+    /// ledger reports).
+    pub pass: &'static str,
+    /// Lookahead windows stepped.
+    pub windows: u64,
+    /// Machine events stepped inside those windows.
+    pub window_events: u64,
+    /// Machine events stepped one at a time after the last window.
+    pub serial_tail_events: u64,
+}
+
+impl PassWindows {
+    fn absorb(&mut self, other: &PassWindows) {
+        self.pass = other.pass;
+        self.windows += other.windows;
+        self.window_events += other.window_events;
+        self.serial_tail_events += other.serial_tail_events;
     }
-    for (machine, factory) in machines.iter_mut().zip(factories.iter_mut()) {
-        machine.start(factory.as_mut());
-    }
-    if let Some(mpi) = calibration.as_deref_mut() {
-        mpi.resize_with(n_machines, Vec::new);
-    }
-
-    let cores = SimConfig::paper_default().machine.topology.cores as f64;
-    let mean_gap = (mean_service / (cores * spec.overload)).max(1.0);
-    let mut arrival_rng = SimRng::seed_from(mix64(shard_seed_value ^ 0xA441_73A1));
-    let mut factory = factory_for(spec.app, shard_seed_value, spec.app.harness_scale());
-
-    let mut collector = span_collector(retain);
-    let mut paths: Vec<PathState> = Vec::with_capacity(n);
-    let mut inflight: HashMap<(usize, usize), usize> = HashMap::new();
-    // In-flight transfers keyed by `(deliver_at, rid, hop)` — the
-    // canonical delivery order.
-    let mut transfers: BTreeMap<(u64, u64, u32), ClusterHopRecord> = BTreeMap::new();
-    let mut links = vec![vec![0u64; n_machines]; n_machines];
-    let mut next_arrival: u64 = 0;
-    let mut offered: usize = 0;
-    let mut resolved: usize = 0;
-    let mut departures: u64 = 0;
-    let mut deliveries: u64 = 0;
-
-    // Schedules the hop that carries `rid` (local index) from machine
-    // `from` toward `to`, departing at `departed`.
-    let send = |local: usize,
-                from: usize,
-                to: usize,
-                departed: u64,
-                paths: &mut Vec<PathState>,
-                transfers: &mut BTreeMap<(u64, u64, u32), ClusterHopRecord>,
-                links: &mut Vec<Vec<u64>>,
-                departures: &mut u64| {
-        let rid = rid_base + local as u64;
-        let hop = paths[local].hops;
-        paths[local].hops += 1;
-        let bytes = hop_bytes(shard_seed_value, rid, hop);
-        let start = departed.max(links[from][to]);
-        let serialized = start + bytes * spec.network.cycles_per_byte;
-        links[from][to] = serialized;
-        let deliver_at = serialized + spec.network.base_latency_cycles;
-        *departures += 1;
-        transfers.insert(
-            (deliver_at, rid, hop),
-            ClusterHopRecord {
-                from: from as u32,
-                to: to as u32,
-                departed,
-                delivered: deliver_at,
-                bytes,
-            },
-        );
-    };
-
-    while resolved < n {
-        // The canonical global ordering: among the earliest pending
-        // instants, network deliveries rank before the next client
-        // arrival, which ranks before machine-internal events in
-        // machine-index order.
-        let mut best: Option<(u64, usize)> = None;
-        let mut consider = |time: u64, rank: usize| {
-            if best.is_none_or(|b| (time, rank) < b) {
-                best = Some((time, rank));
-            }
-        };
-        if let Some((&(at, _, _), _)) = transfers.first_key_value() {
-            consider(at, 0);
-        }
-        if offered < n {
-            consider(next_arrival, 1);
-        }
-        for (i, machine) in machines.iter().enumerate() {
-            if let Some(t) = machine.peek_time() {
-                consider(t.get(), 2 + i);
-            }
-        }
-        let Some((_, rank)) = best else {
-            return Err(RbvError::Config(format!(
-                "cluster shard deadlocked with {resolved}/{n} resolved"
-            )));
-        };
-
-        if rank == 0 {
-            // Deliver the earliest network transfer.
-            let Some((&key, _)) = transfers.first_key_value() else {
-                continue;
-            };
-            let Some(transfer) = transfers.remove(&key) else {
-                continue;
-            };
-            let (at, rid, _) = key;
-            let to = transfer.to as usize;
-            deliveries += 1;
-            collector.hop(rid, transfer);
-            let local = (rid - rid_base) as usize;
-            if paths[local].next_leg == paths[local].legs.len() {
-                // The response hop reached the frontend: client end.
-                resolved += 1;
-                collector.end(rid, at);
-            } else {
-                let leg_idx = paths[local].next_leg;
-                let leg = paths[local].take_leg(leg_idx);
-                let machine_local = machines[to].inject(leg, Cycles::new(at));
-                inflight.insert((to, machine_local), local);
-            }
-        } else if rank == 1 {
-            // Offer the next client request.
-            let at = next_arrival;
-            let local = offered;
-            let rid = rid_base + local as u64;
-            offered += 1;
-            let request = factory.next_request();
-            collector.begin(rid, at, request.app, request.class);
-            let path = split_legs(&request, spec.topology);
-            let first = path.machines.first().copied().unwrap_or(0);
-            paths.push(path);
-            if first == 0 {
-                let machine_local = machines[0].inject(paths[local].take_leg(0), Cycles::new(at));
-                inflight.insert((0, machine_local), local);
-            } else {
-                // Ingress hop: the frontend forwards the request.
-                send(
-                    local,
-                    0,
-                    first,
-                    at,
-                    &mut paths,
-                    &mut transfers,
-                    &mut links,
-                    &mut departures,
-                );
-            }
-            next_arrival = at + exp_gap(&mut arrival_rng, mean_gap);
-        } else {
-            // Step the machine owning the globally next event.
-            let i = rank - 2;
-            machines[i].step(factories[i].as_mut());
-            let (completed, failed) = machines[i].drain_finished();
-            for done in completed {
-                let Some(local) = inflight.remove(&(i, done.id)) else {
-                    return Err(RbvError::Config(format!(
-                        "cluster shard: machine {i} completed unknown request {}",
-                        done.id
-                    )));
-                };
-                if let Some(mpi) = calibration.as_deref_mut() {
-                    mpi[i].extend(done.l2_mpi_samples());
-                }
-                let rid = rid_base + local as u64;
-                record_leg(&mut collector, rid, i, tiers[i], &done);
-                paths[local].next_leg += 1;
-                if paths[local].next_leg < paths[local].legs.len() {
-                    let to = paths[local].machines[paths[local].next_leg];
-                    send(
-                        local,
-                        i,
-                        to,
-                        done.finished_at.get(),
-                        &mut paths,
-                        &mut transfers,
-                        &mut links,
-                        &mut departures,
-                    );
-                } else if i == 0 {
-                    // Final leg ran on the frontend: the client sees the
-                    // completion directly, no response hop.
-                    resolved += 1;
-                    collector.end(rid, done.finished_at.get());
-                } else {
-                    // Response hop back to the frontend.
-                    send(
-                        local,
-                        i,
-                        0,
-                        done.finished_at.get(),
-                        &mut paths,
-                        &mut transfers,
-                        &mut links,
-                        &mut departures,
-                    );
-                }
-            }
-            for lost in failed {
-                // Unreachable in v1: External arrivals exclude every
-                // failure source. Kept total so an engine change cannot
-                // silently strand a request.
-                let Some(local) = inflight.remove(&(i, lost.id)) else {
-                    return Err(RbvError::Config(format!(
-                        "cluster shard: machine {i} failed unknown request {}",
-                        lost.id
-                    )));
-                };
-                resolved += 1;
-                collector.fail(rid_base + local as u64, lost.failed_at.get());
-            }
-        }
-    }
-
-    let (mut summary, records) = collector.into_parts();
-    summary.invariants.check_request_conservation(
-        offered as u64,
-        summary.completed,
-        summary.failed,
-    );
-    summary
-        .invariants
-        .check_hop_accounting(departures, deliveries);
-    let machine_stats = machines
-        .into_iter()
-        .map(|m| m.finish().stats)
-        .collect::<Vec<_>>();
-    Ok(ShardOutput {
-        summary,
-        records,
-        machines: machine_stats,
-    })
 }
 
 /// Records a single-topology shard's finished requests as they stream
@@ -656,7 +453,7 @@ impl CompletionSink for SingleSink {
         let tier = ClusterTopology::Single.tiers()[0];
         self.collector
             .begin(rid, done.arrived_at.get(), done.app, done.class);
-        record_leg(&mut self.collector, rid, 0, tier, done);
+        LegTimes::of(done).record(&mut self.collector, rid, 0, tier);
         self.collector.end(rid, done.finished_at.get());
     }
 
@@ -692,19 +489,22 @@ fn run_single_shard(
         summary,
         records,
         machines: vec![result.stats],
+        passes: Vec::new(),
     })
 }
 
 /// Runs one shard of the plan, including the easing calibration pass
 /// when the spec arms easing (stock pass derives per-machine
 /// thresholds; the eased pass produces the digest — shards stay
-/// self-contained, the warehouse idiom).
+/// self-contained, the warehouse idiom). A three-tier shard steps its
+/// machines on up to `lanes` threads.
 fn run_shard(
     spec: &ClusterSpec,
     mean_service: f64,
     index: usize,
     n: usize,
     rid_base: u64,
+    lanes: usize,
 ) -> Result<ShardOutput, RbvError> {
     let seed = shard_seed(spec.seed, index);
     let job = ShardJob { seed, n, rid_base };
@@ -720,9 +520,16 @@ fn run_shard(
             run_single_shard(spec, mean_service, job, threshold)
         }
         ClusterTopology::ThreeTier => {
+            let mut calibration = None;
             let thresholds = if spec.easing {
                 let mut mpi: Vec<Vec<f64>> = Vec::new();
-                run_tier_shard(spec, mean_service, job, None, false, Some(&mut mpi))?;
+                let stock =
+                    run_tier_shard(spec, mean_service, job, None, false, lanes, Some(&mut mpi))?;
+                stock_pass_checks(&stock.summary, n, index)?;
+                calibration = stock.passes.first().map(|pass| PassWindows {
+                    pass: "calibration",
+                    ..*pass
+                });
                 Some(
                     mpi.iter()
                         .map(|samples| easing_threshold(samples))
@@ -731,16 +538,38 @@ fn run_shard(
             } else {
                 None
             };
-            run_tier_shard(
+            let mut output = run_tier_shard(
                 spec,
                 mean_service,
                 job,
                 thresholds.as_deref(),
                 spec.trace_spans,
+                lanes,
                 None,
-            )
+            )?;
+            output.passes.splice(0..0, calibration);
+            Ok(output)
         }
     }
+}
+
+/// The easing stock pass's own digest must be clean before its samples
+/// calibrate anything: every request resolved, nothing unfinished, and
+/// no request-conservation, hop-accounting or partition violation.
+fn stock_pass_checks(summary: &TierSummary, n: usize, shard: usize) -> Result<(), RbvError> {
+    let problem = if let Some(detail) = summary.invariants.first_violation() {
+        detail.to_string()
+    } else if summary.unfinished != 0 || summary.completed + summary.failed != n as u64 {
+        format!(
+            "{} completed + {} failed of {n} requests, {} unfinished",
+            summary.completed, summary.failed, summary.unfinished
+        )
+    } else {
+        return Ok(());
+    };
+    Err(RbvError::Config(format!(
+        "cluster shard {shard}: easing calibration pass is not clean: {problem}"
+    )))
 }
 
 /// The merged outcome of a cluster run: the cross-tier attribution
@@ -762,6 +591,10 @@ pub struct ClusterReport {
     /// Retained span records (empty unless the spec traced spans),
     /// shard-stamped, sorted by `(shard, rid)`.
     pub spans: Vec<ClusterSpanRecord>,
+    /// How each three-tier pass was stepped (calibration first when
+    /// easing is on), summed over shards; empty for the single topology.
+    /// Reported only under the ledger's non-diffed `"profile"` member.
+    pub passes: Vec<PassWindows>,
     /// Wall-clock duration, seconds; `None` keeps the ledger a pure
     /// function of the spec.
     pub wall_seconds: Option<f64>,
@@ -842,6 +675,25 @@ impl ClusterReport {
                         } else {
                             0.0
                         }),
+                    ),
+                    (
+                        "passes".into(),
+                        Json::Arr(
+                            self.passes
+                                .iter()
+                                .map(|p| {
+                                    Json::Obj(vec![
+                                        ("pass".into(), Json::str(p.pass)),
+                                        ("windows".into(), num(p.windows as f64)),
+                                        ("window_events".into(), num(p.window_events as f64)),
+                                        (
+                                            "serial_tail_events".into(),
+                                            num(p.serial_tail_events as f64),
+                                        ),
+                                    ])
+                                })
+                                .collect(),
+                        ),
                     ),
                 ]),
             ));
@@ -947,8 +799,10 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         tasks.push((i, n, base));
         base += n as u64;
     }
+    // Each shard steps its machines on its share of the pool's threads.
+    let lanes = (pool.threads() / plan.len()).max(1);
     let outputs = pool.ordered_map(&tasks, |&(i, n, rid_base)| {
-        run_shard(spec, mean_service, i, n, rid_base)
+        run_shard(spec, mean_service, i, n, rid_base, lanes)
     });
     let mut summary = TierSummary::default();
     let mut machines: Vec<MachineTotals> = spec
@@ -963,12 +817,17 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         })
         .collect();
     let mut spans = Vec::new();
+    let mut passes: Vec<PassWindows> = Vec::new();
     for (shard, output) in outputs.into_iter().enumerate() {
         let mut output = output?;
         output.summary.set_shard(shard as u32);
         summary.merge(&output.summary);
         for (machine, stats) in machines.iter_mut().zip(&output.machines) {
             machine.absorb(stats);
+        }
+        passes.resize_with(output.passes.len(), PassWindows::default);
+        for (total, pass) in passes.iter_mut().zip(&output.passes) {
+            total.absorb(pass);
         }
         for mut record in output.records {
             record.shard = shard as u32;
@@ -1000,6 +859,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         summary,
         machines,
         spans,
+        passes,
         wall_seconds: started.map(|t| t.elapsed().as_secs_f64()),
     })
 }
@@ -1044,7 +904,8 @@ mod tests {
         let mut factory = factory_for(AppId::Rubis, 3, 1.0);
         for _ in 0..32 {
             let request = factory.next_request();
-            let path = split_legs(&request, ClusterTopology::ThreeTier);
+            let stages = request.stages.len();
+            let path = split_legs(request, ClusterTopology::ThreeTier);
             assert_eq!(path.legs.len(), path.machines.len());
             assert!(!path.legs.is_empty());
             // Legs alternate machines: no two consecutive legs share one.
@@ -1053,8 +914,23 @@ mod tests {
             }
             // Stages are conserved across the split.
             let total: usize = path.legs.iter().map(|l| l.stages.len()).sum();
-            assert_eq!(total, request.stages.len());
+            assert_eq!(total, stages);
         }
+    }
+
+    #[test]
+    fn visits_after_counts_hops_to_each_first_later_visit() {
+        let path = PathState {
+            legs: Vec::new(),
+            machines: vec![0, 1, 2, 1, 0],
+            next_leg: 0,
+            hops: 0,
+        };
+        let visits = |leg: usize| path.visits_after(leg).collect::<Vec<_>>();
+        assert_eq!(visits(0), vec![(1, 1), (2, 2), (0, 4)]);
+        assert_eq!(visits(1), vec![(2, 1), (1, 2), (0, 3)]);
+        assert_eq!(visits(4), vec![]);
+        assert_eq!(visits(5), vec![]);
     }
 
     #[test]

@@ -205,16 +205,43 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
+/// Scans one number under the RFC 8259 grammar
+/// (`-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`): no leading
+/// zeros, no bare `.` or exponent marker, no leading `+`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let invalid = |pos: usize| format!("invalid number at byte {start} (byte {pos})");
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(invalid(*pos)),
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid(*pos));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid(*pos));
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .unwrap_or_else(|_| unreachable!("scanned bytes are ascii digits"));
@@ -249,6 +276,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign (`\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", *pos));
+                        }
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
                         let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Surrogate pairs are not produced by our writer;
@@ -265,10 +297,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 // step. Both are ASCII, so they never fall inside a
                 // multi-byte scalar and the run of a valid &str is itself
                 // valid UTF-8; validating only the run keeps the whole
-                // parse linear in the document length.
+                // parse linear in the document length. Raw control
+                // characters must be escaped (RFC 8259 §7).
                 let start = *pos;
-                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
-                    *pos += 1;
+                while let Some(&b) = bytes.get(*pos) {
+                    match b {
+                        b'"' | b'\\' => break,
+                        0..=0x1f => return Err(format!("raw control character at byte {}", *pos)),
+                        _ => *pos += 1,
+                    }
                 }
                 let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid utf-8")?;
                 out.push_str(run);
@@ -377,6 +414,48 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "{\"a\" 1}", "\"x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_signed_or_short_unicode_escapes() {
+        assert!(Json::parse("\"\\u+041\"").is_err());
+        assert!(Json::parse("\"\\u-041\"").is_err());
+        assert!(Json::parse("\"\\u04g1\"").is_err());
+        assert!(Json::parse("\"\\u041\"").is_err());
+        assert_eq!(Json::parse("\"\\u004A\"").unwrap().as_str(), Some("J"));
+    }
+
+    #[test]
+    fn rejects_numbers_outside_the_rfc_grammar() {
+        for bad in [
+            "01", "-01", "1.", "-", ".5", "1.e3", "1e", "1e+", "--1", "1.5.2", "0x1",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("2E-2", 0.02),
+            ("1e+3", 1e3),
+        ] {
+            assert_eq!(Json::parse(good).unwrap().as_f64(), Some(value), "{good:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        for bad in ["\"a\nb\"", "\"\t\"", "\"\u{1}\"", "{\"k\u{1f}\":1}"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert_eq!(Json::parse("\"a\\nb\"").unwrap().as_str(), Some("a\nb"));
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let text = include_str!("../../../bench/baseline.json");
+        let parsed = Json::parse(text).expect("the committed baseline parses");
+        assert_eq!(parsed.to_string_compact(), text.trim_end());
     }
 
     #[test]
