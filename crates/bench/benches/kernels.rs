@@ -15,7 +15,7 @@ use rbv_core::distance::{
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_mem::cache::CacheConfig;
 use rbv_mem::{ContentionSolver, MachineSpec, MemoryHierarchy, SegmentProfile};
-use rbv_power::{CorePower, PowerPolicy};
+use rbv_power::CorePower;
 use rbv_sim::{Cycles, SimRng};
 
 fn random_series(len: usize, seed: u64) -> Vec<f64> {
@@ -234,21 +234,10 @@ fn bench_contention_model(c: &mut Criterion) {
 /// One core's power/thermal slice: the integer power and steady-state
 /// recompute, the energy update and the RC relaxation step.
 fn bench_core_power(c: &mut Criterion) {
-    let policy = PowerPolicy::paper_default();
     let dt = Cycles::new(9_000);
-    let mut core = CorePower::new(&policy);
+    let mut core = CorePower::new();
     c.bench_function("core_power_slice", |b| {
-        b.iter(|| {
-            core.advance(
-                &policy,
-                black_box(dt),
-                1,
-                black_box(730),
-                22_000,
-                1_900,
-                1_600,
-            )
-        })
+        b.iter(|| core.advance(black_box(dt), 1, black_box(730), 22_000, 1_900, 1_600))
     });
 }
 

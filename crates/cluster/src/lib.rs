@@ -43,7 +43,6 @@ use rbv_openloop::probe_mean_service;
 use rbv_os::{
     easing_threshold, run_simulation, run_simulation_streaming, ArrivalProcess, CompletedRequest,
     CompletionSink, FailedRequest, RbvError, RunStats, SchedulerPolicy, SimConfig,
-    EASING_ERROR_GATE,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
@@ -236,7 +235,7 @@ fn machine_config(
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
         };
-        cfg.easing_error_gate = Some(EASING_ERROR_GATE);
+        cfg.easing_error_gate = true;
     }
     cfg
 }
@@ -261,7 +260,7 @@ fn single_machine_config(
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
         };
-        cfg.easing_error_gate = Some(EASING_ERROR_GATE);
+        cfg.easing_error_gate = true;
     }
     cfg
 }
@@ -799,8 +798,11 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         tasks.push((i, n, base));
         base += n as u64;
     }
-    // Each shard steps its machines on its share of the pool's threads.
-    let lanes = (pool.threads() / plan.len()).max(1);
+    // Each shard steps its machines on its share of the pool's threads,
+    // capped at the host's CPUs: waiting lanes spin, so oversubscribing
+    // only slows the run. The bytes do not depend on the lane count.
+    let threads = pool.threads().min(rbv_par::available_parallelism());
+    let lanes = (threads / plan.len()).max(1);
     let outputs = pool.ordered_map(&tasks, |&(i, n, rid_base)| {
         run_shard(spec, mean_service, i, n, rid_base, lanes)
     });

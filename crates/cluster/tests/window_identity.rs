@@ -18,7 +18,7 @@ use rbv_cluster::{
 };
 use rbv_os::{
     easing_threshold, ArrivalProcess, CompletedRequest, Machine, RunStats, SchedulerPolicy,
-    SimConfig, EASING_ERROR_GATE,
+    SimConfig,
 };
 use rbv_par::Pool;
 use rbv_sim::rng::mix64;
@@ -58,7 +58,7 @@ mod serial {
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold,
             };
-            cfg.easing_error_gate = Some(EASING_ERROR_GATE);
+            cfg.easing_error_gate = true;
         }
         cfg
     }

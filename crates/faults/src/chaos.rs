@@ -21,7 +21,7 @@ use std::io::{self, Write};
 
 use rbv_os::{
     config::ArrivalProcess, run_simulation, LadderRung, MeasurementFaults, OverloadPolicy,
-    RbvError, RunResult, SchedulerPolicy, SimConfig, DO_NO_HARM_BUDGET, EASING_ERROR_GATE,
+    RbvError, RunResult, SchedulerPolicy, SimConfig, DO_NO_HARM_BUDGET,
 };
 use rbv_sim::Cycles;
 use rbv_telemetry::Json;
@@ -845,7 +845,7 @@ pub fn easing_storm(app: AppId, seed: u64, n: usize) -> Result<EasingStormOutcom
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: threshold,
             };
-            cfg.easing_error_gate = Some(EASING_ERROR_GATE);
+            cfg.easing_error_gate = true;
         }
         let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());
         run_simulation(cfg, factory.as_mut(), n)
@@ -880,7 +880,7 @@ pub fn governor_storm(app: AppId, seed: u64, n: usize) -> Result<GovernorOutcome
                 high_usage_threshold: threshold,
             };
             // The ladder replaces the one-shot confidence gate.
-            cfg.easing_error_gate = None;
+            cfg.easing_error_gate = false;
             cfg.guard = true;
         }
         let mut factory = factory_for(app, seed ^ 0x57, app.harness_scale());

@@ -5,8 +5,9 @@
 //! credible if the stack can *manufacture* misbehavior and demonstrably
 //! tolerate and detect it. This crate provides that substrate:
 //!
-//! * [`plan`] — the seedable [`FaultPlan`]: same seed ⇒ identical fault
-//!   schedule across workload, measurement, and overload levels;
+//! * [`plan`] — the seedable [`FaultPlan`]: same seed ⇒ identical
+//!   workload-fault schedule (measurement faults, overload protection and
+//!   the thermal storm are `SimConfig` fields set directly);
 //! * [`inject`] — [`FaultyFactory`], a request-factory wrapper applying
 //!   the plan's workload faults (inflated working sets, runaway segment
 //!   loops, stuck syscalls) and logging ground truth;

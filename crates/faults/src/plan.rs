@@ -1,12 +1,12 @@
 //! Seedable deterministic fault plans.
 //!
-//! A [`FaultPlan`] fixes, before a run starts, everything that will go
-//! wrong during it: which requests of the workload stream arrive
-//! anomalous (and how), which measurement-level faults the sampling
-//! apparatus suffers, and which overload-protection policy the kernel
-//! runs with. The plan is pure data — the same seed always produces the
-//! same fault schedule, independent of execution order, so fault runs
-//! are exactly as reproducible as clean ones.
+//! A [`FaultPlan`] fixes, before a run starts, which requests of the
+//! workload stream arrive anomalous (and how). The plan is pure data —
+//! the same seed always produces the same fault schedule, independent of
+//! execution order, so fault runs are exactly as reproducible as clean
+//! ones. The engine's own fault channels (measurement faults, overload
+//! protection, the thermal storm) are fields of [`rbv_os::SimConfig`]
+//! that callers set directly.
 //!
 //! Workload-fault assignment is *stateless*: whether request `i` is
 //! anomalous is a hash of `(seed, i)`, not a draw from a shared stream.
@@ -14,7 +14,7 @@
 //! (the injector asks in emission order; tests and the scorer ask again
 //! afterwards) and always get the same answer.
 
-use rbv_os::{MeasurementFaults, OverloadPolicy, RbvError, SimConfig};
+use rbv_os::RbvError;
 use rbv_sim::rng::mix64;
 
 /// The ways an injected request deviates from its class (§4.3's
@@ -141,61 +141,36 @@ impl WorkloadFaults {
     }
 }
 
-/// A complete, deterministic fault schedule for one run.
+/// A deterministic workload-fault schedule for one run, applied by
+/// wrapping the request factory in a [`crate::FaultyFactory`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault schedule (independent of the engine seed).
     pub seed: u64,
     /// Workload-level faults; `None` leaves the request stream untouched.
     pub workload: Option<WorkloadFaults>,
-    /// Measurement-level faults (applied to [`SimConfig::faults`]).
-    pub measurement: MeasurementFaults,
-    /// Overload protection (applied to [`SimConfig::overload`]).
-    pub overload: Option<OverloadPolicy>,
-    /// Thermal faults — heatwave, cooling failure, hot loop (applied to
-    /// [`SimConfig::thermal_faults`]; requires [`SimConfig::power`]).
-    pub thermal: Option<rbv_os::ThermalFaults>,
 }
 
 impl FaultPlan {
-    /// The empty plan: nothing injected, no overload policy. Runs under
-    /// this plan are bit-identical to runs without any plan at all.
+    /// The empty plan: nothing injected. Runs under this plan are
+    /// bit-identical to runs without any plan at all.
     pub fn none(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             workload: None,
-            measurement: MeasurementFaults::none(),
-            overload: None,
-            thermal: None,
         }
     }
 
-    /// Checks every configured channel.
+    /// Checks the workload channel.
     ///
     /// # Errors
     ///
-    /// Returns [`RbvError::Config`] from the first invalid channel.
+    /// Returns [`RbvError::Config`] when the workload channel is invalid.
     pub fn validate(&self) -> Result<(), RbvError> {
         if let Some(wf) = &self.workload {
             wf.validate()?;
         }
-        self.measurement.validate()?;
-        if let Some(overload) = &self.overload {
-            overload.validate()?;
-        }
-        if let Some(thermal) = &self.thermal {
-            thermal.validate().map_err(RbvError::Config)?;
-        }
         Ok(())
-    }
-
-    /// Writes the measurement, overload, and thermal channels into `cfg`.
-    /// The workload channel is applied separately by wrapping the request
-    /// factory in a [`crate::FaultyFactory`].
-    pub fn apply_to(&self, cfg: &mut SimConfig) {
-        cfg.faults = self.measurement;
-        cfg.overload = self.overload;
-        cfg.thermal_faults = self.thermal;
     }
 
     /// The workload fault assigned to the `index`-th emitted request, if
@@ -304,22 +279,6 @@ mod tests {
         let mut wf = WorkloadFaults::storm();
         wf.working_set_multiplier = 0.5;
         assert!(wf.validate().is_err());
-
-        let mut plan = FaultPlan::none(0);
-        plan.measurement.lost_interrupt_prob = 2.0;
-        assert!(plan.validate().is_err());
-    }
-
-    #[test]
-    fn apply_to_writes_both_engine_channels() {
-        let mut plan = FaultPlan::none(0);
-        plan.measurement.lost_interrupt_prob = 0.1;
-        plan.overload = Some(OverloadPolicy::bounded_queues());
-        let mut cfg = SimConfig::paper_default();
-        plan.apply_to(&mut cfg);
-        assert_eq!(cfg.faults, plan.measurement);
-        assert_eq!(cfg.overload, plan.overload);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! easing-under-fault-storm acceptance test.
 //!
 //! The contract: a run is a pure function of `(config seed, factory
-//! seed, FaultPlan)`. Identical inputs must reproduce bit-identical
-//! `RunStats` and the identical injected-fault sequence; distinct plan
-//! seeds must produce distinct fault schedules.
+//! seed, FaultPlan, the config's fault channels)`. Identical inputs must
+//! reproduce bit-identical `RunStats` and the identical injected-fault
+//! sequence; distinct plan seeds must produce distinct fault schedules.
 
 use proptest::prelude::*;
 
@@ -16,20 +16,6 @@ use rbv_workloads::{factory_for, AppId};
 fn storm_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         workload: Some(WorkloadFaults::storm()),
-        measurement: MeasurementFaults {
-            lost_interrupt_prob: 0.2,
-            counter_overflow_prob: 0.05,
-            counter_skid_sigma: 0.05,
-            syscall_starvation_prob: 0.0,
-            syscall_starvation_window: Cycles::ZERO,
-        },
-        overload: Some(OverloadPolicy {
-            max_runqueue: 6,
-            deadline: None,
-            max_retries: 2,
-            retry_backoff: Cycles::from_micros(50),
-        }),
-        thermal: None,
         seed,
     }
 }
@@ -37,7 +23,19 @@ fn storm_plan(seed: u64) -> FaultPlan {
 fn faulty_run(app: AppId, engine_seed: u64, plan: &FaultPlan, n: usize) -> (RunResult, Vec<usize>) {
     let mut cfg = SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
     cfg.seed = engine_seed;
-    plan.apply_to(&mut cfg);
+    cfg.faults = MeasurementFaults {
+        lost_interrupt_prob: 0.2,
+        counter_overflow_prob: 0.05,
+        counter_skid_sigma: 0.05,
+        syscall_starvation_prob: 0.0,
+        syscall_starvation_window: Cycles::ZERO,
+    };
+    cfg.overload = Some(OverloadPolicy {
+        max_runqueue: 6,
+        deadline: None,
+        max_retries: 2,
+        retry_backoff: Cycles::from_micros(50),
+    });
     let mut factory = FaultyFactory::new(factory_for(app, engine_seed, 1.0), plan.clone());
     let result = run_simulation(cfg, &mut factory, n).expect("valid chaos config");
     (result, factory.injected_ids())
@@ -86,10 +84,8 @@ fn empty_plan_matches_unwrapped_run_exactly() {
     let baseline = run_simulation(cfg.clone(), plain.as_mut(), 20).expect("valid");
 
     let plan = FaultPlan::none(999); // plan seed must not matter when empty
-    let mut cfg2 = cfg;
-    plan.apply_to(&mut cfg2);
     let mut wrapped = FaultyFactory::new(factory_for(app, 11, 1.0), plan);
-    let faulted = run_simulation(cfg2, &mut wrapped, 20).expect("valid");
+    let faulted = run_simulation(cfg, &mut wrapped, 20).expect("valid");
 
     assert_eq!(baseline, faulted);
     assert!(wrapped.injected().is_empty());

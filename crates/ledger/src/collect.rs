@@ -97,7 +97,7 @@ fn stage_easing(
     cfg.scheduler = SchedulerPolicy::ContentionEasing {
         high_usage_threshold: standard.easing_threshold(),
     };
-    cfg.easing_error_gate = Some(rbv_os::EASING_ERROR_GATE);
+    cfg.easing_error_gate = true;
     let eased = run(cfg, app, seed, n)?;
     profiler.stop(timer);
     Ok(eased)
@@ -217,13 +217,13 @@ fn stage_energy(
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: threshold,
             };
-            cfg.easing_error_gate = Some(rbv_os::EASING_ERROR_GATE);
+            cfg.easing_error_gate = true;
         }
         if mode == 2 {
             // The ladder supersedes the one-shot gate (as in the
             // governed storm); with the power model on, the guard also
             // runs its power-capping ladder.
-            cfg.easing_error_gate = None;
+            cfg.easing_error_gate = false;
             cfg.guard = true;
         }
         run(cfg, app, seed ^ 0xE76, n)

@@ -26,7 +26,7 @@ use rbv_os::{
     joules, run_simulation, run_simulation_streaming, run_simulation_streaming_traced,
     ArrivalProcess, ClientPolicy, CompletedRequest, CompletionSink, EnergyStats, FailReason,
     FailedRequest, LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline, RbvError,
-    ShedPolicy, SimConfig, ThermalFaults,
+    ShedPolicy, SimConfig,
 };
 use rbv_sim::{rng, Cycles};
 use rbv_telemetry::{Json, QuantileSketch};
@@ -103,12 +103,12 @@ pub struct ServeSpec {
     /// Arm the per-core DVFS/power/thermal model
     /// ([`rbv_os::PowerPolicy::paper_default`]) and fold the exact
     /// integer energy accounting into the ledger's `"energy"` member.
-    /// The paper-default policy never throttles an unfaulted machine, so
+    /// The power model never throttles an unfaulted machine, so
     /// without [`ServeSpec::thermal`] every non-energy ledger member is
     /// byte-identical with the power model off.
     pub power: bool,
-    /// Inject the canonical seeded thermal storm
-    /// ([`rbv_os::ThermalFaults::storm`], per shard on the shard's seed):
+    /// Inject the seeded thermal storm ([`rbv_os::SimConfig::thermal_storm`],
+    /// per shard on the shard's seed):
     /// a cooling failure, a heatwave, and a hot-loop window, which can
     /// drive cores into firmware throttling. Requires `power`.
     pub thermal: bool,
@@ -274,9 +274,7 @@ fn shard_config(spec: &ServeSpec, mean_service: f64, shard_seed: u64) -> SimConf
     cfg.guard = spec.guard;
     if spec.power {
         cfg.power = Some(PowerPolicy::paper_default());
-        if spec.thermal {
-            cfg.thermal_faults = Some(ThermalFaults::storm(shard_seed));
-        }
+        cfg.thermal_storm = spec.thermal;
     }
     cfg
 }

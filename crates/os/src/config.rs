@@ -46,18 +46,6 @@ pub enum SamplingPolicy {
         /// Backup interrupt delay.
         t_backup_int: Cycles,
     },
-    /// The paper's suggested improvement: trigger on *pairs* of recent
-    /// system call names. A single name occurring in many semantic
-    /// contexts of a long request cannot consistently signal transitions;
-    /// the `(previous, current)` bigram disambiguates the context.
-    TransitionSignalPairs {
-        /// `(previous, current)` name pairs acting as transition signals.
-        triggers: HashSet<(SyscallName, SyscallName)>,
-        /// Minimum spacing between trigger samples.
-        t_syscall_min: Cycles,
-        /// Backup interrupt delay.
-        t_backup_int: Cycles,
-    },
 }
 
 /// CPU scheduling policy (§5.2).
@@ -180,16 +168,6 @@ pub struct ClientPolicy {
 }
 
 impl ClientPolicy {
-    /// A typical impatient client: 50 ms timeout, 3 retries, 1 ms base
-    /// backoff.
-    pub fn impatient() -> ClientPolicy {
-        ClientPolicy {
-            timeout: Cycles::from_millis(50),
-            max_retries: 3,
-            retry_backoff: Cycles::from_millis(1),
-        }
-    }
-
     /// Checks field sanity.
     ///
     /// # Errors
@@ -223,15 +201,6 @@ pub struct ShedPolicy {
 }
 
 impl ShedPolicy {
-    /// CoDel's canonical 5 ms / 100 ms constants, scaled to the 3 GHz
-    /// simulated clock.
-    pub fn codel() -> ShedPolicy {
-        ShedPolicy {
-            target: Cycles::from_millis(5),
-            interval: Cycles::from_millis(100),
-        }
-    }
-
     /// Checks field sanity.
     ///
     /// # Errors
@@ -269,7 +238,8 @@ pub struct MeasurementFaults {
     pub counter_overflow_prob: f64,
     /// Relative sigma of counter *skid*: interrupt-based attribution lands
     /// a few events early or late, jittering the cache counters of each
-    /// sample multiplicatively (on top of [`SimConfig::counter_noise`]).
+    /// sample multiplicatively (on top of the engine's fixed counter
+    /// noise).
     pub counter_skid_sigma: f64,
     /// Probability, evaluated at each would-be syscall-triggered sample,
     /// that the syscall sampling path starves for
@@ -354,17 +324,6 @@ pub struct OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// A reasonable default: queues bounded at 8 per core, no deadline,
-    /// 5 retries starting at 100 µs.
-    pub fn bounded_queues() -> OverloadPolicy {
-        OverloadPolicy {
-            max_runqueue: 8,
-            deadline: None,
-            max_retries: 5,
-            retry_backoff: Cycles::from_micros(100),
-        }
-    }
-
     /// Checks field sanity.
     ///
     /// # Errors
@@ -425,16 +384,6 @@ pub struct SimConfig {
     /// shared L2 among its occupied cores (page-coloring-style isolation,
     /// the related-work alternative the paper's §6 discusses).
     pub static_cache_partition: bool,
-    /// Whether to subtract the minimum ("do no harm") observer effect from
-    /// collected samples (§3.1).
-    pub compensate_observer_effect: bool,
-    /// Relative sigma of multiplicative measurement noise applied to the
-    /// L2 reference/miss counts of each collected sample period. Real
-    /// performance counter sampling jitters (interrupt skid, unattributed
-    /// speculative events, unrelated kernel activity); a noiseless
-    /// simulator would make trivial last-value prediction look unbeatable
-    /// in Figure 11. Zero disables.
-    pub counter_noise: f64,
     /// When set, the engine accounts the time during which `k` cores
     /// simultaneously run at L2-misses-per-instruction at or above this
     /// level (the Figure 12 measurement), independent of the scheduler.
@@ -448,10 +397,10 @@ pub struct SimConfig {
     pub overload: Option<OverloadPolicy>,
     /// Prediction-confidence gate for the contention-easing scheduler:
     /// when the running mean relative error of the vaEWMA predictions
-    /// exceeds this threshold, easing decisions fall back to stock
-    /// scheduling until confidence recovers. `None` (the default) never
-    /// gates.
-    pub easing_error_gate: Option<f64>,
+    /// exceeds [`crate::EASING_ERROR_GATE`], easing decisions fall back to
+    /// stock scheduling until confidence recovers. `false` (the default)
+    /// never gates.
+    pub easing_error_gate: bool,
     /// Runtime guardrails (`rbv-guard`): the adaptive do-no-harm sampling
     /// governor, the measurement-health degradation ladder (which
     /// supersedes [`SimConfig::easing_error_gate`] while enabled), the
@@ -466,10 +415,11 @@ pub struct SimConfig {
     /// default) accounts no energy and leaves the engine's event stream
     /// bit-identical to a power-unaware build.
     pub power: Option<rbv_power::PowerPolicy>,
-    /// Seeded thermal fault plan (heatwave, cooling failure, hot loop).
-    /// Requires [`SimConfig::power`]; `None` (the default) injects
-    /// nothing.
-    pub thermal_faults: Option<rbv_power::ThermalFaults>,
+    /// Inject the seeded thermal storm ([`rbv_power::ThermalStorm`]:
+    /// heatwave, cooling failure, hot loop), its victim core chosen from
+    /// [`SimConfig::seed`]. Requires [`SimConfig::power`]; `false` (the
+    /// default) injects nothing.
+    pub thermal_storm: bool,
     /// Engine RNG seed (placement decisions only; workload randomness
     /// lives in the factories).
     pub seed: u64,
@@ -491,15 +441,13 @@ impl SimConfig {
             shed: None,
             work_stealing: false,
             static_cache_partition: false,
-            compensate_observer_effect: true,
-            counter_noise: 0.08,
             measure_threshold: None,
             faults: MeasurementFaults::none(),
             overload: None,
-            easing_error_gate: None,
+            easing_error_gate: false,
             guard: false,
             power: None,
-            thermal_faults: None,
+            thermal_storm: false,
             seed: 0,
         }
     }
@@ -614,11 +562,6 @@ impl SimConfig {
                 t_syscall_min,
                 t_backup_int,
                 ..
-            }
-            | SamplingPolicy::TransitionSignalPairs {
-                t_syscall_min,
-                t_backup_int,
-                ..
             } => {
                 // A zero backup delay would rearm the backup timer at the
                 // current instant forever (the engine's `rearm_backup_timer`
@@ -635,12 +578,6 @@ impl SimConfig {
             }
             _ => {}
         }
-        if !(self.counter_noise.is_finite() && (0.0..1.0).contains(&self.counter_noise)) {
-            return config_err(format!(
-                "counter_noise {} must be in [0, 1)",
-                self.counter_noise
-            ));
-        }
         if let SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
         } = self.scheduler
@@ -651,23 +588,12 @@ impl SimConfig {
                 ));
             }
         }
-        if let Some(gate) = self.easing_error_gate {
-            if !(gate.is_finite() && gate > 0.0) {
-                return config_err(format!("easing error gate {gate} must be positive"));
-            }
-        }
         self.faults.validate()?;
         if let Some(overload) = &self.overload {
             overload.validate()?;
         }
-        if let Some(power) = &self.power {
-            power.validate().map_err(RbvError::Config)?;
-        }
-        if let Some(thermal) = &self.thermal_faults {
-            thermal.validate().map_err(RbvError::Config)?;
-            if self.power.is_none() {
-                return config_err("thermal faults require a power model".into());
-            }
+        if self.thermal_storm && self.power.is_none() {
+            return config_err("the thermal storm requires a power model".into());
         }
         Ok(())
     }
@@ -720,17 +646,12 @@ mod tests {
     }
 
     #[test]
-    fn thermal_faults_require_a_power_model() {
+    fn thermal_storm_requires_a_power_model() {
         let mut c = SimConfig::paper_default();
-        c.thermal_faults = Some(rbv_power::ThermalFaults::storm(1));
+        c.thermal_storm = true;
         assert!(c.validate().is_err());
         c.power = Some(rbv_power::PowerPolicy::paper_default());
         assert!(c.validate().is_ok());
-        c.power = Some(rbv_power::PowerPolicy {
-            ladder_milli: vec![900],
-            ..rbv_power::PowerPolicy::paper_default()
-        });
-        assert!(c.validate().is_err(), "power policy is validated too");
     }
 
     #[test]
@@ -777,19 +698,35 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    const BOUNDED: OverloadPolicy = OverloadPolicy {
+        max_runqueue: 8,
+        deadline: None,
+        max_retries: 5,
+        retry_backoff: Cycles::from_micros(100),
+    };
+    const CLIENT: ClientPolicy = ClientPolicy {
+        timeout: Cycles::from_millis(50),
+        max_retries: 3,
+        retry_backoff: Cycles::from_millis(1),
+    };
+    const CODEL: ShedPolicy = ShedPolicy {
+        target: Cycles::from_millis(5),
+        interval: Cycles::from_millis(100),
+    };
+
     #[test]
     fn overload_policy_is_validated() {
-        assert!(OverloadPolicy::bounded_queues().validate().is_ok());
+        assert!(BOUNDED.validate().is_ok());
 
-        let mut p = OverloadPolicy::bounded_queues();
+        let mut p = BOUNDED;
         p.max_runqueue = 0;
         assert!(p.validate().is_err());
 
-        let mut p = OverloadPolicy::bounded_queues();
+        let mut p = BOUNDED;
         p.deadline = Some(Cycles::ZERO);
         assert!(p.validate().is_err());
 
-        let mut p = OverloadPolicy::bounded_queues();
+        let mut p = BOUNDED;
         p.retry_backoff = Cycles::ZERO;
         assert!(p.validate().is_err());
         p.max_retries = 0;
@@ -798,7 +735,7 @@ mod tests {
         let mut c = SimConfig::paper_default();
         c.overload = Some(OverloadPolicy {
             max_runqueue: 0,
-            ..OverloadPolicy::bounded_queues()
+            ..BOUNDED
         });
         assert!(c.validate().is_err());
     }
@@ -847,7 +784,7 @@ mod tests {
     #[test]
     fn client_and_shed_policies_require_open_loop() {
         let mut c = SimConfig::paper_default();
-        c.client = Some(ClientPolicy::impatient());
+        c.client = Some(CLIENT);
         assert!(c.validate().is_err(), "closed loop has no client timeouts");
         c.arrivals = ArrivalProcess::OpenPoisson {
             mean_interarrival: Cycles::from_micros(100),
@@ -855,32 +792,23 @@ mod tests {
         assert!(c.validate().is_ok());
 
         let mut c = SimConfig::paper_default();
-        c.shed = Some(ShedPolicy::codel());
+        c.shed = Some(CODEL);
         assert!(c.validate().is_err(), "shedding needs open-loop arrivals");
         c.arrivals = ArrivalProcess::OpenPoisson {
             mean_interarrival: Cycles::from_micros(100),
         };
         assert!(c.validate().is_ok());
 
-        let mut bad = ClientPolicy::impatient();
+        let mut bad = CLIENT;
         bad.timeout = Cycles::ZERO;
         assert!(bad.validate().is_err());
-        let mut bad = ClientPolicy::impatient();
+        let mut bad = CLIENT;
         bad.retry_backoff = Cycles::ZERO;
         assert!(bad.validate().is_err());
         bad.max_retries = 0;
         assert!(bad.validate().is_ok());
-        let mut bad = ShedPolicy::codel();
+        let mut bad = CODEL;
         bad.interval = Cycles::ZERO;
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn easing_gate_must_be_positive() {
-        let mut c = SimConfig::paper_default();
-        c.easing_error_gate = Some(0.0);
-        assert!(c.validate().is_err());
-        c.easing_error_gate = Some(0.4);
-        assert!(c.validate().is_ok());
     }
 }

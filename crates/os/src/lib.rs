@@ -68,10 +68,10 @@ pub use machine::{
 pub use observer::{measure_sampling_cost, SampleCost, SampleMode, SamplingContext};
 pub use projection::PlatformProjection;
 pub use rbv_guard::{InvariantKind, LadderRung, EASING_ERROR_GATE};
-// Power re-exports so callers configuring `SimConfig::power` and
-// `SimConfig::thermal_faults` need not depend on `rbv-power` directly.
+// Power re-exports so callers configuring `SimConfig::power` need not
+// depend on `rbv-power` directly.
 pub use rbv_guard::PowerRung;
-pub use rbv_power::{joules, PowerPolicy, ThermalFaults};
+pub use rbv_power::{joules, PowerPolicy};
 pub use result::{
     easing_threshold, CompletedRequest, EnergyStats, FailReason, FailedRequest, RunResult,
     RunStats, SyscallRecord, TransitionRecord,

@@ -45,10 +45,10 @@ use rbv_core::predict::{Predictor, VaEwma};
 use rbv_core::series::{Metric, SamplePeriod, Timeline};
 use rbv_guard::{
     governor, health, Governor, GovernorAction, HealthLadder, InvariantMonitor, LadderRung,
-    PowerLadder, WindowSample,
+    PowerLadder, WindowSample, EASING_ERROR_GATE,
 };
 use rbv_mem::{ContentionSolver, PerfEstimate, SegmentProfile};
-use rbv_power::{CorePower, PowerPolicy, ThermalFaults};
+use rbv_power::{CorePower, ThermalStorm};
 use rbv_sim::rng::mix64;
 use rbv_sim::{Cycles, EventQueue, SimRng};
 use rbv_telemetry::{SampleOrigin, SwitchReason, TraceEvent, TraceSink};
@@ -288,6 +288,34 @@ impl Machine {
 /// Sub-instruction tolerance when matching instruction boundaries.
 const INS_EPS: f64 = 0.5;
 
+/// Relative sigma of the multiplicative measurement noise on the L2
+/// reference/miss counts of each collected sample period. Real
+/// performance-counter sampling jitters (interrupt skid, unattributed
+/// speculative events, unrelated kernel activity); a noiseless simulator
+/// would make trivial last-value prediction look unbeatable in Figure 11.
+const COUNTER_NOISE: f64 = 0.08;
+const _: () = assert!(COUNTER_NOISE > 0.0 && COUNTER_NOISE < 1.0);
+
+/// A fault or power multiplier at its nominal value (milli-units).
+const NOMINAL_MILLI: u32 = rbv_power::MILLI as u32;
+
+// The guard's frequency cap is a real P-state, faster than the
+// firmware clamp it exists to pre-empt.
+const _: () = assert!(rbv_guard::power::CAP_PSTATE < rbv_power::SLOWEST);
+
+/// The paper's "do no harm" compensation (§3.1): subtracts the minimum
+/// observer effect of the sampling hook whose cost was `injected` into
+/// this period from the period's counters.
+fn subtract_observer_floor(period: &mut SamplePeriod, injected: Option<SamplingContext>) {
+    if let Some(ctx) = injected {
+        let min_cost = spin_baseline(ctx);
+        period.cycles = (period.cycles - min_cost.cycles).max(0.0);
+        period.instructions = (period.instructions - min_cost.instructions).max(0.0);
+        period.l2_refs = (period.l2_refs - min_cost.l2_refs).max(0.0);
+        period.l2_misses = (period.l2_misses - min_cost.l2_misses).max(0.0);
+    }
+}
+
 /// Standard normal draw (Box–Muller) from the deterministic stream.
 fn gaussian(rng: &mut SimRng) -> f64 {
     use rand::Rng;
@@ -456,10 +484,8 @@ impl GuardState {
 /// integer arithmetic (`rbv-power`), so powered ledgers stay byte-identical
 /// under any shard count.
 struct PowerState {
-    /// The frequency ladder, power coefficients, and thermal constants.
-    policy: PowerPolicy,
-    /// The thermal fault plan ([`ThermalFaults::none`] when unfaulted).
-    faults: ThermalFaults,
+    /// The thermal storm, when [`SimConfig::thermal_storm`] is set.
+    storm: Option<ThermalStorm>,
     /// Per-core temperature, throttle latch, and energy accumulator.
     cores: Vec<CorePower>,
     /// Effective P-state in force on each core during the current
@@ -559,18 +585,15 @@ impl<'s> Engine<'s> {
         let cores = cfg.machine.topology.cores;
         let seed = cfg.seed;
         let guard = cfg.guard.then(|| GuardState::new(cfg.power.is_some()));
-        let power = cfg.power.clone().map(|policy| PowerState {
-            faults: cfg
-                .thermal_faults
-                .unwrap_or_else(|| ThermalFaults::none(seed)),
-            cores: (0..cores).map(|_| CorePower::new(&policy)).collect(),
+        let power = cfg.power.map(|_| PowerState {
+            storm: cfg.thermal_storm.then(|| ThermalStorm::new(seed, cores)),
+            cores: vec![CorePower::new(); cores],
             slice_pstate: vec![0; cores],
             slice_act_milli: vec![0; cores],
             last_pstate: vec![0; cores],
             total_uw_cycles: 0,
             dvfs_transitions: 0,
-            max_temp_milli_c: policy.ambient_milli_c,
-            policy,
+            max_temp_milli_c: rbv_power::AMBIENT_MILLI_C,
         });
         Engine {
             cfg,
@@ -1206,13 +1229,12 @@ impl<'s> Engine<'s> {
         // step functions of time, sampled at the slice start — the same
         // "state changes take effect at events" convention as the rates.
         if let Some(ps) = &mut self.power {
-            let n = ps.cores.len();
-            let ambient_delta = ps.faults.ambient_delta_at(interval_start);
-            let dyn_mult = ps.faults.dyn_mult_at(interval_start);
-            for c in 0..n {
-                let r_mult = ps.faults.cooling_mult_for(c, n, interval_start);
+            let storm = ps.storm;
+            let ambient_delta = storm.map_or(0, |s| s.ambient_delta_at(interval_start));
+            let dyn_mult = storm.map_or(NOMINAL_MILLI, |s| s.dyn_mult_at(interval_start));
+            for c in 0..ps.cores.len() {
+                let r_mult = storm.map_or(NOMINAL_MILLI, |s| s.cooling_mult_for(c, interval_start));
                 let out = ps.cores[c].advance(
-                    &ps.policy,
                     elapsed,
                     ps.slice_pstate[c],
                     ps.slice_act_milli[c],
@@ -1303,7 +1325,7 @@ impl<'s> Engine<'s> {
         };
         let now = self.queue.now();
         for c in 0..self.cores.len() {
-            let effective = ps.cores[c].effective_pstate(&ps.policy, cap);
+            let effective = ps.cores[c].effective_pstate(cap);
             ps.slice_pstate[c] = effective;
             ps.slice_act_milli[c] = match self.rates[c].as_mut() {
                 Some(rate) => {
@@ -1311,7 +1333,7 @@ impl<'s> Engine<'s> {
                         * (self.cfg.machine.l2_hit_cycles * (1.0 - rate.l2_miss_ratio)
                             + rate.mem_latency_cycles * rate.l2_miss_ratio);
                     let base = (rate.cpi - stall).max(0.0);
-                    let factor = ps.policy.compute_cpi_factor(effective);
+                    let factor = rbv_power::compute_cpi_factor(effective);
                     if factor != 1.0 {
                         rate.cpi = base * factor + stall;
                     }
@@ -1329,7 +1351,7 @@ impl<'s> Engine<'s> {
                         core: c as u32,
                         from_pstate: ps.last_pstate[c] as u32,
                         to_pstate: effective as u32,
-                        ratio_milli: ps.policy.ratio_milli(effective),
+                        ratio_milli: rbv_power::ratio_milli(effective),
                     });
                 }
                 ps.last_pstate[c] = effective;
@@ -1404,10 +1426,6 @@ impl<'s> Engine<'s> {
             });
         }
 
-        let prev = self.live[rid]
-            .as_ref()
-            .expect("running is live")
-            .last_syscall;
         let (trigger, t_min) = match &self.cfg.sampling {
             SamplingPolicy::SyscallTriggered { t_syscall_min, .. } => (true, *t_syscall_min),
             SamplingPolicy::TransitionSignals {
@@ -1415,14 +1433,6 @@ impl<'s> Engine<'s> {
                 t_syscall_min,
                 ..
             } => (triggers.contains(&name), *t_syscall_min),
-            SamplingPolicy::TransitionSignalPairs {
-                triggers,
-                t_syscall_min,
-                ..
-            } => (
-                prev.is_some_and(|p| triggers.contains(&(p, name))),
-                *t_syscall_min,
-            ),
             _ => (false, Cycles::ZERO),
         };
         if trigger
@@ -1563,12 +1573,8 @@ impl<'s> Engine<'s> {
         // its lower rungs freeze predictor training. A governed run
         // tracks prediction error even without a configured gate — it is
         // the ladder's counter-noise input.
-        let gate_cfg = if self.guard.is_some() {
-            None
-        } else {
-            self.cfg.easing_error_gate
-        };
-        let track_err = self.cfg.easing_error_gate.is_some() || self.guard.is_some();
+        let gated = self.cfg.easing_error_gate && self.guard.is_none();
+        let track_err = self.cfg.easing_error_gate || self.guard.is_some();
         let frozen = self.predictions_frozen();
         self.stats.samples_by_mode[mode.index()] += 1;
         match ctx {
@@ -1578,34 +1584,23 @@ impl<'s> Engine<'s> {
         let lr = self.live[rid].as_mut().expect("sampled request is live");
         let mut period = lr.accum;
         lr.accum = SamplePeriod::default();
-        if self.cfg.compensate_observer_effect {
-            if let Some(injected_ctx) = lr.accum_injection {
-                let min_cost = spin_baseline(injected_ctx);
-                period.cycles = (period.cycles - min_cost.cycles).max(0.0);
-                period.instructions = (period.instructions - min_cost.instructions).max(0.0);
-                period.l2_refs = (period.l2_refs - min_cost.l2_refs).max(0.0);
-                period.l2_misses = (period.l2_misses - min_cost.l2_misses).max(0.0);
-            }
-        }
-        lr.accum_injection = None;
-        if self.cfg.counter_noise > 0.0 {
-            // Measurement noise on the cache event counters (see
-            // `SimConfig::counter_noise`). The relative noise shrinks with
-            // the square root of the sample duration — event-count jitter
-            // averages out over longer windows — with 1 ms as the
-            // reference duration. CPU cycles and instructions are
-            // architecturally exact and stay untouched.
-            let dur_ms = period.cycles / Cycles::from_millis(1).as_f64();
-            let sigma = self.cfg.counter_noise * (1.0 / dur_ms.max(1e-3)).sqrt().min(4.0);
-            period.l2_refs *= (1.0 + sigma * 0.5 * gaussian(&mut lr.noise_rng)).max(0.0);
-            period.l2_misses *= (1.0 + sigma * gaussian(&mut lr.noise_rng)).max(0.0);
-            // Independent jitter must not break the counter invariant
-            // misses <= references.
-            period.l2_misses = period.l2_misses.min(period.l2_refs);
-        }
+        subtract_observer_floor(&mut period, lr.accum_injection.take());
+        // Measurement noise on the cache event counters (see
+        // [`COUNTER_NOISE`]). The relative noise shrinks with the square
+        // root of the sample duration — event-count jitter averages out
+        // over longer windows — with 1 ms as the reference duration. CPU
+        // cycles and instructions are architecturally exact and stay
+        // untouched.
+        let dur_ms = period.cycles / Cycles::from_millis(1).as_f64();
+        let sigma = COUNTER_NOISE * (1.0 / dur_ms.max(1e-3)).sqrt().min(4.0);
+        period.l2_refs *= (1.0 + sigma * 0.5 * gaussian(&mut lr.noise_rng)).max(0.0);
+        period.l2_misses *= (1.0 + sigma * gaussian(&mut lr.noise_rng)).max(0.0);
+        // Independent jitter must not break the counter invariant
+        // misses <= references.
+        period.l2_misses = period.l2_misses.min(period.l2_refs);
         if self.cfg.faults.counter_skid_sigma > 0.0 {
             // Injected counter skid: interrupt-based attribution lands a
-            // few events early or late, on top of `counter_noise`.
+            // few events early or late, on top of `COUNTER_NOISE`.
             let sigma = self.cfg.faults.counter_skid_sigma;
             period.l2_refs *= (1.0 + sigma * gaussian(&mut self.fault_rng)).max(0.0);
             period.l2_misses *= (1.0 + sigma * gaussian(&mut self.fault_rng)).max(0.0);
@@ -1685,8 +1680,8 @@ impl<'s> Engine<'s> {
                                 rel
                             };
                             self.pred_err_primed = true;
-                            if let Some(gate) = gate_cfg {
-                                let engaged = self.pred_err > gate;
+                            if gated {
+                                let engaged = self.pred_err > EASING_ERROR_GATE;
                                 if engaged != self.gate_engaged {
                                     self.gate_engaged = engaged;
                                     if let Some(sink) = self.sink.as_deref_mut() {
@@ -1752,9 +1747,7 @@ impl<'s> Engine<'s> {
                 self.queue
                     .schedule_after(period, Event::SampleTimer { core, epoch });
             }
-            SamplingPolicy::SyscallTriggered { .. }
-            | SamplingPolicy::TransitionSignals { .. }
-            | SamplingPolicy::TransitionSignalPairs { .. } => {
+            SamplingPolicy::SyscallTriggered { .. } | SamplingPolicy::TransitionSignals { .. } => {
                 // Backup interrupt covering a syscall-free stretch.
                 if !lost {
                     self.take_sample(core, rid, now, SampleMode::BackupTimer, None);
@@ -1768,8 +1761,7 @@ impl<'s> Engine<'s> {
     fn rearm_backup_timer(&mut self, core: usize, _now: Cycles) {
         let delay = match &self.cfg.sampling {
             SamplingPolicy::SyscallTriggered { t_backup_int, .. }
-            | SamplingPolicy::TransitionSignals { t_backup_int, .. }
-            | SamplingPolicy::TransitionSignalPairs { t_backup_int, .. } => *t_backup_int,
+            | SamplingPolicy::TransitionSignals { t_backup_int, .. } => *t_backup_int,
             _ => return,
         };
         let delay = self.scaled_interval(delay);
@@ -1808,8 +1800,7 @@ impl<'s> Engine<'s> {
                         .schedule_after(period, Event::SampleTimer { core, epoch });
                 }
                 SamplingPolicy::SyscallTriggered { .. }
-                | SamplingPolicy::TransitionSignals { .. }
-                | SamplingPolicy::TransitionSignalPairs { .. } => {
+                | SamplingPolicy::TransitionSignals { .. } => {
                     self.rearm_backup_timer(core, self.queue.now());
                 }
                 SamplingPolicy::ContextSwitchOnly => {}
@@ -1851,20 +1842,10 @@ impl<'s> Engine<'s> {
     /// carried over from the last real sample. Never reached at scale
     /// 1.0, so ungoverned runs are untouched.
     fn teardown_flush(&mut self, rid: usize) {
-        let compensate = self.cfg.compensate_observer_effect;
         let lr = self.live[rid].as_mut().expect("completing request is live");
         let mut period = lr.accum;
         lr.accum = SamplePeriod::default();
-        if compensate {
-            if let Some(injected_ctx) = lr.accum_injection {
-                let min_cost = spin_baseline(injected_ctx);
-                period.cycles = (period.cycles - min_cost.cycles).max(0.0);
-                period.instructions = (period.instructions - min_cost.instructions).max(0.0);
-                period.l2_refs = (period.l2_refs - min_cost.l2_refs).max(0.0);
-                period.l2_misses = (period.l2_misses - min_cost.l2_misses).max(0.0);
-            }
-        }
-        lr.accum_injection = None;
+        subtract_observer_floor(&mut period, lr.accum_injection.take());
         lr.pending_transition = None;
         if period.cycles > 0.0 {
             lr.timeline.push(period);
@@ -1963,11 +1944,7 @@ impl<'s> Engine<'s> {
         // labels ("nominal"/"freq_cap"/"core_park").
         let mut parked_update = None;
         if let (Some(ladder), Some(ps)) = (guard.power_ladder.as_mut(), &self.power) {
-            let pressure = ps
-                .cores
-                .iter()
-                .map(|c| c.pressure(&ps.policy))
-                .fold(0.0, f64::max);
+            let pressure = ps.cores.iter().map(CorePower::pressure).fold(0.0, f64::max);
             if let Some(t) = ladder.observe(pressure, now) {
                 self.rates_dirty = true;
                 if t.to.parks_core() {
@@ -2035,8 +2012,8 @@ impl<'s> Engine<'s> {
                 guard.monitor.check_frequency_bounds(
                     c as u64,
                     pstate as u64,
-                    ps.policy.pstates() as u64,
-                    u64::from(ps.policy.ratio_milli(pstate)),
+                    rbv_power::LADDER_MILLI.len() as u64,
+                    u64::from(rbv_power::ratio_milli(pstate)),
                 );
             }
             let engages: u64 = ps.cores.iter().map(|c| c.throttle_engages).sum();
@@ -2216,9 +2193,7 @@ impl<'s> Engine<'s> {
                 self.queue
                     .schedule_after(period, Event::SampleTimer { core, epoch });
             }
-            SamplingPolicy::SyscallTriggered { .. }
-            | SamplingPolicy::TransitionSignals { .. }
-            | SamplingPolicy::TransitionSignalPairs { .. } => {
+            SamplingPolicy::SyscallTriggered { .. } | SamplingPolicy::TransitionSignals { .. } => {
                 self.rearm_backup_timer(core, self.queue.now());
             }
             SamplingPolicy::ContextSwitchOnly => {}
@@ -2275,7 +2250,7 @@ impl<'s> Engine<'s> {
             }
             return self.pred_err_primed && self.pred_err > health::NOISE_REF;
         }
-        self.cfg.easing_error_gate.is_some() && self.gate_engaged
+        self.cfg.easing_error_gate && self.gate_engaged
     }
 
     /// Whether the health ladder currently freezes predictor training
@@ -2755,7 +2730,7 @@ mod tests {
     fn powered_runs_are_deterministic() {
         let cfg = SimConfig {
             power: Some(rbv_power::PowerPolicy::paper_default()),
-            thermal_faults: Some(rbv_power::ThermalFaults::storm(9)),
+            thermal_storm: true,
             ..SimConfig::paper_default()
         };
         let a = small_run(cfg.clone(), AppId::Tpcc, 20);
@@ -2764,26 +2739,32 @@ mod tests {
         assert_eq!(a.stats.energy, b.stats.energy);
     }
 
-    /// A power policy aggressive enough that a thermal storm reliably trips
-    /// the firmware throttle within a short test run.
-    fn touchy_power() -> rbv_power::PowerPolicy {
-        rbv_power::PowerPolicy {
-            tau: Cycles::from_micros(200),
-            throttle_cap_milli_c: 60_000,
-            throttle_release_milli_c: 50_000,
-            ..rbv_power::PowerPolicy::paper_default()
-        }
+    /// Requests of [`thermal_storm_run`].
+    const STORM_REQUESTS: usize = 800;
+
+    /// Open-loop web serving through the thermal storm at 0.55× nominal
+    /// capacity (the load of `repro serve --power --thermal`: a mean web
+    /// service of about 116 600 cycles over 4 cores), with or without
+    /// the guard.
+    fn thermal_storm_run(guard: bool) -> RunResult {
+        let app = AppId::WebServer;
+        let mut cfg =
+            SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
+        cfg.arrivals = ArrivalProcess::OpenPoisson {
+            mean_interarrival: Cycles::new(53_000),
+        };
+        cfg.power = Some(rbv_power::PowerPolicy::paper_default());
+        cfg.thermal_storm = true;
+        cfg.guard = guard;
+        cfg.seed = 42;
+        let mut factory = factory_for(app, 42, app.harness_scale());
+        run_simulation(cfg, factory.as_mut(), STORM_REQUESTS).expect("valid config")
     }
 
     #[test]
     fn thermal_storm_trips_the_firmware_throttle() {
-        let cfg = SimConfig {
-            power: Some(touchy_power()),
-            thermal_faults: Some(rbv_power::ThermalFaults::storm(42)),
-            ..SimConfig::paper_default()
-        };
-        let r = small_run(cfg, AppId::Tpcc, 40);
-        assert_eq!(r.completed.len(), 40);
+        let r = thermal_storm_run(false);
+        assert_eq!(r.completed.len(), STORM_REQUESTS);
         let energy = r.stats.energy.expect("powered run accounts energy");
         assert!(energy.throttle_engages >= 1, "storm must throttle");
         assert_eq!(
@@ -2805,14 +2786,12 @@ mod tests {
     fn power_capping_ladder_engages_under_storm() {
         // Defended: guard power-capping rungs react to smoothed thermal
         // pressure well before the firmware cap.
-        let cfg = SimConfig {
-            power: Some(touchy_power()),
-            thermal_faults: Some(rbv_power::ThermalFaults::storm(42)),
-            guard: true,
-            ..SimConfig::paper_default()
-        };
-        let r = small_run(cfg, AppId::Tpcc, 40);
-        assert_eq!(r.completed.len(), 40, "parking must not strand requests");
+        let r = thermal_storm_run(true);
+        assert_eq!(
+            r.completed.len(),
+            STORM_REQUESTS,
+            "parking must not strand requests"
+        );
         let energy = r.stats.energy.expect("powered run accounts energy");
         assert!(
             energy.power_rung_transitions >= 1,
@@ -3075,25 +3054,6 @@ mod fault_and_overload_tests {
         }));
         assert_eq!(baseline, permissive);
         assert!(permissive.failed.is_empty());
-    }
-
-    #[test]
-    fn unengaged_easing_gate_is_bit_identical_to_ungated() {
-        let run = |gate: Option<f64>| {
-            let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
-            cfg.scheduler = SchedulerPolicy::ContentionEasing {
-                high_usage_threshold: 1e-4,
-            };
-            cfg.easing_error_gate = gate;
-            let mut f = Tpcc::new(4, 0.05);
-            run_simulation(cfg, &mut f, 15).expect("valid")
-        };
-        let ungated = run(None);
-        let gated = run(Some(f64::MAX));
-        // The gate can never engage at an infinite threshold, so every
-        // scheduling decision — and therefore the full result — matches.
-        assert_eq!(ungated, gated);
-        assert_eq!(gated.stats.easing_gate_fallbacks, 0);
     }
 
     #[test]
@@ -3417,35 +3377,8 @@ mod stealing_tests {
 #[cfg(test)]
 mod bigram_policy_tests {
     use super::*;
-    use crate::config::{SamplingPolicy, SimConfig};
+    use crate::config::SimConfig;
     use rbv_workloads::WebServer;
-    use std::collections::HashSet;
-
-    #[test]
-    fn pair_policy_samples_only_at_listed_bigrams() {
-        // The web request's phase chain guarantees a (stat -> writev)
-        // boundary; trigger exclusively on it.
-        let mut cfg = SimConfig::paper_default();
-        cfg.sampling = SamplingPolicy::TransitionSignalPairs {
-            triggers: HashSet::from([(SyscallName::Stat, SyscallName::Writev)]),
-            t_syscall_min: Cycles::new(1),
-            t_backup_int: Cycles::from_millis(50),
-        };
-        let mut f = WebServer::new(61, 1.0);
-        let r = run_simulation(cfg, &mut f, 40).expect("valid");
-        // Roughly one trigger per request (plus context switches); far
-        // fewer than the ~10 syscalls per request.
-        let per_request = r.stats.samples_inkernel as f64 / 40.0;
-        assert!(
-            (1.5..4.0).contains(&per_request),
-            "samples per request {per_request}"
-        );
-        // Transition records exist and carry the matching bigram.
-        assert!(r
-            .transitions
-            .iter()
-            .any(|t| t.prev_name == Some(SyscallName::Stat) && t.name == SyscallName::Writev));
-    }
 
     #[test]
     fn transition_records_carry_previous_names() {

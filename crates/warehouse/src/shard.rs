@@ -8,7 +8,7 @@
 //! the pool scheduled it in.
 
 use rbv_faults::FaultyFactory;
-use rbv_os::{run_simulation, RbvError, RunResult, SchedulerPolicy, SimConfig, EASING_ERROR_GATE};
+use rbv_os::{run_simulation, RbvError, RunResult, SchedulerPolicy, SimConfig};
 use rbv_sim::rng::mix64;
 use rbv_sim::Cycles;
 use rbv_telemetry::{QuantileSketch, SelfProfiler};
@@ -151,7 +151,7 @@ pub fn run_shard(
             cfg.scheduler = SchedulerPolicy::ContentionEasing {
                 high_usage_threshold: stock.easing_threshold(),
             };
-            cfg.easing_error_gate = Some(EASING_ERROR_GATE);
+            cfg.easing_error_gate = true;
             run_once(spec, key, cfg, seed, n)?
         }
     };

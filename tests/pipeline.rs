@@ -131,31 +131,3 @@ fn derived_metrics_are_internally_consistent() {
         }
     }
 }
-
-#[test]
-fn disabling_noise_and_compensation_are_honored() {
-    let mut cfg = SimConfig::paper_default().with_interrupt_sampling(100);
-    cfg.counter_noise = 0.0;
-    cfg.compensate_observer_effect = false;
-    let mut f = factory_for(AppId::Tpcc, 4, 0.2);
-    let raw = run_simulation(cfg.clone(), f.as_mut(), 8).expect("valid");
-
-    cfg.compensate_observer_effect = true;
-    let mut f = factory_for(AppId::Tpcc, 4, 0.2);
-    let compensated = run_simulation(cfg, f.as_mut(), 8).expect("valid");
-
-    // Compensation removes sampling-induced events: fewer instructions
-    // attributed overall.
-    let total = |r: &RunResult| {
-        r.completed
-            .iter()
-            .map(|c| c.timeline.total_instructions())
-            .sum::<f64>()
-    };
-    assert!(
-        total(&compensated) < total(&raw),
-        "compensated {} vs raw {}",
-        total(&compensated),
-        total(&raw)
-    );
-}

@@ -152,15 +152,6 @@ fn backup_interrupt_equal_to_min_plus_one_is_legal() {
 }
 
 #[test]
-fn maximum_noise_stays_nonnegative() {
-    let mut cfg = SimConfig::paper_default().with_interrupt_sampling(10);
-    cfg.counter_noise = 0.99;
-    let mut f = WebServer::new(39, 0.3);
-    let r = run_simulation(cfg, &mut f, 10).expect("valid");
-    sane(&r, 10);
-}
-
-#[test]
 fn every_app_survives_tiny_scale_and_tiny_quantum_together() {
     for app in AppId::SERVER_APPS {
         let mut cfg = SimConfig::paper_default().with_interrupt_sampling(5);
