@@ -184,8 +184,10 @@ fn bench_contention_model(c: &mut Criterion) {
 
     // Reused-solver shapes beside the mixed one above: web-like segments
     // whose working sets all fit (the miss curve never reaches `powf`),
-    // TPCH-like streaming scans (every miss ratio takes `powf`), and two
-    // busy cores with the whole second cache cluster idle.
+    // TPCH-like streaming scans (every miss ratio takes `powf`), two busy
+    // cores with the whole second cache cluster idle, and working sets a
+    // little over half a cache, so each pair's shares settle 0.5–8% under
+    // their working sets, where the water-fill's cap kinks the map.
     let web = |base_cpi, ws| SegmentProfile {
         base_cpi,
         l2_refs_per_ins: 0.004,
@@ -197,6 +199,12 @@ fn bench_contention_model(c: &mut Criterion) {
         l2_refs_per_ins: 0.008,
         working_set_bytes: ws,
         reuse_locality: 0.5,
+    };
+    let near_fit = |base_cpi, ws| SegmentProfile {
+        base_cpi,
+        l2_refs_per_ins: 0.01,
+        working_set_bytes: ws,
+        reuse_locality: 0.9,
     };
     let shapes = [
         (
@@ -218,6 +226,15 @@ fn bench_contention_model(c: &mut Criterion) {
             ],
         ),
         ("one_idle_cluster", vec![Some(scan), Some(join), None, None]),
+        (
+            "kink",
+            vec![
+                Some(near_fit(0.9, 2.1e6)),
+                Some(near_fit(1.0, 2.2e6)),
+                Some(near_fit(0.95, 2.12e6)),
+                Some(near_fit(1.05, 2.3e6)),
+            ],
+        ),
     ];
     let mut group = c.benchmark_group("contention_model_reused");
     for (name, running) in &shapes {

@@ -52,6 +52,11 @@ pub fn run(
                 pass.pass, pass.windows, pass.window_events, pass.serial_tail_events
             );
         }
+        let solver = &report.solver;
+        eprintln!(
+            "[contention solves: {} calls, {} iterations, {} restarts, {} unconverged]",
+            solver.calls, solver.iterations, solver.restarts, solver.unconverged
+        );
     }
     if let Some(path) = out {
         rbv_guard::write_atomic(path, format!("{text}\n").as_bytes())?;

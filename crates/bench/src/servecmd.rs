@@ -248,6 +248,12 @@ pub fn summarize<W: Write>(report: &ServeReport, out: &mut W) -> io::Result<()> 
             out,
             "  wall-clock               {wall:.2}s ({rate:.0} simulated requests/s)"
         )?;
+        let solver = &report.solver;
+        writeln!(
+            out,
+            "  contention solves        {} ({} iterations, {} restarts, {} unconverged)",
+            solver.calls, solver.iterations, solver.restarts, solver.unconverged
+        )?;
     }
     Ok(())
 }

@@ -3,7 +3,11 @@
 //! value-level mutations of their parsed trees, go through `Json::parse`,
 //! `RunLedger::from_json`, `SpanSummary::from_json` and
 //! `Warehouse::from_json`. Each reader must return `Ok` or `Err`; none
-//! may panic.
+//! may panic. Every quantile sketch in the corpus is also mutated into
+//! each shape no sketch serializes to (a negative or fractional count,
+//! buckets and tails that miss `count`, `min > max`, a bucket index off
+//! the layout or listed twice), and `QuantileSketch::from_json` and the
+//! run-ledger reader must reject every one.
 
 use std::path::PathBuf;
 
@@ -11,7 +15,7 @@ use rbv_ledger::RunLedger;
 use rbv_openloop::{serve, ServeSpec};
 use rbv_par::Pool;
 use rbv_sim::rng::mix64;
-use rbv_telemetry::{Json, SelfProfiler};
+use rbv_telemetry::{Json, QuantileSketch, SelfProfiler};
 use rbv_trace::SpanSummary;
 use rbv_warehouse::{run_campaign, CampaignSpec, MixId, SchedVariant, Warehouse};
 use rbv_workloads::AppId;
@@ -208,6 +212,147 @@ fn value_mutations_never_panic() {
             let with = &replacements[(mix64(h) % replacements.len() as u64) as usize];
             replace_nth(&mut mutated, (h % nodes as u64) as usize, with, &mut 0);
             read_tree(&mutated);
+        }
+    }
+}
+
+/// Pre-order indices of the quantile sketches in `json`.
+fn sketch_nodes(json: &Json, seen: &mut usize, out: &mut Vec<usize>) {
+    if json.get("layout").and_then(Json::as_str) == Some("log2x32") {
+        out.push(*seen);
+    }
+    *seen += 1;
+    match json {
+        Json::Arr(items) => items.iter().for_each(|item| sketch_nodes(item, seen, out)),
+        Json::Obj(members) => members
+            .iter()
+            .for_each(|(_, value)| sketch_nodes(value, seen, out)),
+        _ => {}
+    }
+}
+
+/// The `target`-th node (pre-order) of `json`.
+fn nth_mut<'a>(json: &'a mut Json, target: usize, seen: &mut usize) -> Option<&'a mut Json> {
+    if *seen == target {
+        return Some(json);
+    }
+    *seen += 1;
+    match json {
+        Json::Arr(items) => items
+            .iter_mut()
+            .find_map(|item| nth_mut(item, target, seen)),
+        Json::Obj(members) => members
+            .iter_mut()
+            .find_map(|(_, value)| nth_mut(value, target, seen)),
+        _ => None,
+    }
+}
+
+/// Sets `key` of the sketch object `sketch` to `value`.
+fn set(sketch: &mut Json, key: &str, value: Json) {
+    if let Json::Obj(members) = sketch {
+        for (k, v) in members.iter_mut() {
+            if k == key {
+                *v = value;
+                return;
+            }
+        }
+    }
+    panic!("sketch has no {key:?}");
+}
+
+/// The bucket list of the sketch object `sketch`.
+fn buckets(sketch: &mut Json) -> &mut Vec<Json> {
+    match sketch {
+        Json::Obj(members) => match members.iter_mut().find(|(k, _)| k == "buckets") {
+            Some((_, Json::Arr(items))) => items,
+            _ => panic!("sketch has no bucket list"),
+        },
+        _ => panic!("sketch is not an object"),
+    }
+}
+
+/// Every malformed variant of `sketch` this test feeds the readers.
+fn sketch_mutations(sketch: &Json) -> Vec<(String, Json)> {
+    let num = |key: &str| {
+        sketch
+            .get(key)
+            .and_then(Json::as_f64)
+            .expect("sketch number")
+    };
+    let mut out = Vec::new();
+    let mut mutate = |label: String, edit: &dyn Fn(&mut Json)| {
+        let mut mutated = sketch.clone();
+        edit(&mut mutated);
+        out.push((label, mutated));
+    };
+    for key in ["count", "zero", "low", "high"] {
+        let v = num(key);
+        mutate(format!("{key} -1"), &|s| set(s, key, Json::Num(-1.0)));
+        mutate(format!("{key} + 0.5"), &|s| set(s, key, Json::Num(v + 0.5)));
+        mutate(format!("{key} + 1"), &|s| set(s, key, Json::Num(v + 1.0)));
+    }
+    let mut probe = sketch.clone();
+    if let Some(first) = buckets(&mut probe).first().cloned() {
+        let pair = first.as_array().expect("bucket pair").to_vec();
+        let (idx, count) = (pair[0].clone(), pair[1].as_f64().expect("bucket count"));
+        let with_count = |c: f64| Json::Arr(vec![idx.clone(), Json::Num(c)]);
+        for (label, c) in [("-1", -1.0), ("+ 0.5", count + 0.5), ("+ 1", count + 1.0)] {
+            let bucket = with_count(c);
+            mutate(format!("bucket count {label}"), &|s| {
+                buckets(s)[0] = bucket.clone();
+            });
+        }
+        mutate("bucket listed twice".into(), &|s| {
+            let b = buckets(s);
+            b.push(b[0].clone());
+        });
+        for bad in [-16_385.0, 16_384.0, 0.5] {
+            let bucket = Json::Arr(vec![Json::Num(bad), Json::Num(count)]);
+            mutate(format!("bucket index {bad}"), &|s| {
+                buckets(s)[0] = bucket.clone();
+            });
+        }
+    }
+    if num("count") > 0.0 {
+        let max = num("max");
+        mutate("min > max".into(), &|s| {
+            set(s, "min", Json::Num(max * 2.0 + 1.0));
+        });
+    }
+    out
+}
+
+#[test]
+fn malformed_sketches_are_rejected() {
+    for (name, text, readers) in corpus() {
+        let original = Json::parse(&text).expect("committed document parses");
+        let mut nodes = Vec::new();
+        sketch_nodes(&original, &mut 0, &mut nodes);
+        assert!(!nodes.is_empty(), "{name} holds sketches");
+        for node in nodes {
+            let sketch = nth_mut(&mut original.clone(), node, &mut 0)
+                .expect("the node exists")
+                .clone();
+            assert!(
+                QuantileSketch::from_json(&sketch).is_ok(),
+                "{name}: node {node}"
+            );
+            for (label, mutated) in sketch_mutations(&sketch) {
+                assert!(
+                    QuantileSketch::from_json(&mutated).is_err(),
+                    "{name}: node {node}: {label} was read"
+                );
+                // The run ledger reads every sketch it holds.
+                if readers == 1 && RunLedger::from_json(&original).is_ok() {
+                    let mut doc = original.clone();
+                    *nth_mut(&mut doc, node, &mut 0).expect("the node exists") = mutated;
+                    assert!(
+                        RunLedger::from_json(&doc).is_err(),
+                        "{name}: node {node}: {label} was read by the ledger reader"
+                    );
+                }
+            }
         }
     }
 }

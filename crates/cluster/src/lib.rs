@@ -41,8 +41,9 @@ mod tier_shard;
 
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
-    easing_threshold, run_simulation, run_simulation_streaming, ArrivalProcess, CompletedRequest,
-    CompletionSink, FailedRequest, RbvError, RunStats, SchedulerPolicy, SimConfig,
+    easing_threshold, run_simulation, run_simulation_streaming, solver_profile, ArrivalProcess,
+    CompletedRequest, CompletionSink, FailedRequest, RbvError, RunStats, SchedulerPolicy,
+    SimConfig, SolverStats,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
@@ -355,6 +356,35 @@ struct ShardOutput {
     /// How each three-tier pass was stepped, in pass order (empty for
     /// the single topology).
     passes: Vec<PassWindows>,
+    /// Contention-model solves of every pass, calibration included.
+    solver: SolverStats,
+}
+
+impl ShardOutput {
+    /// One pass's output, `machines` in machine order. Each machine's
+    /// unconverged contention solves become violations of the summary's
+    /// invariants.
+    fn new(
+        mut summary: TierSummary,
+        records: Vec<ClusterSpanRecord>,
+        machines: Vec<RunStats>,
+        passes: Vec<PassWindows>,
+    ) -> ShardOutput {
+        let mut solver = SolverStats::default();
+        for (machine, stats) in machines.iter().enumerate() {
+            summary
+                .invariants
+                .record_unconverged_solves(machine as u32, stats.solver.unconverged);
+            solver.merge(&stats.solver);
+        }
+        ShardOutput {
+            summary,
+            records,
+            machines,
+            passes,
+            solver,
+        }
+    }
 }
 
 /// A tier span collector, retaining span records for Perfetto export
@@ -484,12 +514,12 @@ fn run_single_shard(
         .invariants
         .check_request_conservation(job.n as u64, summary.completed, summary.failed);
     summary.invariants.check_hop_accounting(0, 0);
-    Ok(ShardOutput {
+    Ok(ShardOutput::new(
         summary,
         records,
-        machines: vec![result.stats],
-        passes: Vec::new(),
-    })
+        vec![result.stats],
+        Vec::new(),
+    ))
 }
 
 /// Runs one shard of the plan, including the easing calibration pass
@@ -509,22 +539,33 @@ fn run_shard(
     let job = ShardJob { seed, n, rid_base };
     match spec.topology {
         ClusterTopology::Single => {
-            let threshold = if spec.easing {
+            let stock = if spec.easing {
                 let stock = single_machine_config(spec, mean_service, seed, None);
                 let mut factory = factory_for(spec.app, seed, spec.app.harness_scale());
-                Some(run_simulation(stock, factory.as_mut(), n)?.easing_threshold())
+                Some(run_simulation(stock, factory.as_mut(), n)?)
             } else {
                 None
             };
-            run_single_shard(spec, mean_service, job, threshold)
+            let threshold = stock.as_ref().map(|s| s.easing_threshold());
+            let mut output = run_single_shard(spec, mean_service, job, threshold)?;
+            if let Some(stock) = stock {
+                output
+                    .summary
+                    .invariants
+                    .record_unconverged_solves(0, stock.stats.solver.unconverged);
+                output.solver.merge(&stock.stats.solver);
+            }
+            Ok(output)
         }
         ClusterTopology::ThreeTier => {
             let mut calibration = None;
+            let mut stock_solver = SolverStats::default();
             let thresholds = if spec.easing {
                 let mut mpi: Vec<Vec<f64>> = Vec::new();
                 let stock =
                     run_tier_shard(spec, mean_service, job, None, false, lanes, Some(&mut mpi))?;
                 stock_pass_checks(&stock.summary, n, index)?;
+                stock_solver = stock.solver;
                 calibration = stock.passes.first().map(|pass| PassWindows {
                     pass: "calibration",
                     ..*pass
@@ -547,6 +588,7 @@ fn run_shard(
                 None,
             )?;
             output.passes.splice(0..0, calibration);
+            output.solver.merge(&stock_solver);
             Ok(output)
         }
     }
@@ -594,6 +636,9 @@ pub struct ClusterReport {
     /// easing is on), summed over shards; empty for the single topology.
     /// Reported only under the ledger's non-diffed `"profile"` member.
     pub passes: Vec<PassWindows>,
+    /// Contention-model solves of every pass and machine, summed over
+    /// shards. Reported only under the `"profile"` member.
+    pub solver: SolverStats,
     /// Wall-clock duration, seconds; `None` keeps the ledger a pure
     /// function of the spec.
     pub wall_seconds: Option<f64>,
@@ -694,6 +739,7 @@ impl ClusterReport {
                                 .collect(),
                         ),
                     ),
+                    ("solver".into(), solver_profile(&self.solver)),
                 ]),
             ));
         }
@@ -820,10 +866,12 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         .collect();
     let mut spans = Vec::new();
     let mut passes: Vec<PassWindows> = Vec::new();
+    let mut solver = SolverStats::default();
     for (shard, output) in outputs.into_iter().enumerate() {
         let mut output = output?;
         output.summary.set_shard(shard as u32);
         summary.merge(&output.summary);
+        solver.merge(&output.solver);
         for (machine, stats) in machines.iter_mut().zip(&output.machines) {
             machine.absorb(stats);
         }
@@ -862,6 +910,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         machines,
         spans,
         passes,
+        solver,
         wall_seconds: started.map(|t| t.elapsed().as_secs_f64()),
     })
 }

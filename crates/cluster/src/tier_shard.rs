@@ -887,12 +887,12 @@ pub(crate) fn run_tier_shard(
     summary
         .invariants
         .check_hop_accounting(departures, deliveries);
-    Ok(ShardOutput {
+    Ok(ShardOutput::new(
         summary,
         records,
-        machines: finished.into_iter().map(|(_, stats, _)| stats).collect(),
-        passes: vec![windows],
-    })
+        finished.into_iter().map(|(_, stats, _)| stats).collect(),
+        vec![windows],
+    ))
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use rbv_cluster::{
 };
 use rbv_os::{
     easing_threshold, ArrivalProcess, CompletedRequest, Machine, RunStats, SchedulerPolicy,
-    SimConfig,
+    SimConfig, SolverStats,
 };
 use rbv_par::Pool;
 use rbv_sim::rng::mix64;
@@ -133,6 +133,9 @@ mod serial {
         summary: TierSummary,
         records: Vec<ClusterSpanRecord>,
         machines: Vec<RunStats>,
+        /// Network deliveries due at the same cycle as the next client
+        /// arrival: the tie the canonical order breaks delivery first.
+        ties: u64,
     }
 
     #[allow(clippy::too_many_lines)]
@@ -181,6 +184,7 @@ mod serial {
         let mut links = vec![vec![0u64; n_machines]; n_machines];
         let (mut next_arrival, mut offered, mut resolved) = (0u64, 0usize, 0usize);
         let (mut departures, mut deliveries) = (0u64, 0u64);
+        let mut ties = 0u64;
 
         let send = |local: usize,
                     from: usize,
@@ -234,6 +238,7 @@ mod serial {
             if rank == 0 {
                 let (key, transfer) = transfers.pop_first().expect("a pending transfer");
                 let (at, rid, _) = key;
+                ties += u64::from(offered < n && next_arrival == at);
                 let to = transfer.to as usize;
                 deliveries += 1;
                 collector.hop(rid, transfer);
@@ -332,16 +337,23 @@ mod serial {
         summary
             .invariants
             .check_hop_accounting(departures, deliveries);
+        let machines: Vec<RunStats> = machines.into_iter().map(|m| m.finish().stats).collect();
+        for (machine, stats) in machines.iter().enumerate() {
+            summary
+                .invariants
+                .record_unconverged_solves(machine as u32, stats.solver.unconverged);
+        }
         ShardOutput {
             summary,
             records,
-            machines: machines.into_iter().map(|m| m.finish().stats).collect(),
+            machines,
+            ties,
         }
     }
 
     /// `run_cluster` for a three-tier spec, every shard on the serial
-    /// loop.
-    pub fn run_cluster(spec: &ClusterSpec) -> ClusterReport {
+    /// loop, and the delivery-arrival ties its passes broke.
+    pub fn run_cluster(spec: &ClusterSpec) -> (ClusterReport, u64) {
         assert_eq!(spec.topology, ClusterTopology::ThreeTier);
         let mean_service = rbv_openloop::probe_mean_service(spec.app, spec.seed).expect("probe");
         let plan = rbv_par::shard_plan(spec.requests, 16_384, 64);
@@ -359,12 +371,18 @@ mod serial {
             .collect();
         let mut spans = Vec::new();
         let mut rid_base = 0u64;
+        let mut solver = SolverStats::default();
+        let mut ties = 0u64;
         for (shard, &n) in plan.iter().enumerate() {
             let job = (shard_seed(spec.seed, shard), n, rid_base);
             rid_base += n as u64;
             let thresholds = spec.easing.then(|| {
                 let mut mpi = Vec::new();
-                run_tier_shard(spec, mean_service, job, None, false, Some(&mut mpi));
+                let stock = run_tier_shard(spec, mean_service, job, None, false, Some(&mut mpi));
+                ties += stock.ties;
+                for stats in &stock.machines {
+                    solver.merge(&stats.solver);
+                }
                 mpi.iter()
                     .map(|samples| easing_threshold(samples))
                     .collect::<Vec<_>>()
@@ -379,9 +397,11 @@ mod serial {
             );
             output.summary.set_shard(shard as u32);
             summary.merge(&output.summary);
+            ties += output.ties;
             for (totals, stats) in machines.iter_mut().zip(&output.machines) {
                 totals.engine_events += stats.engine_events;
                 totals.context_switches += stats.context_switches;
+                solver.merge(&stats.solver);
             }
             for mut record in output.records {
                 record.shard = shard as u32;
@@ -400,7 +420,7 @@ mod serial {
                 stats.tier = tiers[i].to_string();
             }
         }
-        ClusterReport {
+        let report = ClusterReport {
             spec: *spec,
             shards: plan.len() as u64,
             mean_service_cycles: mean_service,
@@ -408,8 +428,10 @@ mod serial {
             machines,
             spans,
             passes: Vec::new(),
+            solver,
             wall_seconds: None,
-        }
+        };
+        (report, ties)
     }
 }
 
@@ -445,7 +467,7 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                     wallclock: false,
                 };
                 let label = format!("{app} easing={easing} {network:?}");
-                let reference = serial::run_cluster(&spec);
+                let (reference, _) = serial::run_cluster(&spec);
                 assert!(reference.clean(), "{label}: the reference run is clean");
                 let (ledger, spans) = (
                     reference.to_json().to_string_compact(),
@@ -463,6 +485,7 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                         spans,
                         "{label}: spans at {threads} threads"
                     );
+                    assert_eq!(report.solver, reference.solver, "{label}");
                     // Every pass ran windows, and stepped the rest one
                     // event at a time after the last arrival.
                     assert_eq!(report.passes.len(), 1 + usize::from(easing), "{label}");
@@ -478,6 +501,62 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                         "{label}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Forced ties: a one-cycle hop and client arrivals one cycle apart
+/// (an offered load so high that the exponential gap, floored at one
+/// cycle, is one cycle for most requests). TPC-C's first leg runs on
+/// the database, so each arrival departs at once and its delivery falls
+/// on the cycle of the next arrival: the serial order's delivery-first
+/// tie-break decides every such pair. RUBiS lands its arrivals on the
+/// frontend back to back instead. Both must still match the serial
+/// loop byte for byte.
+#[test]
+fn forced_delivery_arrival_ties_match_the_serial_loop() {
+    for app in [AppId::Tpcc, AppId::Rubis] {
+        for easing in [false, true] {
+            let spec = ClusterSpec {
+                app,
+                requests: 24,
+                overload: 1e9,
+                seed: 5,
+                easing,
+                topology: ClusterTopology::ThreeTier,
+                network: NetworkModel {
+                    base_latency_cycles: 1,
+                    cycles_per_byte: 0,
+                },
+                trace_spans: true,
+                wallclock: false,
+            };
+            let label = format!("{app} easing={easing}");
+            let (reference, ties) = serial::run_cluster(&spec);
+            assert!(reference.clean(), "{label}: the reference run is clean");
+            if app == AppId::Tpcc {
+                // Both passes of an eased run count theirs.
+                let passes = 1 + u64::from(easing);
+                assert!(ties >= passes * 12, "{label}: only {ties} ties");
+            }
+            let (ledger, spans) = (
+                reference.to_json().to_string_compact(),
+                spans_json(&reference),
+            );
+            for threads in 1..=4 {
+                let report = run_cluster(&spec, &Pool::new(threads)).expect("cluster run");
+                assert_eq!(
+                    report.to_json().to_string_compact(),
+                    ledger,
+                    "{label}: ledger at {threads} threads"
+                );
+                assert_eq!(
+                    spans_json(&report),
+                    spans,
+                    "{label}: spans at {threads} threads"
+                );
+                assert_eq!(report.solver, reference.solver, "{label}");
             }
         }
     }

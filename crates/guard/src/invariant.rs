@@ -44,11 +44,14 @@ pub enum InvariantKind {
     /// Throttle events are conserved: per-core engage counts minus
     /// release counts equal the number of cores currently throttled.
     ThrottleConservation,
+    /// Every contention-model solve met its stop rule (the solver checks
+    /// it on each call; the monitor tallies the solves that failed).
+    SolverConvergence,
 }
 
 impl InvariantKind {
     /// Every kind, in metric order.
-    pub const ALL: [InvariantKind; 10] = [
+    pub const ALL: [InvariantKind; 11] = [
         InvariantKind::RequestConservation,
         InvariantKind::ClockMonotonic,
         InvariantKind::CounterMonotonic,
@@ -59,6 +62,7 @@ impl InvariantKind {
         InvariantKind::EnergyConservation,
         InvariantKind::FrequencyBounds,
         InvariantKind::ThrottleConservation,
+        InvariantKind::SolverConvergence,
     ];
 
     /// Stable snake_case label for metrics and the ledger.
@@ -74,6 +78,7 @@ impl InvariantKind {
             InvariantKind::EnergyConservation => "energy_conservation",
             InvariantKind::FrequencyBounds => "frequency_bounds",
             InvariantKind::ThrottleConservation => "throttle_conservation",
+            InvariantKind::SolverConvergence => "solver_convergence",
         }
     }
 
@@ -102,14 +107,30 @@ impl InvariantMonitor {
     fn record(&mut self, kind: InvariantKind, ok: bool, detail: impl FnOnce() -> String) -> bool {
         self.checks += 1;
         if !ok {
-            self.violations[kind.index()] += 1;
-            let detail = detail();
-            if self.first_violation.is_none() {
-                self.first_violation = Some(format!("{}: {}", kind.label(), detail));
-            }
-            self.last_violation = Some((kind, detail));
+            self.violate(kind, 1, detail());
         }
         ok
+    }
+
+    fn violate(&mut self, kind: InvariantKind, count: u64, detail: String) {
+        self.violations[kind.index()] += count;
+        if self.first_violation.is_none() {
+            self.first_violation = Some(format!("{}: {}", kind.label(), detail));
+        }
+        self.last_violation = Some((kind, detail));
+    }
+
+    /// Tallies contention-model solves that did not converge as
+    /// [`InvariantKind::SolverConvergence`] violations. The solver tests
+    /// its stop rule on every call itself, so this adds no checks.
+    pub fn record_unconverged_solves(&mut self, unconverged: u64) {
+        if unconverged > 0 {
+            self.violate(
+                InvariantKind::SolverConvergence,
+                unconverged,
+                format!("{unconverged} contention solves did not converge"),
+            );
+        }
     }
 
     /// Checks request conservation: every generated request is live,
@@ -368,12 +389,27 @@ impl InvariantTally {
     fn record(&mut self, ok: bool, detail: impl FnOnce() -> String) -> bool {
         self.checks += 1;
         if !ok {
-            self.violations += 1;
-            if self.first_violation.is_none() {
-                self.first_violation = Some(detail());
-            }
+            self.violate(1, detail);
         }
         ok
+    }
+
+    fn violate(&mut self, count: u64, detail: impl FnOnce() -> String) {
+        self.violations += count;
+        if self.first_violation.is_none() {
+            self.first_violation = Some(detail());
+        }
+    }
+
+    /// Tallies one machine's contention-model solves that did not
+    /// converge as violations; as
+    /// [`InvariantMonitor::record_unconverged_solves`], it adds no checks.
+    pub fn record_unconverged_solves(&mut self, machine: u32, unconverged: u64) {
+        if unconverged > 0 {
+            self.violate(unconverged, || {
+                format!("machine {machine}: {unconverged} contention solves did not converge")
+            });
+        }
     }
 
     /// Checks observation-count conservation across a merge: the merged
@@ -544,7 +580,8 @@ mod tests {
         assert!(!m.check_frequency_bounds(2, 5, 5, 600));
         assert!(!m.check_frequency_bounds(2, 1, 5, 1_500));
         assert!(!m.check_throttle_conservation(3, 3, 1));
-        assert_eq!(m.violations(), [1, 1, 2, 1, 1, 1, 1, 1, 2, 1]);
+        m.record_unconverged_solves(1);
+        assert_eq!(m.violations(), [1, 1, 2, 1, 1, 1, 1, 1, 2, 1, 1]);
         let first = m.first_violation().unwrap();
         assert!(first.starts_with("request_conservation:"), "{first}");
     }
@@ -580,6 +617,27 @@ mod tests {
             c.to_json().get("violations").and_then(Json::as_f64),
             Some(3.0)
         );
+    }
+
+    #[test]
+    fn unconverged_solves_are_violations_without_checks() {
+        let mut m = InvariantMonitor::new();
+        m.record_unconverged_solves(0);
+        assert_eq!((m.checks(), m.violations_total()), (0, 0));
+        m.record_unconverged_solves(3);
+        assert_eq!(m.checks(), 0);
+        assert_eq!(m.violations()[InvariantKind::SolverConvergence.index()], 3);
+        assert!(m
+            .first_violation()
+            .unwrap()
+            .starts_with("solver_convergence"));
+
+        let mut c = InvariantTally::new();
+        c.record_unconverged_solves(2, 0);
+        assert_eq!((c.checks(), c.violations()), (0, 0));
+        c.record_unconverged_solves(2, 5);
+        assert_eq!((c.checks(), c.violations()), (0, 5));
+        assert!(c.first_violation().unwrap().contains("machine 2"));
     }
 
     #[test]

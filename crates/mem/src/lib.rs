@@ -42,4 +42,6 @@ pub mod trace;
 
 pub use cache::{CacheConfig, SetAssocCache};
 pub use hierarchy::{AccessLevel, CoreCounters, MemoryHierarchy, Topology};
-pub use model::{ContentionSolver, MachineSpec, PerfEstimate, SegmentProfile};
+pub use model::{
+    ContentionSolver, MachineSpec, PerfEstimate, SegmentProfile, SolveOutcome, SolverStats,
+};

@@ -24,9 +24,9 @@
 
 use rbv_os::{
     joules, run_simulation, run_simulation_streaming, run_simulation_streaming_traced,
-    ArrivalProcess, ClientPolicy, CompletedRequest, CompletionSink, EnergyStats, FailReason,
-    FailedRequest, LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline, RbvError,
-    ShedPolicy, SimConfig,
+    solver_profile, ArrivalProcess, ClientPolicy, CompletedRequest, CompletionSink, EnergyStats,
+    FailReason, FailedRequest, LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline,
+    RbvError, ShedPolicy, SimConfig, SolverStats,
 };
 use rbv_sim::{rng, Cycles};
 use rbv_telemetry::{Json, QuantileSketch};
@@ -494,6 +494,9 @@ pub struct ServeReport {
     /// `trace_spans`); feeds [`rbv_trace::spans_to_perfetto`], never the
     /// serialized ledger.
     pub spans: Vec<(u32, Vec<SpanRecord>)>,
+    /// Contention-model solves across shards; serialized only under the
+    /// opt-in `"profile"` member.
+    pub solver: SolverStats,
     /// Wall-clock duration of the run, seconds. Opt-in (`--wallclock`);
     /// `None` keeps the serialized ledger a pure function of the spec,
     /// which the thread-count byte-identity gate relies on.
@@ -631,6 +634,7 @@ impl ServeReport {
                         "sim_requests_per_wall_second".into(),
                         num(self.sim_requests_per_wall_second().unwrap_or(0.0)),
                     ),
+                    ("solver".into(), solver_profile(&self.solver)),
                 ]),
             ));
         }
@@ -687,6 +691,7 @@ pub fn serve_with_shard_target(
         energy: None,
         trace: None,
         spans: Vec::new(),
+        solver: SolverStats::default(),
         wall_seconds: None,
     };
     // Merge in shard order — the canonical order that makes floating-
@@ -707,6 +712,7 @@ pub fn serve_with_shard_target(
         if shard_rung.index() > report.final_rung.index() {
             report.final_rung = shard_rung;
         }
+        report.solver.merge(&shard.stats.solver);
         report.busy_cycles += shard.stats.busy_cycles;
         report.simulated_cycles += shard.total_time.as_f64();
         report.latency_us.merge(&shard.acc.latency_us);

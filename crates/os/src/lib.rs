@@ -72,7 +72,9 @@ pub use rbv_guard::{InvariantKind, LadderRung, EASING_ERROR_GATE};
 // depend on `rbv-power` directly.
 pub use rbv_guard::PowerRung;
 pub use rbv_power::{joules, PowerPolicy};
+// The contention model's solve counters, which `RunStats::solver` carries.
+pub use rbv_mem::SolverStats;
 pub use result::{
-    easing_threshold, CompletedRequest, EnergyStats, FailReason, FailedRequest, RunResult,
-    RunStats, SyscallRecord, TransitionRecord,
+    easing_threshold, solver_profile, CompletedRequest, EnergyStats, FailReason, FailedRequest,
+    RunResult, RunStats, SyscallRecord, TransitionRecord,
 };

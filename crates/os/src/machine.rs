@@ -44,8 +44,8 @@ use std::collections::VecDeque;
 use rbv_core::predict::{Predictor, VaEwma};
 use rbv_core::series::{Metric, SamplePeriod, Timeline};
 use rbv_guard::{
-    governor, health, Governor, GovernorAction, HealthLadder, InvariantMonitor, LadderRung,
-    PowerLadder, WindowSample, EASING_ERROR_GATE,
+    governor, health, Governor, GovernorAction, HealthLadder, InvariantKind, InvariantMonitor,
+    LadderRung, PowerLadder, WindowSample, EASING_ERROR_GATE,
 };
 use rbv_mem::{ContentionSolver, PerfEstimate, SegmentProfile};
 use rbv_power::{CorePower, ThermalStorm};
@@ -752,6 +752,11 @@ impl<'s> Engine<'s> {
             self.finalize_guard_stats();
         } else if cfg!(debug_assertions) {
             self.debug_invariant_sweep();
+        } else {
+            // No monitor runs, but a solve that did not converge is a
+            // violation in every run.
+            self.stats.invariant_violations[InvariantKind::SolverConvergence.index()] =
+                self.stats.solver.unconverged;
         }
         self.finalize_power_stats();
 
@@ -989,6 +994,17 @@ impl<'s> Engine<'s> {
                 break;
             }
         }
+        self.retire_failed(rid, now, reason);
+        if self.cfg.arrivals == ArrivalProcess::ClosedLoop {
+            self.spawn(factory);
+        }
+    }
+
+    /// The bookkeeping every terminal failure shares, once the request
+    /// holds no core and sits in no runqueue: takes it out of `live`,
+    /// charges the cycles it consumed as wasted, records the failure (and
+    /// its trace event) and counts it under its reason.
+    fn retire_failed(&mut self, rid: usize, now: Cycles, reason: FailReason) {
         match reason {
             FailReason::AdmissionShed => self.stats.load_shed += 1,
             FailReason::DeadlineAbort => self.stats.deadline_aborts += 1,
@@ -1013,9 +1029,6 @@ impl<'s> Engine<'s> {
                 rid: rid as u64,
                 reason: reason.label().into(),
             });
-        }
-        if self.cfg.arrivals == ArrivalProcess::ClosedLoop {
-            self.spawn(factory);
         }
     }
 
@@ -1274,7 +1287,7 @@ impl<'s> Engine<'s> {
                 .map(|rid| self.live[rid].as_ref().expect("running is live").profile());
         }
         let machine = &self.cfg.machine;
-        if self.cfg.static_cache_partition {
+        let outcome = if self.cfg.static_cache_partition {
             // Equal page-coloring slices of each shared L2 among its
             // occupied cores.
             let topo = machine.topology;
@@ -1298,10 +1311,11 @@ impl<'s> Engine<'s> {
                 &self.shares,
                 &mut self.solver,
                 &mut self.rates,
-            );
+            )
         } else {
-            machine.evaluate_into(&self.profiles, &mut self.solver, &mut self.rates);
-        }
+            machine.evaluate_into(&self.profiles, &mut self.solver, &mut self.rates)
+        };
+        self.stats.solver.record(outcome);
         self.apply_dvfs();
         for c in 0..self.cores.len() {
             self.push_milestone(c);
@@ -2055,7 +2069,7 @@ impl<'s> Engine<'s> {
     /// Folds the guard components' verdicts into the run statistics (so
     /// they reach the ledger's `guard.*` metric family).
     fn finalize_guard_stats(&mut self) {
-        let Some(guard) = &self.guard else {
+        let Some(guard) = &mut self.guard else {
             return;
         };
         self.stats.governor_windows = guard.governor.windows();
@@ -2068,6 +2082,9 @@ impl<'s> Engine<'s> {
         self.stats.governor_slack_frac = guard.governor.slack_frac();
         self.stats.health_transitions = guard.ladder.transitions();
         self.stats.health_final_rung = guard.ladder.rung().index() as u64;
+        guard
+            .monitor
+            .record_unconverged_solves(self.stats.solver.unconverged);
         self.stats.invariant_checks = guard.monitor.checks();
         self.stats.invariant_violations = guard.monitor.violations();
     }
@@ -2124,6 +2141,7 @@ impl<'s> Engine<'s> {
             let core_sum: u128 = ps.cores.iter().map(|c| c.energy_uw_cycles).sum();
             monitor.check_energy_conservation(core_sum, ps.total_uw_cycles);
         }
+        monitor.record_unconverged_solves(self.stats.solver.unconverged);
         self.stats.invariant_checks = monitor.checks();
         self.stats.invariant_violations = monitor.violations();
         debug_assert!(
@@ -2270,7 +2288,10 @@ impl<'s> Engine<'s> {
             if self.codel_passes(core, rid) {
                 return Some(rid);
             }
-            self.shed_dequeued(rid);
+            // A terminal shed of a request already off its queue. Never
+            // reached in closed loop (the shed policy requires open-loop
+            // arrivals), so there is no respawn.
+            self.retire_failed(rid, self.queue.now(), FailReason::CodelShed);
         }
     }
 
@@ -2308,31 +2329,6 @@ impl<'s> Engine<'s> {
                 false
             }
             Some(_) => true,
-        }
-    }
-
-    /// Terminal CoDel shed of an already-dequeued request. Never reached
-    /// in closed loop (the shed policy requires open-loop arrivals), so
-    /// no respawn — and therefore no factory — is needed on this path.
-    fn shed_dequeued(&mut self, rid: usize) {
-        let now = self.queue.now();
-        self.stats.codel_shed += 1;
-        let lr = self.live[rid].take().expect("shed request was live");
-        self.stats.wasted_cycles += lr.cum_cycles;
-        self.push_failed(FailedRequest {
-            id: lr.id,
-            app: lr.request.app,
-            class: lr.request.class,
-            arrived_at: lr.arrived_at,
-            failed_at: now,
-            reason: FailReason::CodelShed,
-        });
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record(TraceEvent::RequestFailed {
-                ts: now,
-                rid: rid as u64,
-                reason: FailReason::CodelShed.label().into(),
-            });
         }
     }
 

@@ -228,6 +228,11 @@ pub struct RunStats {
     pub resched_decisions: u64,
     /// Discrete events the simulation engine processed.
     pub engine_events: u64,
+    /// Contention-model solves: calls, fixed-point iterations, restarts
+    /// at half the damping, and solves that did not converge (each also
+    /// an [`rbv_guard::InvariantKind::SolverConvergence`] violation).
+    /// Ledgers report them only in their non-diffed `profile` member.
+    pub solver: rbv_mem::SolverStats,
     /// Sampling interrupts dropped by injected measurement faults.
     pub samples_lost: u64,
     /// Samples collected but flagged low-confidence (lost-interrupt
@@ -322,6 +327,19 @@ impl RunStats {
         self.samples_inkernel as f64 * spin_baseline(SamplingContext::InKernel).cycles
             + self.samples_interrupt as f64 * spin_baseline(SamplingContext::Interrupt).cycles
     }
+}
+
+/// The `solver` object of the serve and cluster ledgers' non-diffed
+/// `profile` member: contention-model solves, their fixed-point
+/// iterations, restarts at half the damping, and unconverged solves.
+pub fn solver_profile(stats: &rbv_mem::SolverStats) -> rbv_telemetry::Json {
+    let num = |v: u64| rbv_telemetry::Json::Num(v as f64);
+    rbv_telemetry::Json::Obj(vec![
+        ("calls".into(), num(stats.calls)),
+        ("iterations".into(), num(stats.iterations)),
+        ("restarts".into(), num(stats.restarts)),
+        ("unconverged".into(), num(stats.unconverged)),
+    ])
 }
 
 /// Everything a simulation run produces.

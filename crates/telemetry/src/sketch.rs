@@ -371,8 +371,11 @@ impl QuantileSketch {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed member, or a
-    /// layout mismatch.
+    /// Returns a message naming the missing or malformed member, a layout
+    /// mismatch, or a document no sketch serializes to: a count that is
+    /// negative or not an integer, a bucket index outside the layout or
+    /// listed twice, buckets and tails that do not sum to `count`, or
+    /// `min > max`.
     pub fn from_json(json: &Json) -> Result<QuantileSketch, String> {
         let layout = json
             .get("layout")
@@ -386,8 +389,11 @@ impl QuantileSketch {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("sketch: missing number {key:?}"))
         };
-        let count = num("count")? as u64;
+        let tally = |key: &str| -> Result<u64, String> { whole(num(key)?, key) };
+        let count = tally("count")?;
+        let (zero, low, high) = (tally("zero")?, tally("low")?, tally("high")?);
         let mut buckets = BTreeMap::new();
+        let mut listed = zero as u128 + low as u128 + high as u128;
         for item in json
             .get("buckets")
             .and_then(Json::as_array)
@@ -396,23 +402,52 @@ impl QuantileSketch {
             let pair = item.as_array().ok_or("sketch: bucket is not a pair")?;
             match pair {
                 [idx, c] => {
-                    let idx = idx.as_f64().ok_or("sketch: bad bucket index")? as i32;
-                    let c = c.as_f64().ok_or("sketch: bad bucket count")? as u64;
-                    buckets.insert(idx, c);
+                    let idx = idx.as_f64().ok_or("sketch: bad bucket index")?;
+                    let range = f64::from(E_MIN * SUB_BUCKETS)..f64::from(E_MAX * SUB_BUCKETS);
+                    if !(idx.fract() == 0.0 && range.contains(&idx)) {
+                        return Err(format!("sketch: bucket index {idx} outside the layout"));
+                    }
+                    let c = whole(c.as_f64().ok_or("sketch: bad bucket count")?, "bucket")?;
+                    if buckets.insert(idx as i32, c).is_some() {
+                        return Err(format!("sketch: bucket {idx} listed twice"));
+                    }
+                    listed += c as u128;
                 }
                 _ => return Err("sketch: bucket is not a pair".into()),
             }
         }
+        if listed != count as u128 {
+            return Err(format!(
+                "sketch: buckets and tails hold {listed} observations, count is {count}"
+            ));
+        }
+        let (min, max) = if count > 0 {
+            (num("min")?, num("max")?)
+        } else {
+            (0.0, 0.0)
+        };
+        if min > max {
+            return Err(format!("sketch: min {min} > max {max}"));
+        }
         Ok(QuantileSketch {
             buckets,
-            zero: num("zero")? as u64,
-            low: num("low")? as u64,
-            high: num("high")? as u64,
+            zero,
+            low,
+            high,
             count,
             sum: num("sum")?,
-            min: if count > 0 { num("min")? } else { 0.0 },
-            max: if count > 0 { num("max")? } else { 0.0 },
+            min,
+            max,
         })
+    }
+}
+
+/// `value` as a count: a non-negative integer that `f64` holds exactly.
+fn whole(value: f64, key: &str) -> Result<u64, String> {
+    if value.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&value) {
+        Ok(value as u64)
+    } else {
+        Err(format!("sketch: {key} {value} is not a count"))
     }
 }
 
