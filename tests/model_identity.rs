@@ -1,21 +1,32 @@
-//! Bit-identity gate for the contention model's reusable solver.
+//! Accuracy and reuse gates for the contention model's solver.
 //!
-//! `reference` holds the allocating fixed point exactly as it stood before
-//! the solver existed — `evaluate`, `evaluate_partitioned` and
+//! `reference` holds the allocating damped fixed point as it stood before
+//! the accelerated solve existed — `evaluate`, `evaluate_partitioned` and
 //! `proportional_fill`, copied verbatim (only `self` reaches the
 //! `MachineSpec` fields through a `Deref` wrapper, and the memory latency
-//! is one sum over all cores since the model has one memory system). The
-//! property test
-//! drives ONE `ContentionSolver` and one set of output buffers through a
-//! generated sequence of calls — heterogeneous per-core profiles, random
-//! occupancy including all-idle machines, several core/cache shapes,
-//! shared and statically partitioned caches — and requires every
-//! `PerfEstimate` field to equal the reference's to the bit. State left in
-//! the solver or the output buffer by one call and read by the next shows
-//! up as a mismatch. Two deterministic tests add hand-picked boundary
-//! layouts of the dense solver (idle cluster heads, idle clusters, exact
-//! fits, zero weights, extreme localities) and water-fill claim sets with
-//! negative and NaN weights.
+//! is one sum over all cores since the model has one memory system) —
+//! plus the one change that makes every reference solve converge: a pass
+//! that hits the iteration cap restarts from the cold start with the
+//! damping halved. The property tests drive ONE `ContentionSolver` and
+//! one set of output buffers through generated call sequences —
+//! heterogeneous per-core profiles, random occupancy including all-idle
+//! machines, several core/cache shapes, shared and statically partitioned
+//! caches — and require:
+//!
+//! * every solve to converge;
+//! * the reused solver's estimates to equal a fresh solver's to the bit,
+//!   so state left behind by one call and read by the next shows up;
+//! * the shared-cache estimates (CPI, miss ratio, share, memory latency)
+//!   to fall within `1e-8` relative of the converged reference, and the
+//!   partitioned ones, whose loop is still the damped one, to equal it to
+//!   the bit.
+//!
+//! Deterministic tests add hand-picked boundary layouts of the dense
+//! solver (idle cluster heads, idle clusters, exact fits, zero weights,
+//! extreme localities) and water-fill claim sets with negative and NaN
+//! weights; a third property test draws profiles whose shares end just
+//! under their working sets, where the water-fill's cap makes the map
+//! kink and the plain damped iteration used to stop at its cap.
 
 use proptest::prelude::*;
 
@@ -30,18 +41,74 @@ mod reference {
     use request_behavior_variations::mem::model::miss_ratio;
     use request_behavior_variations::mem::{MachineSpec, PerfEstimate, SegmentProfile};
 
-    /// Gives the verbatim method bodies their `self.field` access.
-    pub struct Ref<'a>(pub &'a MachineSpec);
+    /// Per-core estimates and whether the solve converged.
+    pub type Estimates = (Vec<Option<PerfEstimate>>, bool);
+
+    /// Gives the verbatim method bodies their `self.field` access, and
+    /// their stop rule: the step tolerance and the iteration cap of one
+    /// pass.
+    pub struct Ref<'a> {
+        spec: &'a MachineSpec,
+        tol: f64,
+        max_iters: usize,
+    }
+
+    impl<'a> Ref<'a> {
+        /// The damped solve as the model shipped it: a relative step
+        /// tolerance of `1e-9` and at most 400 iterations a pass.
+        pub fn shipped(spec: &'a MachineSpec) -> Ref<'a> {
+            Ref {
+                spec,
+                tol: 1e-9,
+                max_iters: 400,
+            }
+        }
+
+        /// The same loop run until it has converged for real: its last
+        /// step is at the rounding noise of the state, and it may take as
+        /// many steps as that needs.
+        pub fn converged(spec: &'a MachineSpec) -> Ref<'a> {
+            Ref {
+                spec,
+                tol: 1e-14,
+                max_iters: 1_000_000,
+            }
+        }
+    }
 
     impl Deref for Ref<'_> {
         type Target = MachineSpec;
         fn deref(&self) -> &MachineSpec {
-            self.0
+            self.spec
         }
     }
 
     impl Ref<'_> {
-        pub fn evaluate(&self, running: &[Option<SegmentProfile>]) -> Vec<Option<PerfEstimate>> {
+        /// The damped solve, restarted from the cold start at half the
+        /// damping when its first pass hits the cap. Returns the estimates
+        /// and whether the solve converged.
+        pub fn evaluate(&self, running: &[Option<SegmentProfile>]) -> Estimates {
+            let (out, converged) = self.evaluate_damped(running, DAMPING);
+            if converged {
+                return (out, true);
+            }
+            self.evaluate_damped(running, DAMPING / 2.0)
+        }
+
+        /// As [`Ref::evaluate`], for fixed shares.
+        pub fn evaluate_partitioned(
+            &self,
+            running: &[Option<SegmentProfile>],
+            shares: &[f64],
+        ) -> Estimates {
+            let (out, converged) = self.evaluate_partitioned_damped(running, shares, DAMPING);
+            if converged {
+                return (out, true);
+            }
+            self.evaluate_partitioned_damped(running, shares, DAMPING / 2.0)
+        }
+
+        fn evaluate_damped(&self, running: &[Option<SegmentProfile>], damping: f64) -> Estimates {
             assert_eq!(
                 running.len(),
                 self.topology.cores,
@@ -75,7 +142,7 @@ mod reference {
             }
 
             let mut out: Vec<Option<PerfEstimate>> = vec![None; n];
-            for _ in 0..MAX_ITERS {
+            for _ in 0..self.max_iters {
                 // Miss ratios at current shares.
                 let miss: Vec<f64> = running
                     .iter()
@@ -136,8 +203,8 @@ mod reference {
                         + p.l2_refs_per_ins
                             * (self.l2_hit_cycles * (1.0 - miss[i]) + mem_latency * miss[i]);
                     let new_ipc = 1.0 / cpi;
-                    let next_ipc = (1.0 - DAMPING) * ipc[i] + DAMPING * new_ipc;
-                    let next_share = (1.0 - DAMPING) * share[i] + DAMPING * target[i];
+                    let next_ipc = (1.0 - damping) * ipc[i] + damping * new_ipc;
+                    let next_share = (1.0 - damping) * share[i] + damping * target[i];
                     max_delta = max_delta
                         .max((next_ipc - ipc[i]).abs() / next_ipc.max(1e-12))
                         .max((next_share - share[i]).abs() / self.l2_capacity_bytes);
@@ -151,11 +218,11 @@ mod reference {
                         l2_share_bytes: share[i],
                     });
                 }
-                if max_delta < CONVERGENCE_TOL {
-                    break;
+                if max_delta < self.tol {
+                    return (out, true);
                 }
             }
-            out
+            (out, false)
         }
 
         /// Evaluates the model with *fixed* per-core L2 shares instead of the
@@ -169,11 +236,12 @@ mod reference {
         /// Panics if slot counts disagree with the topology, any profile is
         /// invalid, shares are negative, or a cluster's shares exceed its L2
         /// capacity.
-        pub fn evaluate_partitioned(
+        fn evaluate_partitioned_damped(
             &self,
             running: &[Option<SegmentProfile>],
             shares: &[f64],
-        ) -> Vec<Option<PerfEstimate>> {
+            damping: f64,
+        ) -> Estimates {
             assert_eq!(running.len(), self.topology.cores, "one slot per core");
             assert_eq!(shares.len(), self.topology.cores, "one share per core");
             for p in running.iter().flatten() {
@@ -213,7 +281,7 @@ mod reference {
                 .map(|p| p.map_or(0.0, |p| 1.0 / p.base_cpi))
                 .collect();
             let mut out = vec![None; n];
-            for _ in 0..MAX_ITERS {
+            for _ in 0..self.max_iters {
                 let demand: f64 = (0..n)
                     .map(|i| running[i].map_or(0.0, |p| p.l2_refs_per_ins * ipc[i] * miss[i]))
                     .sum();
@@ -225,7 +293,7 @@ mod reference {
                     let cpi = p.base_cpi
                         + p.l2_refs_per_ins
                             * (self.l2_hit_cycles * (1.0 - miss[i]) + mem_latency * miss[i]);
-                    let next = (1.0 - DAMPING) * ipc[i] + DAMPING / cpi;
+                    let next = (1.0 - damping) * ipc[i] + damping / cpi;
                     max_delta = max_delta.max((next - ipc[i]).abs() / next.max(1e-12));
                     ipc[i] = next;
                     out[i] = Some(PerfEstimate {
@@ -236,11 +304,11 @@ mod reference {
                         l2_share_bytes: shares[i],
                     });
                 }
-                if max_delta < CONVERGENCE_TOL {
-                    break;
+                if max_delta < self.tol {
+                    return (out, true);
                 }
             }
-            out
+            (out, false)
         }
 
         fn cluster_range(&self, cluster: usize, n: usize) -> (usize, usize) {
@@ -250,8 +318,6 @@ mod reference {
         }
     }
 
-    const MAX_ITERS: usize = 400;
-    const CONVERGENCE_TOL: f64 = 1e-9;
     const MAX_UTILIZATION: f64 = 0.95;
     const DAMPING: f64 = 0.35;
     /// Occupancy defense of resident, re-touched lines relative to insertions.
@@ -373,29 +439,62 @@ fn sequence_strategy() -> impl Strategy<Value = Vec<(usize, Vec<Call>)>> {
     )
 }
 
-fn assert_bits(ours: &[Option<PerfEstimate>], theirs: &[Option<PerfEstimate>], ctx: &str) {
+/// Relative band the shared-cache estimates keep around the converged
+/// damped reference.
+const ACCURACY: f64 = 1e-8;
+
+/// Compares two estimate tables field by field: `close` takes CPI, miss
+/// ratio, L2 share and memory latency to within [`ACCURACY`] relative
+/// (miss ratios and shares relative to their ranges, 1 and the L2
+/// capacity, since either may be zero); without it, and for the
+/// passed-through reference rate always, the bits must match.
+fn compare(
+    ours: &[Option<PerfEstimate>],
+    theirs: &[Option<PerfEstimate>],
+    capacity: f64,
+    close: bool,
+    ctx: &str,
+) {
     assert_eq!(ours.len(), theirs.len(), "{ctx}");
     for (core, (a, b)) in ours.iter().zip(theirs).enumerate() {
         match (a, b) {
             (None, None) => {}
             (Some(a), Some(b)) => {
+                assert_eq!(
+                    a.l2_refs_per_ins.to_bits(),
+                    b.l2_refs_per_ins.to_bits(),
+                    "{ctx}: core {core} l2_refs_per_ins"
+                );
                 let fields = [
-                    ("cpi", a.cpi, b.cpi),
-                    ("l2_refs_per_ins", a.l2_refs_per_ins, b.l2_refs_per_ins),
-                    ("l2_miss_ratio", a.l2_miss_ratio, b.l2_miss_ratio),
+                    ("cpi", a.cpi, b.cpi, b.cpi.abs()),
+                    ("l2_miss_ratio", a.l2_miss_ratio, b.l2_miss_ratio, 1.0),
                     (
                         "mem_latency_cycles",
                         a.mem_latency_cycles,
                         b.mem_latency_cycles,
+                        b.mem_latency_cycles.abs(),
                     ),
-                    ("l2_share_bytes", a.l2_share_bytes, b.l2_share_bytes),
+                    (
+                        "l2_share_bytes",
+                        a.l2_share_bytes,
+                        b.l2_share_bytes,
+                        capacity,
+                    ),
                 ];
-                for (name, x, y) in fields {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{ctx}: core {core} {name} {x} != reference {y}"
-                    );
+                for (name, x, y, scale) in fields {
+                    if close {
+                        assert!(
+                            (x - y).abs() <= ACCURACY * scale,
+                            "{ctx}: core {core} {name} {x} is {:e} relative from reference {y}",
+                            (x - y).abs() / scale
+                        );
+                    } else {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{ctx}: core {core} {name} {x} != {y}"
+                        );
+                    }
                 }
             }
             _ => panic!("{ctx}: core {core} occupancy differs: {a:?} vs {b:?}"),
@@ -403,13 +502,53 @@ fn assert_bits(ours: &[Option<PerfEstimate>], theirs: &[Option<PerfEstimate>], c
     }
 }
 
+/// Solves `running` shared and, with `shares`, partitioned through the
+/// reused `solver` into `out`, and checks both against a fresh solver
+/// (bit for bit) and the converged reference (shared within
+/// [`ACCURACY`], partitioned bit for bit). Every solve must converge.
+fn check_call(
+    spec: &MachineSpec,
+    running: &[Option<SegmentProfile>],
+    shares: Option<&[f64]>,
+    solver: &mut ContentionSolver,
+    out: &mut [Option<PerfEstimate>],
+    ctx: &str,
+) {
+    let cap = spec.l2_capacity_bytes;
+    let (outcome, fresh, (theirs, ref_converged)) = match shares {
+        None => (
+            spec.evaluate_into(running, solver, out),
+            spec.evaluate(running),
+            reference::Ref::converged(spec).evaluate(running),
+        ),
+        Some(shares) => (
+            spec.evaluate_partitioned_into(running, shares, solver, out),
+            spec.evaluate_partitioned(running, shares),
+            reference::Ref::shipped(spec).evaluate_partitioned(running, shares),
+        ),
+    };
+    assert!(
+        outcome.converged,
+        "{ctx}: solve did not converge: {outcome:?}"
+    );
+    assert!(ref_converged, "{ctx}: reference did not converge");
+    compare(out, &fresh, cap, false, &format!("{ctx}, reused vs fresh"));
+    compare(
+        out,
+        &theirs,
+        cap,
+        shares.is_none(),
+        &format!("{ctx}, vs reference"),
+    );
+}
+
 /// Layouts the dense solver could get wrong, each solved shared and
-/// partitioned through one reused solver and compared with the reference:
+/// partitioned through one reused solver and checked by [`check_call`]:
 /// idle first cores, a fully idle cluster between busy ones, working sets
 /// exactly at the even share and at the L2 capacity, zero-weight cores
 /// (`l2_refs_per_ins = 0`) and locality 0 and 1.
 #[test]
-fn boundary_layouts_are_bit_identical_to_reference() {
+fn boundary_layouts_match_converged_reference() {
     let specs = specs();
     let cap = specs[0].l2_capacity_bytes;
     let p = |base_cpi: f64, refs: f64, ws: f64, locality: f64| {
@@ -459,11 +598,9 @@ fn boundary_layouts_are_bit_identical_to_reference() {
     let mut solver = ContentionSolver::default();
     for (step, (which, running)) in cases.iter().enumerate() {
         let spec = &specs[*which];
-        let reference = reference::Ref(spec);
         let mut out = vec![None; spec.topology.cores];
         let ctx = format!("case {step} (spec {which})");
-        spec.evaluate_into(running, &mut solver, &mut out);
-        assert_bits(&out, &reference.evaluate(running), &ctx);
+        check_call(spec, running, None, &mut solver, &mut out, &ctx);
 
         // Equal static slices of each cluster among its occupied cores.
         let cpc = spec.topology.cores_per_cluster;
@@ -480,12 +617,7 @@ fn boundary_layouts_are_bit_identical_to_reference() {
             })
             .collect();
         let ctx = format!("{ctx}, partitioned");
-        spec.evaluate_partitioned_into(running, &shares, &mut solver, &mut out);
-        assert_bits(
-            &out,
-            &reference.evaluate_partitioned(running, &shares),
-            &ctx,
-        );
+        check_call(spec, running, Some(&shares), &mut solver, &mut out, &ctx);
     }
 }
 
@@ -521,7 +653,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn reused_solver_is_bit_identical_to_reference(runs in sequence_strategy()) {
+    fn reused_solver_matches_fresh_and_converged_reference(runs in sequence_strategy()) {
         let specs = specs();
         let mut solver = ContentionSolver::default();
         // One output buffer per spec, reused like an engine's rate table.
@@ -535,24 +667,15 @@ proptest! {
                 .iter()
                 .map(|&(occ, p, _)| (*idle_switch != 0 && occ != 0).then_some(p))
                 .collect();
-            let reference = reference::Ref(spec);
-            let out = &mut outs[which];
             let ctx = format!("call {step} (spec {which}, partitioned {partitioned})");
-            if *partitioned {
-                // Each cluster's fractions sum to at most its capacity.
-                let cpc = spec.topology.cores_per_cluster as f64;
-                let shares: Vec<f64> = slots[..cores]
-                    .iter()
-                    .map(|&(_, _, frac)| spec.l2_capacity_bytes * frac / cpc)
-                    .collect();
-                spec.evaluate_partitioned_into(&running, &shares, &mut solver, out);
-                assert_bits(out, &reference.evaluate_partitioned(&running, &shares), &ctx);
-                assert_bits(&spec.evaluate_partitioned(&running, &shares), out, &ctx);
-            } else {
-                spec.evaluate_into(&running, &mut solver, out);
-                assert_bits(out, &reference.evaluate(&running), &ctx);
-                assert_bits(&spec.evaluate(&running), out, &ctx);
-            }
+            // Each cluster's fractions sum to at most its capacity.
+            let cpc = spec.topology.cores_per_cluster as f64;
+            let shares: Vec<f64> = slots[..cores]
+                .iter()
+                .map(|&(_, _, frac)| spec.l2_capacity_bytes * frac / cpc)
+                .collect();
+            let shares = partitioned.then_some(&shares[..]);
+            check_call(spec, &running, shares, &mut solver, &mut outs[which], &ctx);
         }
     }
 
@@ -571,4 +694,67 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&ours), bits(&theirs));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn kink_solves_converge_to_the_reference(
+        (which, slots) in (0usize..4, prop::collection::vec(kink_slot_strategy(), 8)),
+    ) {
+        let spec = &specs()[which];
+        let cores = spec.topology.cores;
+        let running: Vec<Option<SegmentProfile>> =
+            slots[..cores].iter().map(|&(occ, p)| occ.then_some(p)).collect();
+        let kinked = kinked_profiles(spec, &running);
+        let mut out = vec![None; cores];
+        check_call(spec, &kinked, None, &mut ContentionSolver::default(), &mut out, "kink");
+    }
+}
+
+/// One slot of a kink call: occupied (three in four), and a profile whose
+/// working set [`kinked_profiles`] rescales: the drawn working set is
+/// replaced by `(1 + over) * even share`, with `over` mostly 0–6%.
+fn kink_slot_strategy() -> impl Strategy<Value = (bool, SegmentProfile)> {
+    (
+        0u32..4,
+        0.3f64..3.0,
+        0.0f64..0.03,
+        prop_oneof![0.0f64..0.06, 0.0f64..0.005, -0.3f64..0.3],
+        0.3f64..=1.0,
+    )
+        .prop_map(|(occ, base_cpi, refs, over, locality)| {
+            (
+                occ != 0,
+                SegmentProfile {
+                    base_cpi,
+                    l2_refs_per_ins: refs,
+                    // Stashes `over`; `kinked_profiles` turns it into bytes.
+                    working_set_bytes: 1.0 + over,
+                    reuse_locality: locality,
+                },
+            )
+        })
+}
+
+/// Gives every occupied core a working set of its stashed factor times
+/// the even split of its cluster among the occupied cores, so the
+/// water-fill's caps bind at or just under most claimants' working sets.
+fn kinked_profiles(
+    spec: &MachineSpec,
+    running: &[Option<SegmentProfile>],
+) -> Vec<Option<SegmentProfile>> {
+    let cpc = spec.topology.cores_per_cluster;
+    (0..running.len())
+        .map(|core| {
+            let lo = core / cpc * cpc;
+            let hi = (lo + cpc).min(running.len());
+            let occupied = running[lo..hi].iter().flatten().count().max(1);
+            running[core].map(|p| SegmentProfile {
+                working_set_bytes: p.working_set_bytes * spec.l2_capacity_bytes / occupied as f64,
+                ..p
+            })
+        })
+        .collect()
 }
