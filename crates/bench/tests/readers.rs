@@ -7,7 +7,9 @@
 //! each shape no sketch serializes to (a negative or fractional count,
 //! buckets and tails that miss `count`, `min > max`, a bucket index off
 //! the layout or listed twice), and `QuantileSketch::from_json` and the
-//! run-ledger reader must reject every one.
+//! run-ledger reader must reject every one. The run-ledger reader must
+//! also reject every change of a node's JSON type inside the per-app
+//! members it holds to their writers' shapes.
 
 use std::path::PathBuf;
 
@@ -352,6 +354,94 @@ fn malformed_sketches_are_rejected() {
                         "{name}: node {node}: {label} was read by the ledger reader"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The per-app ledger members `AppLedger::from_json` holds to the node
+/// types their writers emit.
+const TYPED_MEMBERS: [&str; 6] = [
+    "observer",
+    "syscall_observer",
+    "kernel",
+    "chaos",
+    "guard",
+    "energy",
+];
+
+/// Nodes in the tree `json`, itself included.
+fn node_count(json: &Json) -> usize {
+    1 + match json {
+        Json::Arr(items) => items.iter().map(node_count).sum(),
+        Json::Obj(members) => members.iter().map(|(_, v)| node_count(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// Pre-order index and node count of every [`TYPED_MEMBERS`] value.
+fn typed_member_roots(json: &Json, seen: &mut usize, out: &mut Vec<(usize, usize)>) {
+    *seen += 1;
+    match json {
+        Json::Arr(items) => items
+            .iter()
+            .for_each(|item| typed_member_roots(item, seen, out)),
+        Json::Obj(members) => {
+            for (key, value) in members {
+                if TYPED_MEMBERS.contains(&key.as_str()) {
+                    out.push((*seen, node_count(value)));
+                }
+                typed_member_roots(value, seen, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A node's JSON type.
+fn json_type(json: &Json) -> u8 {
+    match json {
+        Json::Null => 0,
+        Json::Bool(_) => 1,
+        Json::Num(_) => 2,
+        Json::Str(_) => 3,
+        Json::Arr(_) => 4,
+        Json::Obj(_) => 5,
+    }
+}
+
+#[test]
+fn type_changes_inside_typed_members_are_rejected() {
+    let (_, text, _) = committed("baseline.json", 1);
+    let doc = Json::parse(&text).expect("baseline parses");
+    let apps = doc
+        .get("apps")
+        .and_then(Json::as_array)
+        .expect("apps")
+        .len();
+    let mut roots = Vec::new();
+    typed_member_roots(&doc, &mut 0, &mut roots);
+    assert_eq!(roots.len(), TYPED_MEMBERS.len() * apps);
+    let one_of_each = [
+        Json::Null,
+        Json::Bool(true),
+        Json::Num(-1.0),
+        Json::Str(String::new()),
+        Json::Arr(vec![]),
+        Json::Obj(vec![]),
+    ];
+    for (root, size) in roots {
+        for node in root..root + size {
+            let mut probe = doc.clone();
+            let found = nth_mut(&mut probe, node, &mut 0).expect("the node exists");
+            let ty = json_type(found);
+            for with in one_of_each.iter().filter(|with| json_type(with) != ty) {
+                let mut mutated = doc.clone();
+                *nth_mut(&mut mutated, node, &mut 0).expect("the node exists") = with.clone();
+                assert!(
+                    RunLedger::from_json(&mutated).is_err(),
+                    "node {node} (type {ty}) as {with:?} was accepted"
+                );
             }
         }
     }

@@ -30,7 +30,7 @@
 //! * A [`ClusterTopology::Single`] run is the serve harness's open-loop
 //!   engine run ([`rbv_os::run_simulation_streaming`]) with each finished
 //!   request recorded as one leg and no hops. The three-tier loop steps
-//!   machines through [`Machine::start`]/[`Machine::step`], which is
+//!   machines through [`rbv_os::Machine::start`]/[`rbv_os::Machine::step`], which is
 //!   property-tested bit-identical to [`rbv_os::run_simulation`].
 
 #![forbid(unsafe_code)]

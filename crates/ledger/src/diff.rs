@@ -300,7 +300,7 @@ pub fn diff_documents(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::tests::sample_ledger;
+    use crate::document::tests::{sample_chaos, sample_ledger};
 
     #[test]
     fn identical_documents_diff_clean() {
@@ -368,13 +368,7 @@ mod tests {
         // absolute: inside the 0.05 score band.
         let base = sample_ledger();
         let mut cand = base.clone();
-        cand.apps[0].chaos = rbv_telemetry::Json::Obj(vec![(
-            "anomaly".into(),
-            rbv_telemetry::Json::Obj(vec![
-                ("precision".into(), rbv_telemetry::Json::Num(0.9)),
-                ("recall".into(), rbv_telemetry::Json::Num(0.88)),
-            ]),
-        )]);
+        cand.apps[0].chaos = sample_chaos(0.88);
         let report = diff_documents(&base.to_json(), &cand.to_json(), None).unwrap();
         assert!(report.passed(), "violations: {:?}", report.violations);
     }

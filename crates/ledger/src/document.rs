@@ -64,6 +64,190 @@ impl EasingDelta {
     }
 }
 
+/// The JSON shape a member's writer emits: the reader rejects a member
+/// whose node types differ from it, so a tampered or truncated ledger
+/// cannot reach the differ.
+enum Shape {
+    Num,
+    Str,
+    Bool,
+    /// An array whose every element has the given shape.
+    Arr(&'static Shape),
+    /// An object with (at least) these members.
+    Obj(&'static [(&'static str, Shape)]),
+}
+
+impl Shape {
+    /// Checks `json` against the shape; `path` names it in the error.
+    fn check(&self, json: &Json, path: &str) -> Result<(), String> {
+        match (self, json) {
+            (Shape::Num, Json::Num(_))
+            | (Shape::Str, Json::Str(_))
+            | (Shape::Bool, Json::Bool(_)) => Ok(()),
+            (Shape::Arr(item), Json::Arr(items)) => items
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, v)| item.check(v, &format!("{path}[{i}]"))),
+            (Shape::Obj(members), Json::Obj(_)) => members.iter().try_for_each(|(key, shape)| {
+                let path = format!("{path}.{key}");
+                let value = json
+                    .get(key)
+                    .ok_or_else(|| format!("app ledger: missing {path}"))?;
+                shape.check(value, &path)
+            }),
+            (shape, _) => Err(format!("app ledger: {path} is not {}", shape.name())),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Shape::Num => "a number",
+            Shape::Str => "a string",
+            Shape::Bool => "a boolean",
+            Shape::Arr(_) => "an array",
+            Shape::Obj(_) => "an object",
+        }
+    }
+}
+
+/// One sampling mode of `rbv_os::ObserverReport::to_json`.
+const MODE_SHAPE: Shape = Shape::Obj(&[
+    ("samples", Shape::Num),
+    ("cycles_per_sample", Shape::Num),
+    ("cycles", Shape::Num),
+    ("instructions", Shape::Num),
+]);
+
+/// `rbv_os::ObserverReport::to_json` (`observer`, `syscall_observer`).
+const OBSERVER_SHAPE: Shape = Shape::Obj(&[
+    (
+        "per_mode",
+        Shape::Obj(&[
+            ("context_switch", MODE_SHAPE),
+            ("syscall_entry", MODE_SHAPE),
+            ("apic", MODE_SHAPE),
+            ("backup_timer", MODE_SHAPE),
+        ]),
+    ),
+    ("total_cycles", Shape::Num),
+    ("busy_cycles", Shape::Num),
+    ("overhead_frac", Shape::Num),
+    ("budget_frac", Shape::Num),
+    ("slack_frac", Shape::Num),
+    ("within_budget", Shape::Bool),
+]);
+
+/// The kernel stage of `crate::collect` (`kernel`).
+const KERNEL_SHAPE: Shape = Shape::Obj(&[
+    ("signatures", Shape::Num),
+    ("penalty", Shape::Num),
+    (
+        "prune",
+        Shape::Obj(&[
+            ("candidates", Shape::Num),
+            ("lb_kim", Shape::Num),
+            ("length_penalty", Shape::Num),
+            ("lb_keogh", Shape::Num),
+            ("early_abandon", Shape::Num),
+            ("full_dp", Shape::Num),
+            ("pruned_frac", Shape::Num),
+        ]),
+    ),
+]);
+
+/// `rbv_faults::ChaosReport::to_json` (`chaos`).
+const CHAOS_SHAPE: Shape = Shape::Obj(&[
+    ("app", Shape::Str),
+    ("seed", Shape::Num),
+    (
+        "anomaly",
+        Shape::Obj(&[
+            ("injected", Shape::Num),
+            (
+                "injected_by_kind",
+                Shape::Obj(&[
+                    ("inflated-working-set", Shape::Num),
+                    ("runaway-segment-loop", Shape::Num),
+                    ("stuck-syscall", Shape::Num),
+                ]),
+            ),
+            ("flagged", Shape::Num),
+            ("precision", Shape::Num),
+            ("recall", Shape::Num),
+        ]),
+    ),
+    (
+        "degradation",
+        Shape::Obj(&[
+            ("completed", Shape::Num),
+            ("samples_inkernel", Shape::Num),
+            ("samples_interrupt", Shape::Num),
+            ("samples_lost", Shape::Num),
+            ("low_confidence", Shape::Num),
+            ("counter_overflows", Shape::Num),
+            ("starvation_windows", Shape::Num),
+        ]),
+    ),
+    (
+        "overload",
+        Shape::Obj(&[
+            ("offered", Shape::Num),
+            ("completed", Shape::Num),
+            ("failed", Shape::Num),
+            ("admission_rejections", Shape::Num),
+            ("admission_retries", Shape::Num),
+            ("load_shed", Shape::Num),
+            ("deadline_aborts", Shape::Num),
+            ("p99_latency_micros", Shape::Num),
+        ]),
+    ),
+    (
+        "easing",
+        Shape::Obj(&[
+            ("stock_p99_cpi", Shape::Num),
+            ("eased_p99_cpi", Shape::Num),
+            ("gate_fallbacks", Shape::Num),
+        ]),
+    ),
+]);
+
+/// `rbv_faults::GovernorOutcome::to_json` (`guard`).
+const GUARD_SHAPE: Shape = Shape::Obj(&[
+    ("completed", Shape::Num),
+    ("windows", Shape::Num),
+    ("backoffs", Shape::Num),
+    ("recoveries", Shape::Num),
+    ("budget_breaches", Shape::Num),
+    ("max_breach_streak", Shape::Num),
+    ("final_scale", Shape::Num),
+    ("overhead_frac", Shape::Num),
+    ("slack_frac", Shape::Num),
+    ("budget_frac", Shape::Num),
+    ("health_transitions", Shape::Num),
+    ("final_rung", Shape::Str),
+    ("invariant_checks", Shape::Num),
+    ("invariant_violations", Shape::Num),
+    ("stock_p99_cpi", Shape::Num),
+    ("governed_p99_cpi", Shape::Num),
+]);
+
+/// One variant of the energy stage of `crate::collect`.
+const ENERGY_VARIANT_SHAPE: Shape = Shape::Obj(&[
+    ("joules", Shape::Num),
+    ("core_joules", Shape::Arr(&Shape::Num)),
+    ("throttle_engages", Shape::Num),
+    ("dvfs_transitions", Shape::Num),
+    ("power_rung_transitions", Shape::Num),
+    ("p99_cpi", Shape::Num),
+]);
+
+/// The energy stage of `crate::collect` (`energy`).
+const ENERGY_SHAPE: Shape = Shape::Obj(&[
+    ("stock", ENERGY_VARIANT_SHAPE),
+    ("easing", ENERGY_VARIANT_SHAPE),
+    ("power_easing", ENERGY_VARIANT_SHAPE),
+]);
+
 /// Everything the ledger records about one application's runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppLedger {
@@ -127,13 +311,20 @@ impl AppLedger {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed member.
+    /// Returns a message naming the missing or malformed member, or the
+    /// first node whose JSON type differs from what the member's writer
+    /// emits.
     pub fn from_json(json: &Json) -> Result<AppLedger, String> {
         let member = |key: &str| {
             json.get(key)
                 .ok_or_else(|| format!("app ledger: missing {key:?}"))
         };
         let sketch = |key: &str| QuantileSketch::from_json(member(key)?);
+        let shaped = |key: &str, shape: &Shape| {
+            let value = member(key)?;
+            shape.check(value, key)?;
+            Ok::<Json, String>(value.clone())
+        };
         Ok(AppLedger {
             app: member("app")?
                 .as_str()
@@ -145,13 +336,13 @@ impl AppLedger {
             latency_us: sketch("latency_us")?,
             cpi: sketch("cpi")?,
             l2_mpki: sketch("l2_mpki")?,
-            observer: member("observer")?.clone(),
-            syscall_observer: member("syscall_observer")?.clone(),
+            observer: shaped("observer", &OBSERVER_SHAPE)?,
+            syscall_observer: shaped("syscall_observer", &OBSERVER_SHAPE)?,
             easing: EasingDelta::from_json(member("easing")?)?,
-            kernel: member("kernel")?.clone(),
-            chaos: member("chaos")?.clone(),
-            guard: member("guard")?.clone(),
-            energy: member("energy")?.clone(),
+            kernel: shaped("kernel", &KERNEL_SHAPE)?,
+            chaos: shaped("chaos", &CHAOS_SHAPE)?,
+            guard: shaped("guard", &GUARD_SHAPE)?,
+            energy: shaped("energy", &ENERGY_SHAPE)?,
         })
     }
 }
@@ -243,6 +434,50 @@ impl RunLedger {
 pub(crate) mod tests {
     use super::*;
 
+    /// `shape` with every number 0, string empty, boolean false and array
+    /// empty, then each dotted path of `values` set to its number.
+    fn filled(shape: &Shape, values: &[(&str, f64)]) -> Json {
+        fn zeros(shape: &Shape) -> Json {
+            match shape {
+                Shape::Num => Json::Num(0.0),
+                Shape::Str => Json::str(""),
+                Shape::Bool => Json::Bool(false),
+                Shape::Arr(_) => Json::Arr(vec![]),
+                Shape::Obj(members) => Json::Obj(
+                    members
+                        .iter()
+                        .map(|(key, shape)| ((*key).to_string(), zeros(shape)))
+                        .collect(),
+                ),
+            }
+        }
+        let mut json = zeros(shape);
+        for &(path, value) in values {
+            let mut node = &mut json;
+            for key in path.split('.') {
+                let Json::Obj(members) = node else {
+                    panic!("{path} leaves the shape");
+                };
+                node = &mut members
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("{path} is not in the shape"))
+                    .1;
+            }
+            *node = Json::Num(value);
+        }
+        json
+    }
+
+    /// A chaos member whose anomaly detection scored precision 0.9 and
+    /// the given recall.
+    pub(crate) fn sample_chaos(recall: f64) -> Json {
+        filled(
+            &CHAOS_SHAPE,
+            &[("anomaly.precision", 0.9), ("anomaly.recall", recall)],
+        )
+    }
+
     pub(crate) fn sample_app(app: &str, scale: f64) -> AppLedger {
         AppLedger {
             app: app.to_string(),
@@ -250,8 +485,8 @@ pub(crate) mod tests {
             latency_us: QuantileSketch::of((1..=40).map(|i| i as f64 * 12.5 * scale)),
             cpi: QuantileSketch::of((1..=40).map(|i| 0.8 + (i % 7) as f64 * 0.3 * scale)),
             l2_mpki: QuantileSketch::of((1..=40).map(|i| (i % 5) as f64 * 0.7 * scale)),
-            observer: Json::Obj(vec![("overhead_frac".into(), Json::Num(0.004 * scale))]),
-            syscall_observer: Json::Obj(vec![("overhead_frac".into(), Json::Num(0.006 * scale))]),
+            observer: filled(&OBSERVER_SHAPE, &[("overhead_frac", 0.004 * scale)]),
+            syscall_observer: filled(&OBSERVER_SHAPE, &[("overhead_frac", 0.006 * scale)]),
             easing: EasingDelta {
                 stock_p99_cpi: 2.5 * scale,
                 eased_p99_cpi: 2.3 * scale,
@@ -272,36 +507,26 @@ pub(crate) mod tests {
                     ]),
                 ),
             ]),
-            chaos: Json::Obj(vec![(
-                "anomaly".into(),
-                Json::Obj(vec![
-                    ("precision".into(), Json::Num(0.9)),
-                    ("recall".into(), Json::Num(0.85)),
-                ]),
-            )]),
-            guard: Json::Obj(vec![
-                ("windows".into(), Json::Num(24.0 * scale)),
-                ("budget_breaches".into(), Json::Num(1.0)),
-                ("max_breach_streak".into(), Json::Num(1.0)),
-                ("overhead_frac".into(), Json::Num(0.004 * scale)),
-                ("invariant_violations".into(), Json::Num(0.0)),
-            ]),
-            energy: Json::Obj(vec![
-                (
-                    "stock".into(),
-                    Json::Obj(vec![
-                        ("joules".into(), Json::Num(2.4 * scale)),
-                        ("p99_cpi".into(), Json::Num(2.5 * scale)),
-                    ]),
-                ),
-                (
-                    "power_easing".into(),
-                    Json::Obj(vec![
-                        ("joules".into(), Json::Num(1.9 * scale)),
-                        ("p99_cpi".into(), Json::Num(2.7 * scale)),
-                    ]),
-                ),
-            ]),
+            chaos: sample_chaos(0.85),
+            guard: filled(
+                &GUARD_SHAPE,
+                &[
+                    ("windows", 24.0 * scale),
+                    ("budget_breaches", 1.0),
+                    ("max_breach_streak", 1.0),
+                    ("overhead_frac", 0.004 * scale),
+                    ("invariant_violations", 0.0),
+                ],
+            ),
+            energy: filled(
+                &ENERGY_SHAPE,
+                &[
+                    ("stock.joules", 2.4 * scale),
+                    ("stock.p99_cpi", 2.5 * scale),
+                    ("power_easing.joules", 1.9 * scale),
+                    ("power_easing.p99_cpi", 2.7 * scale),
+                ],
+            ),
         }
     }
 

@@ -9,8 +9,9 @@
 //!
 //! * **Bounded memory.** Completed and failed requests are folded into
 //!   [`QuantileSketch`] digests and counters as they finish
-//!   ([`rbv_os::CompletionSink`]); nothing per-request is retained, so
-//!   memory is O(live requests), not O(total requests).
+//!   ([`rbv_os::CompletionSink`]) and the engine frees each request's
+//!   slot once it and every older request have resolved, so memory is
+//!   O(span of live request ids), not O(total requests).
 //! * **Thread-count-independent determinism.** The run is split into a
 //!   fixed shard plan that depends only on the request count — never on
 //!   `--threads` — and each shard is an independent simulation seeded by

@@ -47,6 +47,7 @@
 
 pub mod accountant;
 pub mod config;
+mod engine;
 pub mod error;
 pub mod machine;
 pub mod observer;
