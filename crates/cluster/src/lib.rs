@@ -41,9 +41,9 @@ mod tier_shard;
 
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
-    easing_threshold, run_simulation, run_simulation_streaming, solver_profile, ArrivalProcess,
-    CompletedRequest, CompletionSink, FailedRequest, RbvError, RunStats, SchedulerPolicy,
-    SimConfig, SolverStats,
+    easing_threshold, pops_profile, run_simulation, run_simulation_streaming, solver_profile,
+    ArrivalProcess, CompletedRequest, CompletionSink, EventPops, FailedRequest, RbvError, RunStats,
+    SchedulerPolicy, SimConfig, SolverStats,
 };
 use rbv_sim::rng::{self, mix64};
 use rbv_sim::{Cycles, SimRng};
@@ -358,6 +358,8 @@ struct ShardOutput {
     passes: Vec<PassWindows>,
     /// Contention-model solves of every pass, calibration included.
     solver: SolverStats,
+    /// Engine events by kind of every pass, calibration included.
+    pops: EventPops,
 }
 
 impl ShardOutput {
@@ -371,11 +373,13 @@ impl ShardOutput {
         passes: Vec<PassWindows>,
     ) -> ShardOutput {
         let mut solver = SolverStats::default();
+        let mut pops = EventPops::default();
         for (machine, stats) in machines.iter().enumerate() {
             summary
                 .invariants
                 .record_unconverged_solves(machine as u32, stats.solver.unconverged);
             solver.merge(&stats.solver);
+            pops.merge(&stats.pops);
         }
         ShardOutput {
             summary,
@@ -383,6 +387,7 @@ impl ShardOutput {
             machines,
             passes,
             solver,
+            pops,
         }
     }
 }
@@ -554,18 +559,21 @@ fn run_shard(
                     .invariants
                     .record_unconverged_solves(0, stock.stats.solver.unconverged);
                 output.solver.merge(&stock.stats.solver);
+                output.pops.merge(&stock.stats.pops);
             }
             Ok(output)
         }
         ClusterTopology::ThreeTier => {
             let mut calibration = None;
             let mut stock_solver = SolverStats::default();
+            let mut stock_pops = EventPops::default();
             let thresholds = if spec.easing {
                 let mut mpi: Vec<Vec<f64>> = Vec::new();
                 let stock =
                     run_tier_shard(spec, mean_service, job, None, false, lanes, Some(&mut mpi))?;
                 stock_pass_checks(&stock.summary, n, index)?;
                 stock_solver = stock.solver;
+                stock_pops = stock.pops;
                 calibration = stock.passes.first().map(|pass| PassWindows {
                     pass: "calibration",
                     ..*pass
@@ -589,6 +597,7 @@ fn run_shard(
             )?;
             output.passes.splice(0..0, calibration);
             output.solver.merge(&stock_solver);
+            output.pops.merge(&stock_pops);
             Ok(output)
         }
     }
@@ -639,6 +648,9 @@ pub struct ClusterReport {
     /// Contention-model solves of every pass and machine, summed over
     /// shards. Reported only under the `"profile"` member.
     pub solver: SolverStats,
+    /// Engine events by kind, live and stale, of every pass and machine,
+    /// summed over shards. Reported only under the `"profile"` member.
+    pub pops: EventPops,
     /// Wall-clock duration, seconds; `None` keeps the ledger a pure
     /// function of the spec.
     pub wall_seconds: Option<f64>,
@@ -740,6 +752,7 @@ impl ClusterReport {
                         ),
                     ),
                     ("solver".into(), solver_profile(&self.solver)),
+                    ("events".into(), pops_profile(&self.pops)),
                 ]),
             ));
         }
@@ -867,11 +880,13 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
     let mut spans = Vec::new();
     let mut passes: Vec<PassWindows> = Vec::new();
     let mut solver = SolverStats::default();
+    let mut pops = EventPops::default();
     for (shard, output) in outputs.into_iter().enumerate() {
         let mut output = output?;
         output.summary.set_shard(shard as u32);
         summary.merge(&output.summary);
         solver.merge(&output.solver);
+        pops.merge(&output.pops);
         for (machine, stats) in machines.iter_mut().zip(&output.machines) {
             machine.absorb(stats);
         }
@@ -911,6 +926,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         spans,
         passes,
         solver,
+        pops,
         wall_seconds: started.map(|t| t.elapsed().as_secs_f64()),
     })
 }

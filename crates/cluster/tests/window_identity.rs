@@ -17,8 +17,8 @@ use rbv_cluster::{
     NetworkModel,
 };
 use rbv_os::{
-    easing_threshold, ArrivalProcess, CompletedRequest, Machine, RunStats, SchedulerPolicy,
-    SimConfig, SolverStats,
+    easing_threshold, ArrivalProcess, CompletedRequest, EventPops, Machine, RunStats,
+    SchedulerPolicy, SimConfig, SolverStats,
 };
 use rbv_par::Pool;
 use rbv_sim::rng::mix64;
@@ -372,6 +372,7 @@ mod serial {
         let mut spans = Vec::new();
         let mut rid_base = 0u64;
         let mut solver = SolverStats::default();
+        let mut pops = EventPops::default();
         let mut ties = 0u64;
         for (shard, &n) in plan.iter().enumerate() {
             let job = (shard_seed(spec.seed, shard), n, rid_base);
@@ -382,6 +383,7 @@ mod serial {
                 ties += stock.ties;
                 for stats in &stock.machines {
                     solver.merge(&stats.solver);
+                    pops.merge(&stats.pops);
                 }
                 mpi.iter()
                     .map(|samples| easing_threshold(samples))
@@ -402,6 +404,7 @@ mod serial {
                 totals.engine_events += stats.engine_events;
                 totals.context_switches += stats.context_switches;
                 solver.merge(&stats.solver);
+                pops.merge(&stats.pops);
             }
             for mut record in output.records {
                 record.shard = shard as u32;
@@ -429,6 +432,7 @@ mod serial {
             spans,
             passes: Vec::new(),
             solver,
+            pops,
             wall_seconds: None,
         };
         (report, ties)
@@ -486,6 +490,7 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                         "{label}: spans at {threads} threads"
                     );
                     assert_eq!(report.solver, reference.solver, "{label}");
+                    assert_eq!(report.pops, reference.pops, "{label}");
                     // Every pass ran windows, and stepped the rest one
                     // event at a time after the last arrival.
                     assert_eq!(report.passes.len(), 1 + usize::from(easing), "{label}");
@@ -557,6 +562,7 @@ fn forced_delivery_arrival_ties_match_the_serial_loop() {
                     "{label}: spans at {threads} threads"
                 );
                 assert_eq!(report.solver, reference.solver, "{label}");
+                assert_eq!(report.pops, reference.pops, "{label}");
             }
         }
     }

@@ -50,12 +50,14 @@ impl EasingDelta {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing member.
+    /// Returns a message naming the missing member, or the one that is
+    /// not a finite non-negative number.
     pub fn from_json(json: &Json) -> Result<EasingDelta, String> {
         let num = |key: &str| {
             json.get(key)
                 .and_then(Json::as_f64)
-                .ok_or_else(|| format!("easing: missing number {key:?}"))
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| format!("easing: missing non-negative number {key:?}"))
         };
         Ok(EasingDelta {
             stock_p99_cpi: num("stock_p99_cpi")?,
@@ -65,10 +67,15 @@ impl EasingDelta {
 }
 
 /// The JSON shape a member's writer emits: the reader rejects a member
-/// whose node types differ from it, so a tampered or truncated ledger
-/// cannot reach the differ.
+/// whose node types differ from it, or a number outside its leaf's
+/// range, so a tampered or truncated ledger cannot reach the differ.
 enum Shape {
+    /// Any finite number (a signed slack).
     Num,
+    /// A counter: a non-negative integer that `f64` holds exactly.
+    Count,
+    /// A finite non-negative number: cycles, joules, CPIs, fractions.
+    NonNeg,
     Str,
     Bool,
     /// An array whose every element has the given shape.
@@ -81,9 +88,10 @@ impl Shape {
     /// Checks `json` against the shape; `path` names it in the error.
     fn check(&self, json: &Json, path: &str) -> Result<(), String> {
         match (self, json) {
-            (Shape::Num, Json::Num(_))
-            | (Shape::Str, Json::Str(_))
-            | (Shape::Bool, Json::Bool(_)) => Ok(()),
+            (Shape::Num, Json::Num(v)) if v.is_finite() => Ok(()),
+            (Shape::Count, Json::Num(v)) if is_count(*v) => Ok(()),
+            (Shape::NonNeg, Json::Num(v)) if v.is_finite() && *v >= 0.0 => Ok(()),
+            (Shape::Str, Json::Str(_)) | (Shape::Bool, Json::Bool(_)) => Ok(()),
             (Shape::Arr(item), Json::Arr(items)) => items
                 .iter()
                 .enumerate()
@@ -101,7 +109,9 @@ impl Shape {
 
     fn name(&self) -> &'static str {
         match self {
-            Shape::Num => "a number",
+            Shape::Num => "a finite number",
+            Shape::Count => "a non-negative integer",
+            Shape::NonNeg => "a non-negative number",
             Shape::Str => "a string",
             Shape::Bool => "a boolean",
             Shape::Arr(_) => "an array",
@@ -110,12 +120,18 @@ impl Shape {
     }
 }
 
+/// Whether `v` is a counter value: a non-negative integer no larger than
+/// 2^53, past which `f64` skips integers.
+fn is_count(v: f64) -> bool {
+    (0.0..=9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0
+}
+
 /// One sampling mode of `rbv_os::ObserverReport::to_json`.
 const MODE_SHAPE: Shape = Shape::Obj(&[
-    ("samples", Shape::Num),
-    ("cycles_per_sample", Shape::Num),
-    ("cycles", Shape::Num),
-    ("instructions", Shape::Num),
+    ("samples", Shape::Count),
+    ("cycles_per_sample", Shape::NonNeg),
+    ("cycles", Shape::NonNeg),
+    ("instructions", Shape::NonNeg),
 ]);
 
 /// `rbv_os::ObserverReport::to_json` (`observer`, `syscall_observer`).
@@ -129,28 +145,29 @@ const OBSERVER_SHAPE: Shape = Shape::Obj(&[
             ("backup_timer", MODE_SHAPE),
         ]),
     ),
-    ("total_cycles", Shape::Num),
-    ("busy_cycles", Shape::Num),
-    ("overhead_frac", Shape::Num),
-    ("budget_frac", Shape::Num),
+    ("total_cycles", Shape::NonNeg),
+    ("busy_cycles", Shape::NonNeg),
+    ("overhead_frac", Shape::NonNeg),
+    ("budget_frac", Shape::NonNeg),
+    // The budget minus the overhead: negative over budget.
     ("slack_frac", Shape::Num),
     ("within_budget", Shape::Bool),
 ]);
 
 /// The kernel stage of `crate::collect` (`kernel`).
 const KERNEL_SHAPE: Shape = Shape::Obj(&[
-    ("signatures", Shape::Num),
-    ("penalty", Shape::Num),
+    ("signatures", Shape::Count),
+    ("penalty", Shape::NonNeg),
     (
         "prune",
         Shape::Obj(&[
-            ("candidates", Shape::Num),
-            ("lb_kim", Shape::Num),
-            ("length_penalty", Shape::Num),
-            ("lb_keogh", Shape::Num),
-            ("early_abandon", Shape::Num),
-            ("full_dp", Shape::Num),
-            ("pruned_frac", Shape::Num),
+            ("candidates", Shape::Count),
+            ("lb_kim", Shape::Count),
+            ("length_penalty", Shape::Count),
+            ("lb_keogh", Shape::Count),
+            ("early_abandon", Shape::Count),
+            ("full_dp", Shape::Count),
+            ("pruned_frac", Shape::NonNeg),
         ]),
     ),
 ]);
@@ -158,87 +175,87 @@ const KERNEL_SHAPE: Shape = Shape::Obj(&[
 /// `rbv_faults::ChaosReport::to_json` (`chaos`).
 const CHAOS_SHAPE: Shape = Shape::Obj(&[
     ("app", Shape::Str),
-    ("seed", Shape::Num),
+    ("seed", Shape::Count),
     (
         "anomaly",
         Shape::Obj(&[
-            ("injected", Shape::Num),
+            ("injected", Shape::Count),
             (
                 "injected_by_kind",
                 Shape::Obj(&[
-                    ("inflated-working-set", Shape::Num),
-                    ("runaway-segment-loop", Shape::Num),
-                    ("stuck-syscall", Shape::Num),
+                    ("inflated-working-set", Shape::Count),
+                    ("runaway-segment-loop", Shape::Count),
+                    ("stuck-syscall", Shape::Count),
                 ]),
             ),
-            ("flagged", Shape::Num),
-            ("precision", Shape::Num),
-            ("recall", Shape::Num),
+            ("flagged", Shape::Count),
+            ("precision", Shape::NonNeg),
+            ("recall", Shape::NonNeg),
         ]),
     ),
     (
         "degradation",
         Shape::Obj(&[
-            ("completed", Shape::Num),
-            ("samples_inkernel", Shape::Num),
-            ("samples_interrupt", Shape::Num),
-            ("samples_lost", Shape::Num),
-            ("low_confidence", Shape::Num),
-            ("counter_overflows", Shape::Num),
-            ("starvation_windows", Shape::Num),
+            ("completed", Shape::Count),
+            ("samples_inkernel", Shape::Count),
+            ("samples_interrupt", Shape::Count),
+            ("samples_lost", Shape::Count),
+            ("low_confidence", Shape::Count),
+            ("counter_overflows", Shape::Count),
+            ("starvation_windows", Shape::Count),
         ]),
     ),
     (
         "overload",
         Shape::Obj(&[
-            ("offered", Shape::Num),
-            ("completed", Shape::Num),
-            ("failed", Shape::Num),
-            ("admission_rejections", Shape::Num),
-            ("admission_retries", Shape::Num),
-            ("load_shed", Shape::Num),
-            ("deadline_aborts", Shape::Num),
-            ("p99_latency_micros", Shape::Num),
+            ("offered", Shape::Count),
+            ("completed", Shape::Count),
+            ("failed", Shape::Count),
+            ("admission_rejections", Shape::Count),
+            ("admission_retries", Shape::Count),
+            ("load_shed", Shape::Count),
+            ("deadline_aborts", Shape::Count),
+            ("p99_latency_micros", Shape::NonNeg),
         ]),
     ),
     (
         "easing",
         Shape::Obj(&[
-            ("stock_p99_cpi", Shape::Num),
-            ("eased_p99_cpi", Shape::Num),
-            ("gate_fallbacks", Shape::Num),
+            ("stock_p99_cpi", Shape::NonNeg),
+            ("eased_p99_cpi", Shape::NonNeg),
+            ("gate_fallbacks", Shape::Count),
         ]),
     ),
 ]);
 
 /// `rbv_faults::GovernorOutcome::to_json` (`guard`).
 const GUARD_SHAPE: Shape = Shape::Obj(&[
-    ("completed", Shape::Num),
-    ("windows", Shape::Num),
-    ("backoffs", Shape::Num),
-    ("recoveries", Shape::Num),
-    ("budget_breaches", Shape::Num),
-    ("max_breach_streak", Shape::Num),
-    ("final_scale", Shape::Num),
-    ("overhead_frac", Shape::Num),
-    ("slack_frac", Shape::Num),
-    ("budget_frac", Shape::Num),
-    ("health_transitions", Shape::Num),
+    ("completed", Shape::Count),
+    ("windows", Shape::Count),
+    ("backoffs", Shape::Count),
+    ("recoveries", Shape::Count),
+    ("budget_breaches", Shape::Count),
+    ("max_breach_streak", Shape::Count),
+    ("final_scale", Shape::NonNeg),
+    ("overhead_frac", Shape::NonNeg),
+    ("slack_frac", Shape::NonNeg),
+    ("budget_frac", Shape::NonNeg),
+    ("health_transitions", Shape::Count),
     ("final_rung", Shape::Str),
-    ("invariant_checks", Shape::Num),
-    ("invariant_violations", Shape::Num),
-    ("stock_p99_cpi", Shape::Num),
-    ("governed_p99_cpi", Shape::Num),
+    ("invariant_checks", Shape::Count),
+    ("invariant_violations", Shape::Count),
+    ("stock_p99_cpi", Shape::NonNeg),
+    ("governed_p99_cpi", Shape::NonNeg),
 ]);
 
 /// One variant of the energy stage of `crate::collect`.
 const ENERGY_VARIANT_SHAPE: Shape = Shape::Obj(&[
-    ("joules", Shape::Num),
-    ("core_joules", Shape::Arr(&Shape::Num)),
-    ("throttle_engages", Shape::Num),
-    ("dvfs_transitions", Shape::Num),
-    ("power_rung_transitions", Shape::Num),
-    ("p99_cpi", Shape::Num),
+    ("joules", Shape::NonNeg),
+    ("core_joules", Shape::Arr(&Shape::NonNeg)),
+    ("throttle_engages", Shape::Count),
+    ("dvfs_transitions", Shape::Count),
+    ("power_rung_transitions", Shape::Count),
+    ("p99_cpi", Shape::NonNeg),
 ]);
 
 /// The energy stage of `crate::collect` (`energy`).
@@ -332,7 +349,9 @@ impl AppLedger {
                 .to_string(),
             requests: member("requests")?
                 .as_f64()
-                .ok_or("app ledger: requests is not a number")? as u64,
+                .filter(|&v| is_count(v))
+                .ok_or("app ledger: requests is not a non-negative integer")?
+                as u64,
             latency_us: sketch("latency_us")?,
             cpi: sketch("cpi")?,
             l2_mpki: sketch("l2_mpki")?,
@@ -413,7 +432,9 @@ impl RunLedger {
             seed: json
                 .get("seed")
                 .and_then(Json::as_f64)
-                .ok_or("ledger: missing seed")? as u64,
+                .filter(|&v| is_count(v))
+                .ok_or("ledger: missing seed, or not a non-negative integer")?
+                as u64,
             fast: match json.get("fast") {
                 Some(Json::Bool(b)) => *b,
                 _ => return Err("ledger: missing fast".into()),
@@ -439,7 +460,7 @@ pub(crate) mod tests {
     fn filled(shape: &Shape, values: &[(&str, f64)]) -> Json {
         fn zeros(shape: &Shape) -> Json {
             match shape {
-                Shape::Num => Json::Num(0.0),
+                Shape::Num | Shape::Count | Shape::NonNeg => Json::Num(0.0),
                 Shape::Str => Json::str(""),
                 Shape::Bool => Json::Bool(false),
                 Shape::Arr(_) => Json::Arr(vec![]),
@@ -453,20 +474,25 @@ pub(crate) mod tests {
         }
         let mut json = zeros(shape);
         for &(path, value) in values {
-            let mut node = &mut json;
-            for key in path.split('.') {
-                let Json::Obj(members) = node else {
-                    panic!("{path} leaves the shape");
-                };
-                node = &mut members
-                    .iter_mut()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("{path} is not in the shape"))
-                    .1;
-            }
-            *node = Json::Num(value);
+            set_path(&mut json, path, Json::Num(value));
         }
         json
+    }
+
+    /// Sets the member at dotted `path` of the object tree `json`.
+    fn set_path(json: &mut Json, path: &str, value: Json) {
+        let mut node = json;
+        for key in path.split('.') {
+            let Json::Obj(members) = node else {
+                panic!("{path} leaves the shape");
+            };
+            node = &mut members
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("{path} is not in the shape"))
+                .1;
+        }
+        *node = value;
     }
 
     /// A chaos member whose anomaly detection scored precision 0.9 and
@@ -511,7 +537,7 @@ pub(crate) mod tests {
             guard: filled(
                 &GUARD_SHAPE,
                 &[
-                    ("windows", 24.0 * scale),
+                    ("windows", (24.0 * scale).round()),
                     ("budget_breaches", 1.0),
                     ("max_breach_streak", 1.0),
                     ("overhead_frac", 0.004 * scale),
@@ -567,6 +593,48 @@ pub(crate) mod tests {
             members[0].1 = Json::str("rbv-ledger/v0");
         }
         assert!(RunLedger::from_json(&json).is_err());
+    }
+
+    #[test]
+    fn numbers_outside_their_leaf_range_are_rejected() {
+        let app = sample_app("web", 1.0).to_json();
+        let read = |path: &str, value: Json| {
+            let mut doc = app.clone();
+            set_path(&mut doc, path, value);
+            AppLedger::from_json(&doc).is_ok()
+        };
+        let out_of_range = [
+            ("requests", 0.5),
+            ("requests", -1.0),
+            ("guard.completed", -1.0),
+            ("guard.windows", 0.5),
+            ("kernel.prune.candidates", -1.0),
+            ("chaos.seed", 1e300),
+            ("observer.per_mode.apic.samples", 2.5),
+            ("observer.busy_cycles", -1.0),
+            ("chaos.anomaly.recall", -0.5),
+            ("energy.stock.joules", -1.0),
+            ("energy.stock.dvfs_transitions", 0.5),
+            ("guard.overhead_frac", f64::INFINITY),
+            ("easing.stock_p99_cpi", -1.0),
+        ];
+        for (path, value) in out_of_range {
+            assert!(!read(path, Json::Num(value)), "{path} = {value} was read");
+        }
+        let negative_joules = Json::Arr(vec![Json::Num(1.0), Json::Num(-1.0)]);
+        assert!(!read("energy.stock.core_joules", negative_joules));
+        // In range: a fraction, a counter, and the observer's slack, which
+        // is negative over budget.
+        for (path, value) in [
+            ("guard.overhead_frac", 0.5),
+            ("energy.stock.dvfs_transitions", 3.0),
+            ("observer.slack_frac", -0.25),
+        ] {
+            assert!(
+                read(path, Json::Num(value)),
+                "{path} = {value} was rejected"
+            );
+        }
     }
 
     #[test]

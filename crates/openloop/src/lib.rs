@@ -24,10 +24,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use rbv_os::{
-    joules, run_simulation, run_simulation_streaming, run_simulation_streaming_traced,
-    solver_profile, ArrivalProcess, ClientPolicy, CompletedRequest, CompletionSink, EnergyStats,
-    FailReason, FailedRequest, LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline,
-    RbvError, ShedPolicy, SimConfig, SolverStats,
+    joules, pops_profile, run_simulation, run_simulation_streaming,
+    run_simulation_streaming_traced, solver_profile, ArrivalProcess, ClientPolicy,
+    CompletedRequest, CompletionSink, EnergyStats, EventPops, FailReason, FailedRequest,
+    LadderRung, OverloadPolicy, PowerPolicy, PowerRung, QueueDiscipline, RbvError, ShedPolicy,
+    SimConfig, SolverStats,
 };
 use rbv_sim::{rng, Cycles};
 use rbv_telemetry::{Json, QuantileSketch};
@@ -498,6 +499,9 @@ pub struct ServeReport {
     /// Contention-model solves across shards; serialized only under the
     /// opt-in `"profile"` member.
     pub solver: SolverStats,
+    /// Engine events by kind, live and stale, across shards; serialized
+    /// only under the opt-in `"profile"` member.
+    pub pops: EventPops,
     /// Wall-clock duration of the run, seconds. Opt-in (`--wallclock`);
     /// `None` keeps the serialized ledger a pure function of the spec,
     /// which the thread-count byte-identity gate relies on.
@@ -636,6 +640,7 @@ impl ServeReport {
                         num(self.sim_requests_per_wall_second().unwrap_or(0.0)),
                     ),
                     ("solver".into(), solver_profile(&self.solver)),
+                    ("events".into(), pops_profile(&self.pops)),
                 ]),
             ));
         }
@@ -693,6 +698,7 @@ pub fn serve_with_shard_target(
         trace: None,
         spans: Vec::new(),
         solver: SolverStats::default(),
+        pops: EventPops::default(),
         wall_seconds: None,
     };
     // Merge in shard order — the canonical order that makes floating-
@@ -714,6 +720,7 @@ pub fn serve_with_shard_target(
             report.final_rung = shard_rung;
         }
         report.solver.merge(&shard.stats.solver);
+        report.pops.merge(&shard.stats.pops);
         report.busy_cycles += shard.stats.busy_cycles;
         report.simulated_cycles += shard.total_time.as_f64();
         report.latency_us.merge(&shard.acc.latency_us);

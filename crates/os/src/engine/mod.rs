@@ -2,7 +2,7 @@
 //! and an event loop that routes each event to its component.
 //!
 //! * [`store`] — live requests by id, and the finished ones;
-//! * [`timers`] — per-core timer slots behind the one [`Event::Timer`];
+//! * [`timers`] — per-core timer slots, kept out of the event heap;
 //! * [`ingress`] — arrivals, admission, deadlines, CoDel, client retries;
 //! * [`sampler`] — counter sampling and the observer effect;
 //! * [`sched`] — dispatch, contention easing and its gate, stealing;
@@ -42,13 +42,9 @@ const INS_EPS: f64 = 0.5;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// A per-core timer; stale unless `epoch` is still current in the
-    /// core's slot for `kind`.
-    Timer {
-        core: usize,
-        kind: TimerKind,
-        epoch: u64,
-    },
+    /// A per-core timer, fired from its slot in [`timers::Timers`]. Never
+    /// queued, so never stale.
+    Timer { core: usize, kind: TimerKind },
     /// Open-loop request arrival.
     Arrival,
     /// A request delivered from another machine becomes runnable here
@@ -66,6 +62,23 @@ pub(crate) enum Event {
     /// Guard accounting-window boundary. Never scheduled when
     /// [`SimConfig::guard`] is off.
     GuardTick,
+}
+
+impl Event {
+    /// The event's index into [`crate::EventPops::KINDS`].
+    fn pop_kind(&self) -> usize {
+        let timers = TimerKind::ALL.len();
+        match self {
+            Event::Timer { kind, .. } => *kind as usize,
+            Event::Arrival => timers,
+            Event::HopWakeup { .. } => timers + 1,
+            Event::Retry { .. } => timers + 2,
+            Event::DeadlineCheck { .. } => timers + 3,
+            Event::ClientTimeout { .. } => timers + 4,
+            Event::ClientResubmit { .. } => timers + 5,
+            Event::GuardTick => timers + 6,
+        }
+    }
 }
 
 /// The structured-event sink. Emission reads engine state but never
@@ -133,7 +146,7 @@ impl RateModel {
 pub(crate) struct Engine<'s> {
     cfg: SimConfig,
     pub(crate) queue: EventQueue<Event>,
-    timers: Vec<timers::TimerSlots>,
+    timers: timers::Timers,
     store: store::RequestStore,
     pub(crate) out: store::Outcomes<'s>,
     sched: sched::Sched,
@@ -170,7 +183,7 @@ impl<'s> Engine<'s> {
         let seed = cfg.seed;
         Engine {
             queue: EventQueue::new(),
-            timers: vec![Default::default(); cores],
+            timers: timers::Timers::new(cores),
             store: Default::default(),
             out: store::Outcomes {
                 sink: completions,
@@ -251,47 +264,79 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Pops one event and routes it to its component. Returns `false`
-    /// when the queue is empty (nothing left to do).
+    /// The instant of the next event: the earliest armed timer or the
+    /// heap top. `None` when nothing is pending.
+    pub(crate) fn next_time(&self) -> Option<Cycles> {
+        let timer = self.timers.next().map(|((at, _), ..)| at);
+        match (timer, self.queue.peek_time()) {
+            (Some(timer), Some(top)) => Some(timer.min(top)),
+            (timer, top) => timer.or(top),
+        }
+    }
+
+    /// Takes the next event: the earliest armed timer, or the heap top
+    /// when its `(time, seq)` key is smaller.
+    fn next_event(&mut self) -> Option<(Cycles, Event)> {
+        let top = self.queue.peek_key();
+        match self.timers.next() {
+            Some(((at, seq), core, kind)) if top.is_none_or(|top| (at, seq) < top) => {
+                self.timers.cancel(core, kind);
+                self.queue.advance_to(at);
+                Some((at, Event::Timer { core, kind }))
+            }
+            _ => self.queue.pop(),
+        }
+    }
+
+    /// Takes one event and routes it to its component. Returns `false`
+    /// when nothing is pending (nothing left to do).
     pub(crate) fn step(&mut self, factory: &mut dyn RequestFactory) -> bool {
-        let Some((now, event)) = self.queue.pop() else {
+        let Some((now, event)) = self.next_event() else {
             return false;
         };
         self.stats.engine_events += 1;
         self.advance_all(now);
-        match event {
-            Event::Timer { core, kind, epoch } if self.timers[core].is_current(kind, epoch) => {
-                match kind {
+        let live = self.is_live(event);
+        self.stats.pops.record(event.pop_kind(), live);
+        if live {
+            match event {
+                Event::Timer { core, kind } => match kind {
                     TimerKind::Milestone => self.on_milestone(core, now, factory),
                     TimerKind::Quantum => self.on_quantum(core, now),
                     TimerKind::Sample => self.on_sample_timer(core, now),
                     TimerKind::Resched => self.on_resched(core, now),
+                },
+                Event::Arrival => {
+                    self.spawn(factory);
+                    self.schedule_next_arrival();
                 }
+                Event::HopWakeup { rid } => self.enqueue_runnable(rid),
+                Event::Retry { rid, attempt, .. } => self.try_admit(rid, attempt, factory),
+                Event::DeadlineCheck { rid } => {
+                    self.fail_request(rid, now, FailReason::DeadlineAbort, factory);
+                }
+                Event::ClientTimeout { rid, .. } => self.on_client_timeout(rid, now, factory),
+                Event::ClientResubmit { rid, gen } => self.on_client_resubmit(rid, gen, factory),
+                Event::GuardTick => self.on_guard_tick(now, true),
             }
-            Event::Arrival => {
-                self.spawn(factory);
-                self.schedule_next_arrival();
-            }
-            Event::HopWakeup { rid } if self.store.get(rid).is_some() => self.enqueue_runnable(rid),
-            Event::Retry { rid, attempt, gen } if self.store.on_attempt(rid, gen) => {
-                self.try_admit(rid, attempt, factory);
-            }
-            Event::DeadlineCheck { rid } if self.store.get(rid).is_some() => {
-                self.fail_request(rid, now, FailReason::DeadlineAbort, factory);
-            }
-            Event::ClientTimeout { rid, gen } if self.store.on_attempt(rid, gen) => {
-                self.on_client_timeout(rid, now, factory);
-            }
-            Event::ClientResubmit { rid, gen } if self.store.on_attempt(rid, gen) => {
-                self.on_client_resubmit(rid, gen, factory);
-            }
-            Event::GuardTick => self.on_guard_tick(now, true),
-            // Stale: a superseded timer, or an event for a request that
-            // already resolved or has since moved to a later attempt.
-            _ => {}
         }
         self.flush_rates();
         true
+    }
+
+    /// Whether `event` still applies. A request-keyed event goes stale
+    /// once its request resolved or moved on to a later attempt; timers,
+    /// arrivals and guard ticks never do.
+    fn is_live(&self, event: Event) -> bool {
+        match event {
+            Event::HopWakeup { rid } | Event::DeadlineCheck { rid } => {
+                self.store.get(rid).is_some()
+            }
+            Event::Retry { rid, gen, .. }
+            | Event::ClientTimeout { rid, gen }
+            | Event::ClientResubmit { rid, gen } => self.store.on_attempt(rid, gen),
+            Event::Timer { .. } | Event::Arrival | Event::GuardTick => true,
+        }
     }
 
     /// Closes the run and returns its [`RunResult`].
@@ -316,11 +361,11 @@ impl<'s> Engine<'s> {
     }
 
     /// Arms `core`'s timer of `kind` to fire after `delay`, superseding
-    /// the one armed before.
+    /// the one armed before. Its `seq` comes from the heap's counter, so
+    /// it ranks among same-cycle events in arming order.
     fn arm_timer(&mut self, core: usize, kind: TimerKind, delay: Cycles) {
-        let epoch = self.timers[core].arm(kind);
-        self.queue
-            .schedule_after(delay, Event::Timer { core, kind, epoch });
+        let key = (self.queue.now() + delay, self.queue.reserve_seq());
+        self.timers.arm(core, kind, key);
     }
 
     // ----- time advancement ----------------------------------------------
@@ -417,7 +462,7 @@ impl<'s> Engine<'s> {
 
     fn push_milestone(&mut self, core: usize) {
         let Some(rid) = self.sched.running[core] else {
-            self.timers[core].cancel(TimerKind::Milestone);
+            self.timers.cancel(core, TimerKind::Milestone);
             return;
         };
         let rate = self.model.rate(core);
@@ -496,5 +541,92 @@ impl<'s> Engine<'s> {
         if self.sched.running[core].is_none() {
             self.schedule_next_on(core);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::result::EventPops;
+    use rbv_workloads::Tpcc;
+
+    /// An externally driven engine holding request `a`, injected at cycle
+    /// 0, and, when `b_at` is given, request `b` injected at `b_at`: its
+    /// `HopWakeup` is queued before `a` runs and arms any timer.
+    fn two_requests(b_at: Option<Cycles>) -> (Engine<'static>, Tpcc) {
+        let cfg = SimConfig {
+            arrivals: ArrivalProcess::External,
+            ..SimConfig::paper_default()
+        };
+        let mut factory = Tpcc::new(42, 0.05);
+        let mut engine = Engine::new(cfg, 2, None, None);
+        engine.start(&mut factory);
+        engine.inject(factory.next_request(), Cycles::ZERO);
+        if let Some(at) = b_at {
+            engine.inject(factory.next_request(), at);
+        }
+        (engine, factory)
+    }
+
+    /// Takes one event; returns its instant and its kind.
+    fn step(engine: &mut Engine<'_>, factory: &mut Tpcc) -> (Cycles, &'static str) {
+        let before = engine.stats.pops;
+        assert!(engine.step(factory), "an event is pending");
+        let after = engine.stats.pops;
+        let kind = (0..EventPops::KINDS.len())
+            .find(|&k| after.live[k] + after.stale[k] != before.live[k] + before.stale[k])
+            .expect("the step counted its event");
+        (engine.queue.now(), EventPops::KINDS[kind])
+    }
+
+    #[test]
+    fn a_timer_and_a_queued_event_due_on_one_cycle_fire_in_arming_order() {
+        // Timer armed first: `a` starts at cycle 0 and arms its timers,
+        // then `b`'s wakeup is queued for the earliest timer's deadline.
+        let (mut engine, mut factory) = two_requests(None);
+        assert_eq!(
+            step(&mut engine, &mut factory),
+            (Cycles::ZERO, "hop_wakeup")
+        );
+        let ((due, _), _, kind) = engine.timers.next().expect("a running core arms timers");
+        let timer = EventPops::KINDS[kind as usize];
+        engine.inject(factory.next_request(), due);
+        assert_eq!(step(&mut engine, &mut factory), (due, timer));
+        assert_eq!(step(&mut engine, &mut factory), (due, "hop_wakeup"));
+
+        // Wakeup queued first: the same requests, `b`'s wakeup queued for
+        // that cycle before `a` runs. `a` arms the same timers, and the
+        // wakeup still goes first (`b`'s dispatch then re-times `a`).
+        let (mut engine, mut factory) = two_requests(Some(due));
+        assert_eq!(
+            step(&mut engine, &mut factory),
+            (Cycles::ZERO, "hop_wakeup")
+        );
+        let next = engine.timers.next().map(|((at, _), _, k)| (at, k));
+        assert_eq!(next, Some((due, kind)));
+        assert_eq!(step(&mut engine, &mut factory), (due, "hop_wakeup"));
+    }
+
+    #[test]
+    fn every_pop_is_counted_once_and_no_timer_goes_stale() {
+        let cfg = SimConfig {
+            arrivals: ArrivalProcess::OpenPoisson {
+                mean_interarrival: Cycles::new(60_000),
+            },
+            sampling: crate::config::SamplingPolicy::Interrupt {
+                period: Cycles::new(30_000),
+            },
+            quantum: Cycles::new(20_000),
+            ..SimConfig::paper_default()
+        };
+        let mut factory = Tpcc::new(7, 0.05);
+        let result = Engine::new(cfg, 200, None, None).run(&mut factory);
+        let pops = result.stats.pops;
+        assert_eq!(pops.total(), result.stats.engine_events);
+        for kind in [TimerKind::Milestone, TimerKind::Quantum, TimerKind::Sample] {
+            assert!(pops.live[kind as usize] > 0, "{kind:?}: {pops:?}");
+        }
+        let timers = TimerKind::ALL.len();
+        assert!(pops.stale[..timers].iter().all(|&n| n == 0), "{pops:?}");
     }
 }

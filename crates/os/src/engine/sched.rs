@@ -225,7 +225,7 @@ impl Engine<'_> {
         };
         let Some(rid) = next else {
             // Idle: cancel timers.
-            self.timers[core].cancel_all();
+            self.timers.cancel_all(core);
             self.model.dirty = true;
             return;
         };

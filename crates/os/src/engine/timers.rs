@@ -1,6 +1,12 @@
 //! Per-core timer slots: at most one live timer of each [`TimerKind`] per
-//! core. Arming or cancelling a kind bumps its epoch, so a popped timer
-//! event tagged with an older epoch was superseded and is dropped.
+//! core, kept out of the event heap. A slot holds the armed timer's
+//! `(deadline, seq)` key, its `seq` reserved from the heap's own counter
+//! when it was armed, so the engine fires the earliest slot or the heap
+//! top, whichever key is smaller, and same-cycle ties stay in arming
+//! order. Re-arming or cancelling a timer only overwrites its slot: a
+//! superseded timer leaves nothing behind to pop.
+
+use rbv_sim::Cycles;
 
 /// The kinds of per-core timer, one slot each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,33 +22,62 @@ pub(crate) enum TimerKind {
     Resched,
 }
 
-/// One core's timer slots: the current epoch of each [`TimerKind`].
-#[derive(Debug, Default, Clone)]
-pub(super) struct TimerSlots {
-    epochs: [u64; 4],
+impl TimerKind {
+    /// Every kind, in slot order.
+    pub(crate) const ALL: [TimerKind; 4] = [
+        TimerKind::Milestone,
+        TimerKind::Quantum,
+        TimerKind::Sample,
+        TimerKind::Resched,
+    ];
 }
 
-impl TimerSlots {
-    /// Supersedes any armed timer of `kind` and returns the epoch the new
-    /// timer event must carry.
-    pub(super) fn arm(&mut self, kind: TimerKind) -> u64 {
-        self.cancel(kind);
-        self.epochs[kind as usize]
+/// An armed timer's place in the event order: `(deadline, seq)`.
+pub(super) type Key = (Cycles, u64);
+
+/// Every core's timer slots, `TimerKind::ALL.len()` per core.
+#[derive(Debug, Default)]
+pub(super) struct Timers {
+    slots: Vec<Option<Key>>,
+}
+
+impl Timers {
+    pub(super) fn new(cores: usize) -> Timers {
+        Timers {
+            slots: vec![None; cores * TimerKind::ALL.len()],
+        }
     }
 
-    /// Supersedes any armed timer of `kind` without arming a new one.
-    pub(super) fn cancel(&mut self, kind: TimerKind) {
-        self.epochs[kind as usize] += 1;
+    fn index(core: usize, kind: TimerKind) -> usize {
+        core * TimerKind::ALL.len() + kind as usize
     }
 
-    /// Supersedes every armed timer (the core went idle).
-    pub(super) fn cancel_all(&mut self) {
-        self.epochs.iter_mut().for_each(|epoch| *epoch += 1);
+    /// Arms `core`'s timer of `kind` at `key`, superseding the one armed
+    /// before.
+    pub(super) fn arm(&mut self, core: usize, kind: TimerKind, key: Key) {
+        self.slots[Self::index(core, kind)] = Some(key);
     }
 
-    /// Whether a timer event of `kind` tagged `epoch` is still the armed one.
-    pub(super) fn is_current(&self, kind: TimerKind, epoch: u64) -> bool {
-        self.epochs[kind as usize] == epoch
+    /// Disarms `core`'s timer of `kind`.
+    pub(super) fn cancel(&mut self, core: usize, kind: TimerKind) {
+        self.slots[Self::index(core, kind)] = None;
+    }
+
+    /// Disarms every timer of `core` (the core went idle).
+    pub(super) fn cancel_all(&mut self, core: usize) {
+        let n = TimerKind::ALL.len();
+        self.slots[core * n..(core + 1) * n].fill(None);
+    }
+
+    /// The armed timer with the smallest key, as `(key, core, kind)`.
+    pub(super) fn next(&self) -> Option<(Key, usize, TimerKind)> {
+        let n = TimerKind::ALL.len();
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.map(|key| (key, i)))
+            .min()
+            .map(|(key, i)| (key, i / n, TimerKind::ALL[i % n]))
     }
 }
 
@@ -50,43 +85,52 @@ impl TimerSlots {
 mod tests {
     use super::*;
 
-    const ALL: [TimerKind; 4] = [
-        TimerKind::Milestone,
-        TimerKind::Quantum,
-        TimerKind::Sample,
-        TimerKind::Resched,
-    ];
+    fn key(at: u64, seq: u64) -> Key {
+        (Cycles::new(at), seq)
+    }
 
     #[test]
-    fn rearming_or_cancelling_a_kind_rejects_only_its_older_epoch() {
-        for kind in ALL {
-            for cancel in [false, true] {
-                let mut slots = TimerSlots::default();
-                let armed: Vec<u64> = ALL.iter().map(|&k| slots.arm(k)).collect();
-                let old = armed[kind as usize];
-                if cancel {
-                    slots.cancel(kind);
-                } else {
-                    let new = slots.arm(kind);
-                    assert!(slots.is_current(kind, new));
-                }
-                assert!(!slots.is_current(kind, old), "{kind:?} kept epoch {old}");
-                for (other, &epoch) in ALL.iter().zip(&armed) {
-                    if *other != kind {
-                        assert!(slots.is_current(*other, epoch), "{other:?} went stale");
-                    }
-                }
+    fn next_is_the_smallest_key_and_ties_break_on_seq() {
+        let mut timers = Timers::new(2);
+        assert_eq!(timers.next(), None);
+        timers.arm(1, TimerKind::Sample, key(50, 3));
+        timers.arm(0, TimerKind::Resched, key(40, 9));
+        timers.arm(1, TimerKind::Quantum, key(40, 4));
+        assert_eq!(timers.next(), Some((key(40, 4), 1, TimerKind::Quantum)));
+        timers.cancel(1, TimerKind::Quantum);
+        assert_eq!(timers.next(), Some((key(40, 9), 0, TimerKind::Resched)));
+    }
+
+    #[test]
+    fn rearming_a_kind_replaces_only_its_slot() {
+        for kind in TimerKind::ALL {
+            let mut timers = Timers::new(1);
+            for (seq, k) in TimerKind::ALL.into_iter().enumerate() {
+                timers.arm(0, k, key(100, seq as u64));
             }
+            timers.arm(0, kind, key(200, 10));
+            let mut fired = Vec::new();
+            while let Some((key, core, k)) = timers.next() {
+                fired.push((key, k));
+                timers.cancel(core, k);
+            }
+            assert_eq!(fired.len(), TimerKind::ALL.len(), "{kind:?}");
+            assert_eq!(fired.last(), Some(&(key(200, 10), kind)));
         }
     }
 
     #[test]
-    fn cancelling_all_rejects_every_armed_epoch() {
-        let mut slots = TimerSlots::default();
-        let armed: Vec<u64> = ALL.iter().map(|&k| slots.arm(k)).collect();
-        slots.cancel_all();
-        for (kind, &epoch) in ALL.iter().zip(&armed) {
-            assert!(!slots.is_current(*kind, epoch), "{kind:?} still current");
+    fn cancelling_all_clears_one_core_only() {
+        let mut timers = Timers::new(2);
+        for core in 0..2 {
+            for (seq, kind) in TimerKind::ALL.into_iter().enumerate() {
+                timers.arm(core, kind, key(10, (core * 4 + seq) as u64));
+            }
         }
+        timers.cancel_all(0);
+        let (_, core, kind) = timers.next().expect("core 1 still armed");
+        assert_eq!((core, kind), (1, TimerKind::Milestone));
+        timers.cancel_all(1);
+        assert_eq!(timers.next(), None);
     }
 }

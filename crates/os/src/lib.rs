@@ -76,6 +76,6 @@ pub use rbv_power::{joules, PowerPolicy};
 // The contention model's solve counters, which `RunStats::solver` carries.
 pub use rbv_mem::SolverStats;
 pub use result::{
-    easing_threshold, solver_profile, CompletedRequest, EnergyStats, FailReason, FailedRequest,
-    RunResult, RunStats, SyscallRecord, TransitionRecord,
+    easing_threshold, pops_profile, solver_profile, CompletedRequest, EnergyStats, EventPops,
+    FailReason, FailedRequest, RunResult, RunStats, SyscallRecord, TransitionRecord,
 };

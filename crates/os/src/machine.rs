@@ -212,7 +212,7 @@ impl Machine {
     /// idle. A cluster loop compares these across machines (and against
     /// in-flight network deliveries) to pick the globally next event.
     pub fn peek_time(&self) -> Option<Cycles> {
-        self.engine.queue.peek_time()
+        self.engine.next_time()
     }
 
     /// Whether the machine has resolved (completed or failed) its

@@ -5,6 +5,13 @@
 //! orders them by [`Cycles`] timestamp with FIFO tie-breaking, so two events
 //! scheduled for the same cycle fire in the order they were scheduled —
 //! essential for deterministic replays.
+//!
+//! An owner may keep some events outside the heap (the engine's per-core
+//! timers, re-armed far more often than they fire) and still share its
+//! order: [`EventQueue::reserve_seq`] hands out the sequence number the
+//! event would have had, [`EventQueue::peek_key`] exposes the heap top's
+//! `(time, seq)` key to compare against, and [`EventQueue::advance_to`]
+//! moves the clock when the outside event fires.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -96,8 +103,7 @@ impl<E> EventQueue<E> {
     /// already-expired timer.
     pub fn schedule(&mut self, at: Cycles, event: E) {
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.reserve_seq();
         self.heap.push(Entry { at, seq, event });
     }
 
@@ -118,6 +124,61 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Cycles> {
         self.heap.peek().map(|e| e.at)
+    }
+
+    /// Returns the `(time, seq)` key of the next event without removing
+    /// it. Keys order events exactly as [`EventQueue::pop`] does.
+    pub fn peek_key(&self) -> Option<(Cycles, u64)> {
+        self.heap.peek().map(|e| (e.at, e.seq))
+    }
+
+    /// Takes the next sequence number for an event kept outside the heap,
+    /// so that among events due on the same cycle it ranks where
+    /// [`EventQueue::schedule`] would have put it: after everything
+    /// scheduled before, before everything scheduled after.
+    ///
+    /// ```
+    /// use rbv_sim::{Cycles, EventQueue};
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.schedule(Cycles::new(10), "queued first");
+    /// // A timer due at the same cycle, armed now, kept by the caller.
+    /// let timer = (Cycles::new(10), q.reserve_seq());
+    /// q.schedule(Cycles::new(10), "queued last");
+    ///
+    /// // The heap top precedes the timer; the timer precedes the rest.
+    /// assert!(q.peek_key().unwrap() < timer);
+    /// assert_eq!(q.pop(), Some((Cycles::new(10), "queued first")));
+    /// assert!(timer < q.peek_key().unwrap());
+    /// q.advance_to(timer.0); // the timer fires
+    /// assert_eq!(q.pop(), Some((Cycles::new(10), "queued last")));
+    /// ```
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `at` for an event fired from outside the
+    /// heap, as [`EventQueue::pop`] does for a queued one. `at` must not
+    /// be in the past, nor later than the heap top.
+    ///
+    /// ```
+    /// use rbv_sim::{Cycles, EventQueue};
+    ///
+    /// let mut q: EventQueue<()> = EventQueue::new();
+    /// q.advance_to(Cycles::new(40));
+    /// assert_eq!(q.now(), Cycles::new(40));
+    /// q.schedule_after(Cycles::new(2), ());
+    /// assert_eq!(q.peek_time(), Some(Cycles::new(42)));
+    /// ```
+    pub fn advance_to(&mut self, at: Cycles) {
+        debug_assert!(at >= self.now, "time went backwards");
+        debug_assert!(
+            self.peek_time().is_none_or(|top| at <= top),
+            "an outside event skipped a queued one"
+        );
+        self.now = at;
     }
 
     /// Number of pending events.
@@ -206,6 +267,53 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn reserved_seqs_interleave_with_scheduled_ones() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles::new(7), 'a');
+        let reserved = q.reserve_seq();
+        q.schedule(Cycles::new(7), 'b');
+        assert_eq!(q.peek_key(), Some((Cycles::new(7), reserved - 1)));
+        q.pop();
+        assert_eq!(q.peek_key(), Some((Cycles::new(7), reserved + 1)));
+    }
+
+    #[test]
+    fn peek_key_orders_like_pop() {
+        let mut q = EventQueue::new();
+        for (t, e) in [(30u64, 0), (10, 1), (10, 2), (20, 3)] {
+            q.schedule(Cycles::new(t), e);
+        }
+        let mut keys = Vec::new();
+        while let Some(key) = q.peek_key() {
+            assert_eq!(q.pop().map(|(at, _)| at), Some(key.0));
+            keys.push(key);
+        }
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_and_schedules_relative_to_it() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles::new(50), "queued");
+        q.advance_to(Cycles::new(20));
+        assert_eq!(q.now(), Cycles::new(20));
+        q.schedule(Cycles::new(5), "clamped");
+        assert_eq!(q.pop(), Some((Cycles::new(20), "clamped")));
+        q.advance_to(Cycles::new(50));
+        assert_eq!(q.pop(), Some((Cycles::new(50), "queued")));
+    }
+
+    #[test]
+    #[should_panic(expected = "time went backwards")]
+    #[cfg(debug_assertions)]
+    fn advance_to_rejects_the_past() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(Cycles::new(9));
+        q.advance_to(Cycles::new(8));
     }
 
     #[test]
