@@ -13,7 +13,10 @@ use rbv_os::RbvError;
 /// Runs the cluster campaign and prints the report — the human table by
 /// default, the machine-readable `rbv-cluster/v1` ledger JSON with
 /// `json` (the table then goes to stderr so pipelines stay parseable).
-/// `out` writes the ledger atomically; `spans_out` (requires a spec
+/// `wallclock` times the run into the ledger's non-diffed `"profile"`
+/// member, which is left out otherwise so the ledger stays
+/// byte-identical across `--threads` settings. `out` writes the ledger
+/// atomically; `spans_out` (requires a spec
 /// with `trace_spans` set) writes the retained per-request spans as a
 /// Perfetto trace with one track-group per machine and cross-tier flow
 /// arrows.
@@ -27,12 +30,17 @@ use rbv_os::RbvError;
 /// Returns [`RbvError`] from validation, the run, or report output.
 pub fn run(
     spec: &ClusterSpec,
+    wallclock: bool,
     out: Option<&Path>,
     json: bool,
     spans_out: Option<&Path>,
 ) -> Result<(ClusterReport, bool), RbvError> {
     let pool = rbv_par::Pool::global();
-    let report = run_cluster(spec, &pool)?;
+    let start = std::time::Instant::now();
+    let mut report = run_cluster(spec, &pool)?;
+    if wallclock {
+        report.wall_seconds = Some(start.elapsed().as_secs_f64());
+    }
     let text = report.to_json().to_string_compact();
     if json {
         let mut err = io::stderr().lock();

@@ -437,10 +437,7 @@ fn main() -> ExitCode {
             spec.mmpp = cli.mmpp;
             spec.power = cli.power;
             spec.thermal = cli.thermal;
-            if cli.trace_spans.is_some() {
-                spec.trace = true;
-                spec.trace_spans = true;
-            }
+            spec.trace = cli.trace_spans.is_some();
             match rbv_bench::servecmd::run(
                 &spec,
                 cli.wallclock,
@@ -480,9 +477,9 @@ fn main() -> ExitCode {
                 spec.topology = rbv_cluster::ClusterTopology::Single;
             }
             spec.trace_spans = cli.trace_spans.is_some();
-            spec.wallclock = cli.wallclock;
             match rbv_bench::clustercmd::run(
                 &spec,
+                cli.wallclock,
                 cli.out.as_deref(),
                 cli.json,
                 cli.trace_spans.as_deref(),

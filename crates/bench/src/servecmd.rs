@@ -16,7 +16,7 @@ use rbv_os::RbvError;
 /// opts into the wall-seconds / simulated-requests-per-wall-second
 /// profile section, which is deliberately excluded otherwise so output
 /// stays byte-identical across `--threads` settings. `spans_out`
-/// (requires a spec with `trace_spans` set) writes the retained
+/// (requires a spec with `trace` set) writes the retained
 /// per-request spans as a Perfetto trace with retry flow arrows.
 /// `load_sweep` re-serves the spec across a ladder of load multiples
 /// and prints a goodput/latency-vs-load table to stderr (with a joules
@@ -345,7 +345,6 @@ mod tests {
         let mut spec = ServeSpec::new(AppId::WebServer, 60, 5);
         spec.overload = 2.0;
         spec.trace = true;
-        spec.trace_spans = true;
         let report =
             run(&spec, false, Some(&ledger), false, Some(&spans), false).expect("traced serve");
         let parsed = rbv_guard::read_document(&ledger).expect("ledger parses back");

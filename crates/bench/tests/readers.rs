@@ -9,7 +9,9 @@
 //! the layout or listed twice), and `QuantileSketch::from_json` and the
 //! run-ledger reader must reject every one. The run-ledger reader must
 //! also reject every change of a node's JSON type inside the per-app
-//! members it holds to their writers' shapes.
+//! members it holds to their writers' shapes, and the span-summary reader
+//! every negative, fractional or oversized count in a traced serve
+//! ledger's `trace` member.
 
 use std::path::PathBuf;
 
@@ -216,6 +218,65 @@ fn value_mutations_never_panic() {
             read_tree(&mutated);
         }
     }
+}
+
+/// Pre-order paths of every node of `json`, itself first under `path`,
+/// numbered as [`replace_nth`] counts them.
+fn node_paths(json: &Json, path: String, out: &mut Vec<String>) {
+    out.push(path.clone());
+    match json {
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                node_paths(item, format!("{path}[{i}]"), out);
+            }
+        }
+        Json::Obj(members) => {
+            for (key, value) in members {
+                node_paths(value, format!("{path}.{key}"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn trace_member_value_mutations_never_read_back_a_count_out_of_range() {
+    let (_, text, _) = traced_serve();
+    let ledger = Json::parse(&text).expect("traced serve ledger parses");
+    let trace = ledger.get("trace").expect("trace member").clone();
+    let mut paths = Vec::new();
+    node_paths(&trace, "trace".into(), &mut paths);
+    let replacements = [
+        Json::Null,
+        Json::Bool(true),
+        Json::Num(-1.0),
+        Json::Num(0.0),
+        Json::Num(1e300),
+        Json::Num(0.5),
+        Json::Str(String::new()),
+        Json::Arr(vec![]),
+        Json::Obj(vec![]),
+    ];
+    let out_of_range = [Json::Num(-1.0), Json::Num(1e300), Json::Num(0.5)];
+    let mut accepted = 0;
+    for k in 0..TREE_MUTATIONS {
+        let h = mix64(k ^ 0x5A4E_7ACE);
+        let node = (h % paths.len() as u64) as usize;
+        let with = &replacements[(mix64(h) % replacements.len() as u64) as usize];
+        let mut mutated = trace.clone();
+        replace_nth(&mut mutated, node, with, &mut 0);
+        if SpanSummary::from_json(&mutated).is_ok() {
+            accepted += 1;
+            // Outside the sketches (whose sums and extremes are any
+            // finite number) every number the summary holds is a count.
+            let path = &paths[node];
+            assert!(
+                path.starts_with("trace.latency_us.") || !out_of_range.contains(with),
+                "{path} = {with:?} was read back"
+            );
+        }
+    }
+    eprintln!("{accepted} of {TREE_MUTATIONS} trace-member value mutations read back");
 }
 
 /// Pre-order indices of the quantile sketches in `json`.

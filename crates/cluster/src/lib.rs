@@ -27,11 +27,12 @@
 //! * The shard plan depends only on the request count, shard digests
 //!   merge in shard order, and the serialized `rbv-cluster/v1` ledger is
 //!   byte-identical at any `--threads` value.
-//! * A [`ClusterTopology::Single`] run is the serve harness's open-loop
-//!   engine run ([`rbv_os::run_simulation_streaming`]) with each finished
-//!   request recorded as one leg and no hops. The three-tier loop steps
-//!   machines through [`rbv_os::Machine::start`]/[`rbv_os::Machine::step`], which is
-//!   property-tested bit-identical to [`rbv_os::run_simulation`].
+//! * Every topology runs through the same shard loop: a
+//!   [`ClusterTopology::Single`] run is a one-machine cluster whose
+//!   requests are each one leg with no hops, offered the same arrivals
+//!   and requests as a three-tier run of the same spec. The loop steps
+//!   machines through [`rbv_os::Machine::start`]/[`rbv_os::Machine::step`],
+//!   which is property-tested bit-identical to the plain engine run.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,15 +42,14 @@ mod tier_shard;
 
 use rbv_openloop::probe_mean_service;
 use rbv_os::{
-    easing_threshold, pops_profile, run_simulation, run_simulation_streaming, solver_profile,
-    ArrivalProcess, CompletedRequest, CompletionSink, EventPops, FailedRequest, RbvError, RunStats,
-    SchedulerPolicy, SimConfig, SolverStats,
+    easing_threshold, pops_profile, solver_profile, ArrivalProcess, CompletedRequest, EventPops,
+    RbvError, RunStats, SchedulerPolicy, SimConfig, SolverStats,
 };
 use rbv_sim::rng::{self, mix64};
-use rbv_sim::{Cycles, SimRng};
+use rbv_sim::SimRng;
 use rbv_telemetry::Json;
 use rbv_trace::{ClusterSpanRecord, TierSpanCollector, TierSummary};
-use rbv_workloads::{factory_for, AppId, Component, Request};
+use rbv_workloads::{AppId, Component, Request};
 
 use tier_shard::run_tier_shard;
 
@@ -67,9 +67,8 @@ const MAX_SHARDS: usize = 64;
 /// How many machines the cluster steps and where stages land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterTopology {
-    /// One machine hosting every stage — the degenerate configuration
-    /// whose event sequence is bit-identical to the single-machine
-    /// engine ([`rbv_os::run_simulation`]) on the same config.
+    /// One machine hosting every stage: each request is one leg and
+    /// crosses no network.
     Single,
     /// Three machines: frontend (web tier + standalone stages),
     /// application tier, and database.
@@ -160,9 +159,6 @@ pub struct ClusterSpec {
     /// Retain per-request span records for Perfetto export (memory grows
     /// with the request count — bounded runs only).
     pub trace_spans: bool,
-    /// Record wall-clock timing under the ledger's non-diffed
-    /// `"profile"` member.
-    pub wallclock: bool,
 }
 
 impl ClusterSpec {
@@ -178,7 +174,6 @@ impl ClusterSpec {
             topology: ClusterTopology::ThreeTier,
             network: NetworkModel::lan(),
             trace_spans: false,
-            wallclock: false,
         }
     }
 
@@ -232,31 +227,6 @@ fn machine_config(
         SimConfig::paper_default().with_interrupt_sampling(spec.app.sampling_period_micros());
     cfg.seed = mix64(shard_seed_value ^ (0xFEED_0000 + machine as u64));
     cfg.arrivals = ArrivalProcess::External;
-    if let Some(high_usage_threshold) = threshold {
-        cfg.scheduler = SchedulerPolicy::ContentionEasing {
-            high_usage_threshold,
-        };
-        cfg.easing_error_gate = true;
-    }
-    cfg
-}
-
-/// Simulation config for the degenerate single-machine topology: the
-/// serve harness's open-loop Poisson config.
-fn single_machine_config(
-    spec: &ClusterSpec,
-    mean_service: f64,
-    shard_seed_value: u64,
-    threshold: Option<f64>,
-) -> SimConfig {
-    let mut cfg =
-        SimConfig::paper_default().with_interrupt_sampling(spec.app.sampling_period_micros());
-    cfg.seed = shard_seed_value;
-    let cores = cfg.machine.topology.cores as f64;
-    let base_gap = (mean_service / (cores * spec.overload)).max(1.0);
-    cfg.arrivals = ArrivalProcess::OpenPoisson {
-        mean_interarrival: Cycles::new(base_gap.max(1.0) as u64),
-    };
     if let Some(high_usage_threshold) = threshold {
         cfg.scheduler = SchedulerPolicy::ContentionEasing {
             high_usage_threshold,
@@ -353,8 +323,7 @@ struct ShardOutput {
     summary: TierSummary,
     records: Vec<ClusterSpanRecord>,
     machines: Vec<RunStats>,
-    /// How each three-tier pass was stepped, in pass order (empty for
-    /// the single topology).
+    /// How each pass was stepped, in pass order.
     passes: Vec<PassWindows>,
     /// Contention-model solves of every pass, calibration included.
     solver: SolverStats,
@@ -447,9 +416,9 @@ struct ShardJob {
     rid_base: u64,
 }
 
-/// How one pass over a three-tier plan was stepped: how many machine
-/// events ran inside lookahead windows (machines side by side) and how
-/// many ran one at a time in the serial tail. Summed over shards.
+/// How one pass over a plan was stepped: how many machine events ran
+/// inside lookahead windows (machines side by side) and how many ran one
+/// at a time in the serial tail. Summed over shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassWindows {
     /// `"calibration"` (the easing stock pass) or `"run"` (the pass the
@@ -472,66 +441,11 @@ impl PassWindows {
     }
 }
 
-/// Records a single-topology shard's finished requests as they stream
-/// out of the engine: one leg on machine 0, no hops, so the partition
-/// invariant degenerates to `wait + service == latency ==
-/// client-visible`.
-struct SingleSink {
-    collector: TierSpanCollector,
-    rid_base: u64,
-}
-
-impl CompletionSink for SingleSink {
-    fn on_complete(&mut self, done: &CompletedRequest) {
-        let rid = self.rid_base + done.id as u64;
-        let tier = ClusterTopology::Single.tiers()[0];
-        self.collector
-            .begin(rid, done.arrived_at.get(), done.app, done.class);
-        LegTimes::of(done).record(&mut self.collector, rid, 0, tier);
-        self.collector.end(rid, done.finished_at.get());
-    }
-
-    fn on_fail(&mut self, lost: &FailedRequest) {
-        let rid = self.rid_base + lost.id as u64;
-        self.collector
-            .begin(rid, lost.arrived_at.get(), lost.app, lost.class);
-        self.collector.fail(rid, lost.failed_at.get());
-    }
-}
-
-/// Runs one single-topology shard: the machine self-spawns open-loop
-/// arrivals and streams every finished request into the collector.
-fn run_single_shard(
-    spec: &ClusterSpec,
-    mean_service: f64,
-    job: ShardJob,
-    threshold: Option<f64>,
-) -> Result<ShardOutput, RbvError> {
-    let cfg = single_machine_config(spec, mean_service, job.seed, threshold);
-    let mut factory = factory_for(spec.app, job.seed, spec.app.harness_scale());
-    let mut sink = SingleSink {
-        collector: span_collector(spec.trace_spans),
-        rid_base: job.rid_base,
-    };
-    let result = run_simulation_streaming(cfg, factory.as_mut(), job.n, &mut sink)?;
-    let (mut summary, records) = sink.collector.into_parts();
-    summary
-        .invariants
-        .check_request_conservation(job.n as u64, summary.completed, summary.failed);
-    summary.invariants.check_hop_accounting(0, 0);
-    Ok(ShardOutput::new(
-        summary,
-        records,
-        vec![result.stats],
-        Vec::new(),
-    ))
-}
-
 /// Runs one shard of the plan, including the easing calibration pass
 /// when the spec arms easing (stock pass derives per-machine
 /// thresholds; the eased pass produces the digest — shards stay
-/// self-contained, the warehouse idiom). A three-tier shard steps its
-/// machines on up to `lanes` threads.
+/// self-contained, the warehouse idiom). The shard steps its machines
+/// on up to `lanes` threads.
 fn run_shard(
     spec: &ClusterSpec,
     mean_service: f64,
@@ -542,65 +456,38 @@ fn run_shard(
 ) -> Result<ShardOutput, RbvError> {
     let seed = shard_seed(spec.seed, index);
     let job = ShardJob { seed, n, rid_base };
-    match spec.topology {
-        ClusterTopology::Single => {
-            let stock = if spec.easing {
-                let stock = single_machine_config(spec, mean_service, seed, None);
-                let mut factory = factory_for(spec.app, seed, spec.app.harness_scale());
-                Some(run_simulation(stock, factory.as_mut(), n)?)
-            } else {
-                None
-            };
-            let threshold = stock.as_ref().map(|s| s.easing_threshold());
-            let mut output = run_single_shard(spec, mean_service, job, threshold)?;
-            if let Some(stock) = stock {
-                output
-                    .summary
-                    .invariants
-                    .record_unconverged_solves(0, stock.stats.solver.unconverged);
-                output.solver.merge(&stock.stats.solver);
-                output.pops.merge(&stock.stats.pops);
-            }
-            Ok(output)
-        }
-        ClusterTopology::ThreeTier => {
-            let mut calibration = None;
-            let mut stock_solver = SolverStats::default();
-            let mut stock_pops = EventPops::default();
-            let thresholds = if spec.easing {
-                let mut mpi: Vec<Vec<f64>> = Vec::new();
-                let stock =
-                    run_tier_shard(spec, mean_service, job, None, false, lanes, Some(&mut mpi))?;
-                stock_pass_checks(&stock.summary, n, index)?;
-                stock_solver = stock.solver;
-                stock_pops = stock.pops;
-                calibration = stock.passes.first().map(|pass| PassWindows {
-                    pass: "calibration",
-                    ..*pass
-                });
-                Some(
-                    mpi.iter()
-                        .map(|samples| easing_threshold(samples))
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                None
-            };
-            let mut output = run_tier_shard(
-                spec,
-                mean_service,
-                job,
-                thresholds.as_deref(),
-                spec.trace_spans,
-                lanes,
-                None,
-            )?;
-            output.passes.splice(0..0, calibration);
-            output.solver.merge(&stock_solver);
-            output.pops.merge(&stock_pops);
-            Ok(output)
-        }
+    let stock = if spec.easing {
+        let mut mpi: Vec<Vec<f64>> = Vec::new();
+        let stock = run_tier_shard(spec, mean_service, job, None, false, lanes, Some(&mut mpi))?;
+        stock_pass_checks(&stock.summary, n, index)?;
+        let thresholds: Vec<f64> = mpi
+            .iter()
+            .map(|samples| easing_threshold(samples))
+            .collect();
+        Some((stock, thresholds))
+    } else {
+        None
+    };
+    let thresholds = stock.as_ref().map(|(_, t)| t.as_slice());
+    let mut output = run_tier_shard(
+        spec,
+        mean_service,
+        job,
+        thresholds,
+        spec.trace_spans,
+        lanes,
+        None,
+    )?;
+    if let Some((stock, _)) = stock {
+        let calibration = stock.passes.into_iter().map(|pass| PassWindows {
+            pass: "calibration",
+            ..pass
+        });
+        output.passes.splice(0..0, calibration);
+        output.solver.merge(&stock.solver);
+        output.pops.merge(&stock.pops);
     }
+    Ok(output)
 }
 
 /// The easing stock pass's own digest must be clean before its samples
@@ -641,9 +528,9 @@ pub struct ClusterReport {
     /// Retained span records (empty unless the spec traced spans),
     /// shard-stamped, sorted by `(shard, rid)`.
     pub spans: Vec<ClusterSpanRecord>,
-    /// How each three-tier pass was stepped (calibration first when
-    /// easing is on), summed over shards; empty for the single topology.
-    /// Reported only under the ledger's non-diffed `"profile"` member.
+    /// How each pass was stepped (calibration first when easing is on),
+    /// summed over shards. Reported only under the ledger's non-diffed
+    /// `"profile"` member.
     pub passes: Vec<PassWindows>,
     /// Contention-model solves of every pass and machine, summed over
     /// shards. Reported only under the `"profile"` member.
@@ -651,7 +538,8 @@ pub struct ClusterReport {
     /// Engine events by kind, live and stale, of every pass and machine,
     /// summed over shards. Reported only under the `"profile"` member.
     pub pops: EventPops,
-    /// Wall-clock duration, seconds; `None` keeps the ledger a pure
+    /// Wall-clock duration, seconds, set by a caller that timed the run;
+    /// `None` (as [`run_cluster`] leaves it) keeps the ledger a pure
     /// function of the spec.
     pub wall_seconds: Option<f64>,
 }
@@ -848,7 +736,6 @@ impl ClusterReport {
 /// (first shard in plan order wins, deterministically).
 pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterReport, RbvError> {
     spec.validate()?;
-    let started = spec.wallclock.then(std::time::Instant::now);
     let mean_service = probe_mean_service(spec.app, spec.seed)?;
     let plan = rbv_par::shard_plan(spec.requests, SHARD_TARGET, MAX_SHARDS);
     let mut tasks: Vec<(usize, usize, u64)> = Vec::with_capacity(plan.len());
@@ -858,10 +745,11 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         base += n as u64;
     }
     // Each shard steps its machines on its share of the pool's threads,
-    // capped at the host's CPUs: waiting lanes spin, so oversubscribing
-    // only slows the run. The bytes do not depend on the lane count.
+    // capped at the host's CPUs and at the topology's machines: waiting
+    // lanes spin, so oversubscribing only slows the run. The bytes do
+    // not depend on the lane count.
     let threads = pool.threads().min(rbv_par::available_parallelism());
-    let lanes = (threads / plan.len()).max(1);
+    let lanes = (threads / plan.len()).clamp(1, spec.topology.tiers().len());
     let outputs = pool.ordered_map(&tasks, |&(i, n, rid_base)| {
         run_shard(spec, mean_service, i, n, rid_base, lanes)
     });
@@ -927,7 +815,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         passes,
         solver,
         pops,
-        wall_seconds: started.map(|t| t.elapsed().as_secs_f64()),
+        wall_seconds: None,
     })
 }
 
@@ -935,6 +823,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
 mod tests {
     use super::*;
     use rbv_par::Pool;
+    use rbv_workloads::factory_for;
 
     fn small_spec(app: AppId, topology: ClusterTopology) -> ClusterSpec {
         ClusterSpec {
@@ -946,7 +835,6 @@ mod tests {
             topology,
             network: NetworkModel::lan(),
             trace_spans: false,
-            wallclock: false,
         }
     }
 
@@ -1076,11 +964,10 @@ mod tests {
     #[test]
     fn profile_member_is_opt_in() {
         let spec = small_spec(AppId::Tpcc, ClusterTopology::Single);
-        let report = run_cluster(&spec, &Pool::serial()).expect("run");
+        let mut report = run_cluster(&spec, &Pool::serial()).expect("run");
         assert!(report.to_json().get("profile").is_none());
-        let mut spec = spec;
-        spec.wallclock = true;
-        let report = run_cluster(&spec, &Pool::serial()).expect("run");
+        // A caller that timed the run sets the wall time.
+        report.wall_seconds = Some(0.5);
         assert!(report.to_json().get("profile").is_some());
     }
 }

@@ -1,6 +1,7 @@
-//! The three-tier shard loop: machines stepped side by side within
-//! network-lookahead windows, with ledgers byte for byte those of a
-//! serial loop that always takes the globally next event.
+//! The cluster shard loop, for every topology: machines stepped side by
+//! side within network-lookahead windows, with ledgers byte for byte
+//! those of a serial loop that always takes the globally next event. A
+//! one-machine topology is the same loop with no hops.
 //!
 //! The serial order is `(instant, rank, per-machine order)`: network
 //! deliveries (rank 0, by rid and hop), then the next client arrival
@@ -266,7 +267,7 @@ enum Record {
     },
 }
 
-/// The shard-wide state of a three-tier shard — paths, links, transfers
+/// The shard-wide state of a cluster shard — paths, links, transfers
 /// and the span collector — advanced on the calling thread in the serial
 /// loop's global order.
 struct TierShard<'a> {
@@ -687,6 +688,33 @@ impl TierShard<'_> {
     /// applied in serial order. Collector calls wait until every action
     /// before them is known: up to the earliest end.
     fn window(&mut self, rounds: &mut Rounds<'_, TierLane>, ends: &[u64]) -> Result<(), RbvError> {
+        let mut actions = self.take_due(ends);
+        let due: Vec<(usize, u64)> = (0..self.peeks.len())
+            .filter(|&m| self.peeks[m].is_some_and(|t| t < ends[m]))
+            .map(|m| (m, ends[m]))
+            .collect();
+        let replies = self.step_machines(rounds, due.into_iter(), u64::MAX);
+        self.windows.windows += 1;
+        for reply in replies {
+            self.windows.window_events += reply.steps;
+            let rank = 2 + reply.machine;
+            for (seq, finished) in reply.finished.into_iter().enumerate() {
+                actions.push((
+                    (finished.at, rank, seq as u64, 0),
+                    Action::Finished(reply.machine, finished),
+                ));
+            }
+        }
+        self.apply_in_order(actions)?;
+        let frontier = ends.iter().copied().min().unwrap_or(0);
+        self.flush((frontier, 0, 0, 0));
+        Ok(())
+    }
+
+    /// Takes every delivery and arrival due before its receiver's end in
+    /// serial order — a delivery before an arrival of the same instant —
+    /// handing each leg to its machine as an injection.
+    fn take_due(&mut self, ends: &[u64]) -> Vec<(OrderKey, Action)> {
         let latest = ends.iter().copied().max().unwrap_or(0);
         let deliveries: Vec<(u64, u64, u32)> = self
             .transfers
@@ -711,53 +739,54 @@ impl TierShard<'_> {
             let Some(action) = taken else { break };
             actions.push(action);
         }
-        let due: Vec<(usize, u64)> = (0..self.peeks.len())
-            .filter(|&m| self.peeks[m].is_some_and(|t| t < ends[m]))
-            .map(|m| (m, ends[m]))
-            .collect();
-        let replies = self.step_machines(rounds, due.into_iter(), u64::MAX);
-        self.windows.windows += 1;
-        for reply in replies {
-            self.windows.window_events += reply.steps;
-            let rank = 2 + reply.machine;
-            for (seq, finished) in reply.finished.into_iter().enumerate() {
-                actions.push((
-                    (finished.at, rank, seq as u64, 0),
-                    Action::Finished(reply.machine, finished),
-                ));
-            }
-        }
+        actions
+    }
+
+    /// Applies a window's actions in serial order, whatever order they
+    /// were gathered in.
+    fn apply_in_order(&mut self, mut actions: Vec<(OrderKey, Action)>) -> Result<(), RbvError> {
         actions.sort_unstable_by_key(|&(key, _)| key);
         for (key, action) in actions {
             self.apply(key, action)?;
         }
-        let frontier = ends.iter().copied().min().unwrap_or(0);
-        self.flush((frontier, 0, 0, 0));
         Ok(())
     }
 
-    /// Takes the one globally next action, as the serial loop does.
+    /// Takes the one globally next action, as the serial loop does: the
+    /// action of `rank` due at `at`, which must exist. A step that takes
+    /// nothing is an error, so a shard never spins without progress.
     fn serial_step(
         &mut self,
         rounds: &mut Rounds<'_, TierLane>,
         at: u64,
         rank: usize,
     ) -> Result<(), RbvError> {
+        let stalled = || {
+            RbvError::Config(format!(
+                "cluster shard stalled: nothing of rank {rank} is due at cycle {at}"
+            ))
+        };
         match rank {
             0 => {
                 let first = self.transfers.first_key_value().map(|(&key, _)| key);
-                if let Some((key, action)) = first.and_then(|key| self.take_delivery(key)) {
-                    self.apply(key, action)?;
-                }
+                let due = first.filter(|&(deliver_at, _, _)| deliver_at == at);
+                let (key, action) = due
+                    .and_then(|key| self.take_delivery(key))
+                    .ok_or_else(stalled)?;
+                self.apply(key, action)?;
             }
-            1 => {
+            1 if self.offered < self.n && self.next_arrival == at => {
                 let (key, action) = self.take_arrival();
                 self.apply(key, action)?;
             }
+            1 => return Err(stalled()),
             _ => {
                 let i = rank - 2;
                 let step = std::iter::once((i, at.saturating_add(1)));
                 for reply in self.step_machines(rounds, step, 1) {
+                    if reply.steps == 0 {
+                        return Err(stalled());
+                    }
                     self.windows.serial_tail_events += reply.steps;
                     for (seq, finished) in reply.finished.into_iter().enumerate() {
                         self.apply((at, rank, seq as u64, 0), Action::Finished(i, finished))?;
@@ -797,11 +826,12 @@ impl TierShard<'_> {
     }
 }
 
-/// Runs one three-tier shard: `job.n` requests with globally unique ids
+/// Runs one cluster shard: `job.n` requests with globally unique ids
 /// starting at `job.rid_base`, with the same event sequence, collector
 /// calls and ledger bytes as a serial loop that always takes the globally
 /// next event under the canonical ordering. Machines spread over `lanes`
-/// threads and step side by side within network-lookahead windows. When
+/// threads (at most one per machine) and step side by side within
+/// network-lookahead windows. When
 /// `calibration` is given, per-machine L2-miss samples are collected into
 /// it (the easing stock pass).
 pub(crate) fn run_tier_shard(
@@ -820,7 +850,6 @@ pub(crate) fn run_tier_shard(
     } = job;
     let tiers = spec.topology.tiers();
     let n_machines = tiers.len();
-    let lanes = lanes.clamp(1, n_machines);
     let configs: Vec<SimConfig> = (0..n_machines)
         .map(|m| {
             let threshold = thresholds.and_then(|t| t.get(m).copied());
@@ -899,7 +928,6 @@ pub(crate) fn run_tier_shard(
 mod tests {
     use super::*;
     use crate::ClusterTopology;
-    use rbv_workloads::AppId;
 
     /// A path over machine indices with empty legs (only the route
     /// matters to the window bound).
@@ -916,6 +944,138 @@ mod tests {
             next_leg: 0,
             hops: 0,
         }
+    }
+
+    /// A shard of three-tier RUBiS with `n` requests, ids from 100, and
+    /// a 1.0e6-cycle mean service (arrivals far apart).
+    fn rubis_shard(spec: &ClusterSpec, n: usize) -> TierShard<'_> {
+        let job = ShardJob {
+            seed: 1,
+            n,
+            rid_base: 100,
+        };
+        TierShard::new(spec, job, 1.0e6, false, 1)
+    }
+
+    /// A transfer from machine `from` to `to` delivered at `at`.
+    fn transfer(from: u32, to: u32, at: u64) -> ClusterHopRecord {
+        ClusterHopRecord {
+            from,
+            to,
+            departed: 0,
+            delivered: at,
+            bytes: MIN_HOP_BYTES,
+        }
+    }
+
+    #[test]
+    fn next_event_ranks_a_delivery_before_an_arrival_of_its_instant() {
+        let spec = ClusterSpec::three_tier(AppId::Rubis);
+        let mut shard = rubis_shard(&spec, 4);
+        shard.offered = 1;
+        shard.next_arrival = 7_000;
+        shard
+            .transfers
+            .insert((7_000, 100, 0), transfer(1, 0, 7_000));
+        shard.peeks = vec![Some(7_000), Some(7_000), None];
+        // Deliveries, then the arrival, then machines in index order.
+        assert_eq!(shard.next_event(), Some((7_000, 0)));
+        shard.transfers.clear();
+        assert_eq!(shard.next_event(), Some((7_000, 1)));
+        shard.offered = 4;
+        assert_eq!(shard.next_event(), Some((7_000, 2)));
+        shard.peeks[0] = None;
+        assert_eq!(shard.next_event(), Some((7_000, 3)));
+        // An earlier instant wins whatever its rank.
+        shard.peeks[1] = Some(7_001);
+        shard.offered = 1;
+        assert_eq!(shard.next_event(), Some((7_000, 1)));
+    }
+
+    #[test]
+    fn a_window_hands_a_tied_delivery_to_the_frontend_before_the_arrival() {
+        let spec = ClusterSpec::three_tier(AppId::Rubis);
+        let mut shard = rubis_shard(&spec, 4);
+        // Request 0 is on its way back to the frontend for its last leg.
+        shard.paths.push(route(&[1, 0]));
+        shard.paths[0].next_leg = 1;
+        shard.offered = 1;
+        shard
+            .transfers
+            .insert((7_000, 100, 0), transfer(1, 0, 7_000));
+        // Request 1 arrives on the same cycle with a frontend-only path.
+        shard.next_arrival = 7_000;
+        let web = factory_for(AppId::WebServer, 3, 1.0).next_request();
+        shard.upcoming.push_back(web);
+        let actions = shard.take_due(&[7_001; 3]);
+        let keys: Vec<OrderKey> = actions.iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, vec![(7_000, 0, 100, 0), (7_000, 1, 0, 0)]);
+        // The frontend takes the delivered leg first: injection order
+        // fixes the machine-local ids, hence the machine's noise streams.
+        let handed: Vec<(u64, usize)> = shard.pending[0]
+            .iter()
+            .map(|injection| (injection.at, injection.local))
+            .collect();
+        assert_eq!(handed, vec![(7_000, 0), (7_000, 1)]);
+        assert!(shard.pending[1].is_empty() && shard.pending[2].is_empty());
+    }
+
+    #[test]
+    fn window_actions_apply_in_serial_order_whatever_order_they_were_gathered_in() {
+        let spec = ClusterSpec::three_tier(AppId::Rubis);
+        let mut shard = rubis_shard(&spec, 4);
+        // Request 0's response reaches the frontend as request 1 arrives
+        // there; requests 2 and 3 are lost on the db and the app tier on
+        // that cycle too.
+        for machines in [&[1][..], &[0], &[2], &[1]] {
+            shard.paths.push(route(machines));
+        }
+        shard.paths[0].next_leg = 1;
+        shard.offered = 4;
+        let lost = |local: usize| Finished {
+            at: 7_000,
+            id: local,
+            local: Some(local),
+            outcome: Outcome::Lost { failed_at: 7_000 },
+        };
+        // Gathered out of serial order: the arrival before the tied
+        // delivery, and machine 2's resolution before machine 1's (the
+        // lane order with two lanes).
+        let actions = vec![
+            (
+                (7_000, 1, 0, 0),
+                Action::Arrived {
+                    local: 1,
+                    at: 7_000,
+                    app: AppId::Rubis,
+                    class: RequestClass::Mbench,
+                    first: 0,
+                },
+            ),
+            ((7_000, 4, 0, 0), Action::Finished(2, lost(2))),
+            (
+                (7_000, 0, 100, 0),
+                Action::Delivered {
+                    rid: 100,
+                    transfer: transfer(1, 0, 7_000),
+                    resolves: true,
+                },
+            ),
+            ((7_000, 3, 0, 0), Action::Finished(1, lost(3))),
+        ];
+        shard.apply_in_order(actions).expect("known requests");
+        let applied: Vec<OrderKey> = shard.records.iter().map(|&(key, _)| key).collect();
+        assert_eq!(
+            applied,
+            vec![
+                (7_000, 0, 100, 0),
+                (7_000, 0, 100, 0),
+                (7_000, 1, 0, 0),
+                (7_000, 3, 0, 0),
+                (7_000, 4, 0, 0),
+            ]
+        );
+        assert_eq!(shard.resolved, 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cluster identity and invariant gates.
 //!
 //! * A `Machine` driven through start/step/finish — the loop the
-//!   three-tier cluster steps every machine with — must be
+//!   cluster steps every machine with — must be
 //!   **bit-identical** to the single-machine engine
 //!   (`rbv_os::run_simulation`) on the same config: the incremental API
 //!   is pure code motion over the engine's `run`, and this property pins
@@ -12,9 +12,9 @@
 
 use proptest::prelude::*;
 use rbv_cluster::{run_cluster, shard_seed, ClusterSpec, ClusterTopology, NetworkModel};
-use rbv_os::{run_simulation, ArrivalProcess, Machine, SimConfig};
+use rbv_openloop::{shard_config, ServeSpec};
+use rbv_os::{run_simulation, Machine};
 use rbv_par::Pool;
-use rbv_sim::Cycles;
 use rbv_workloads::{factory_for, AppId};
 
 fn spec(app: AppId, topology: ClusterTopology, requests: usize, seed: u64) -> ClusterSpec {
@@ -27,7 +27,6 @@ fn spec(app: AppId, topology: ClusterTopology, requests: usize, seed: u64) -> Cl
         topology,
         network: NetworkModel::lan(),
         trace_spans: false,
-        wallclock: false,
     }
 }
 
@@ -48,14 +47,13 @@ proptest! {
         let app = [AppId::WebServer, AppId::Tpcc, AppId::Rubis][app_idx];
         let mean_service = rbv_openloop::probe_mean_service(app, seed).expect("probe");
         let shard = shard_seed(seed, 0);
-        // The single-topology shard's open-loop config.
-        let mut cfg =
-            SimConfig::paper_default().with_interrupt_sampling(app.sampling_period_micros());
-        cfg.seed = shard;
-        let cores = cfg.machine.topology.cores as f64;
-        cfg.arrivals = ArrivalProcess::OpenPoisson {
-            mean_interarrival: Cycles::new((mean_service / (cores * overload)).max(1.0) as u64),
-        };
+        // The serve harness's open-loop Poisson config, defenses off.
+        let mut serve = ServeSpec::new(app, REQUESTS, seed);
+        serve.overload = overload;
+        serve.admission = false;
+        serve.shed = false;
+        serve.retries = false;
+        let cfg = shard_config(&serve, mean_service, shard);
 
         let mut f1 = factory_for(app, shard, app.harness_scale());
         let mut machine = Machine::new(cfg.clone(), REQUESTS).expect("valid config");

@@ -1,14 +1,16 @@
 //! Lookahead-window identity gate.
 //!
-//! A three-tier shard steps its machines side by side within
+//! A cluster shard steps its machines side by side within
 //! network-lookahead windows and replays the shard-wide bookkeeping in
 //! the serial loop's global order. This file keeps the serial loop the
 //! windows replaced — one globally next event at a time under the
 //! canonical ordering (network deliveries, then the next client arrival,
 //! then machines in index order) — as a test-only reference, and
 //! requires the `rbv-cluster/v1` ledger and the retained spans of every
-//! run to be byte-equal to it across applications, easing, network
-//! models and pool sizes.
+//! run to be byte-equal to it across topologies, applications, easing,
+//! network models and pool sizes. It also pins that the topologies
+//! differ only in placement: a one-box run and a three-tier run of one
+//! spec are offered the same requests at the same instants.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -36,11 +38,12 @@ mod serial {
         (-mean * u.ln()).max(1.0) as u64
     }
 
-    fn place(component: Component) -> usize {
-        match component {
-            Component::WebTier | Component::Standalone => 0,
-            Component::AppTier => 1,
-            Component::Database => 2,
+    fn place(topology: ClusterTopology, component: Component) -> usize {
+        match (topology, component) {
+            (ClusterTopology::Single, _) => 0,
+            (_, Component::WebTier | Component::Standalone) => 0,
+            (_, Component::AppTier) => 1,
+            (_, Component::Database) => 2,
         }
     }
 
@@ -70,11 +73,11 @@ mod serial {
         hops: u32,
     }
 
-    fn split_legs(request: &Request) -> PathState {
+    fn split_legs(request: &Request, topology: ClusterTopology) -> PathState {
         let mut legs: Vec<Request> = Vec::new();
         let mut machines: Vec<usize> = Vec::new();
         for stage in &request.stages {
-            let machine = place(stage.component);
+            let machine = place(topology, stage.component);
             if machines.last() == Some(&machine) {
                 if let Some(leg) = legs.last_mut() {
                     leg.stages.push(stage.clone());
@@ -259,7 +262,7 @@ mod serial {
                 offered += 1;
                 let request = factory.next_request();
                 collector.begin(rid, at, request.app, request.class);
-                let path = split_legs(&request);
+                let path = split_legs(&request, spec.topology);
                 let first = path.machines.first().copied().unwrap_or(0);
                 paths.push(path);
                 if first == 0 {
@@ -351,10 +354,9 @@ mod serial {
         }
     }
 
-    /// `run_cluster` for a three-tier spec, every shard on the serial
-    /// loop, and the delivery-arrival ties its passes broke.
+    /// `run_cluster` with every shard on the serial loop, and the
+    /// delivery-arrival ties its passes broke.
     pub fn run_cluster(spec: &ClusterSpec) -> (ClusterReport, u64) {
-        assert_eq!(spec.topology, ClusterTopology::ThreeTier);
         let mean_service = rbv_openloop::probe_mean_service(spec.app, spec.seed).expect("probe");
         let plan = rbv_par::shard_plan(spec.requests, 16_384, 64);
         let mut summary = TierSummary::default();
@@ -456,21 +458,25 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
         },
         NetworkModel::lan(),
     ];
-    for app in [AppId::WebServer, AppId::Tpcc, AppId::Rubis] {
-        for easing in [false, true] {
-            for network in networks {
+    // One box has no hops, so its network model changes nothing.
+    let cases = networks
+        .iter()
+        .map(|&network| (ClusterTopology::ThreeTier, network))
+        .chain([(ClusterTopology::Single, NetworkModel::lan())]);
+    for (topology, network) in cases {
+        for app in [AppId::WebServer, AppId::Tpcc, AppId::Rubis] {
+            for easing in [false, true] {
                 let spec = ClusterSpec {
                     app,
                     requests: 24,
                     overload: 1.0,
                     seed: 11,
                     easing,
-                    topology: ClusterTopology::ThreeTier,
+                    topology,
                     network,
                     trace_spans: true,
-                    wallclock: false,
                 };
-                let label = format!("{app} easing={easing} {network:?}");
+                let label = format!("{topology:?} {app} easing={easing} {network:?}");
                 let (reference, _) = serial::run_cluster(&spec);
                 assert!(reference.clean(), "{label}: the reference run is clean");
                 let (ledger, spans) = (
@@ -535,7 +541,6 @@ fn forced_delivery_arrival_ties_match_the_serial_loop() {
                     cycles_per_byte: 0,
                 },
                 trace_spans: true,
-                wallclock: false,
             };
             let label = format!("{app} easing={easing}");
             let (reference, ties) = serial::run_cluster(&spec);
@@ -565,5 +570,36 @@ fn forced_delivery_arrival_ties_match_the_serial_loop() {
                 assert_eq!(report.pops, reference.pops, "{label}");
             }
         }
+    }
+}
+
+/// Only placement differs: a one-box run and a three-tier run of one spec
+/// are offered the same requests (application and class) at the same
+/// instants under the same ids, and only the three-tier run crosses the
+/// network.
+#[test]
+fn one_box_and_three_tier_runs_are_offered_the_same_requests() {
+    for app in [AppId::Tpcc, AppId::Rubis] {
+        let mut spec = ClusterSpec::three_tier(app);
+        spec.requests = 48;
+        spec.seed = 3;
+        spec.trace_spans = true;
+        let three_tier = run_cluster(&spec, &Pool::serial()).expect("three-tier run");
+        spec.topology = ClusterTopology::Single;
+        let one_box = run_cluster(&spec, &Pool::serial()).expect("one-box run");
+        let offered = |report: &ClusterReport| {
+            let mut requests: Vec<(u64, u64, String, String)> = report
+                .spans
+                .iter()
+                .map(|span| (span.rid, span.arrived, span.app.clone(), span.class.clone()))
+                .collect();
+            requests.sort();
+            requests
+        };
+        assert_eq!(offered(&one_box).len(), 48, "{app}");
+        assert_eq!(offered(&one_box), offered(&three_tier), "{app}");
+        assert!(one_box.clean() && three_tier.clean(), "{app}");
+        assert_eq!(one_box.summary.hops, 0, "{app}");
+        assert!(three_tier.summary.hops >= 2 * 48, "{app}");
     }
 }

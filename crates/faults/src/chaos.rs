@@ -20,8 +20,8 @@
 use std::io::{self, Write};
 
 use rbv_os::{
-    config::ArrivalProcess, run_simulation, LadderRung, MeasurementFaults, OverloadPolicy,
-    RbvError, RunResult, SchedulerPolicy, SimConfig, DO_NO_HARM_BUDGET,
+    run_simulation, LadderRung, MeasurementFaults, RbvError, RunResult, SchedulerPolicy, SimConfig,
+    DO_NO_HARM_BUDGET,
 };
 use rbv_sim::Cycles;
 use rbv_telemetry::Json;
@@ -527,17 +527,6 @@ pub fn base_config(app: AppId, seed: u64) -> SimConfig {
     cfg
 }
 
-/// Mean per-request CPU cycles from a small clean serial probe — the
-/// yardstick the overload scenario sizes its arrival rate, deadline, and
-/// backoff against.
-fn probe_mean_service(app: AppId, seed: u64) -> Result<f64, RbvError> {
-    let cfg = base_config(app, seed ^ 0x9B0E).serial();
-    let mut factory = factory_for(app, seed ^ 0x9B0E, app.harness_scale());
-    let result = run_simulation(cfg, factory.as_mut(), 8)?;
-    let total: f64 = result.completed.iter().map(|r| r.cpu_cycles()).sum();
-    Ok((total / result.completed.len() as f64).max(1.0))
-}
-
 /// Runs the full chaos matrix for `app` at `seed`.
 ///
 /// # Errors
@@ -711,18 +700,15 @@ fn scenario_degradation(app: AppId, seed: u64, n: usize) -> Result<DegradationOu
 
 /// Scenario 3: open-loop overdrive against overload protection.
 fn scenario_overload(app: AppId, seed: u64, n: usize) -> Result<OverloadOutcome, RbvError> {
-    let mean_service = probe_mean_service(app, seed)?;
-    let cores = SimConfig::paper_default().machine.topology.cores as f64;
-    let mut cfg = base_config(app, seed ^ 0x0F7);
-    cfg.arrivals = ArrivalProcess::OpenPoisson {
-        mean_interarrival: Cycles::new((mean_service / (cores * 2.0)).max(1.0) as u64),
-    };
-    cfg.overload = Some(OverloadPolicy {
-        max_runqueue: 4,
-        deadline: Some(Cycles::new((mean_service * 8.0) as u64)),
-        max_retries: 3,
-        retry_backoff: Cycles::new((mean_service / 4.0).max(1.0) as u64),
-    });
+    // The serve harness's probe salts its seed with `0x5EED_0B5E`;
+    // cancelling that salt keeps the probe on this scenario's stream.
+    let mean_service = rbv_openloop::probe_mean_service(app, seed ^ 0x9B0E ^ 0x5EED_0B5E)?;
+    // Poisson arrivals at twice capacity against admission control only.
+    let mut spec = rbv_openloop::ServeSpec::new(app, n, seed);
+    spec.overload = 2.0;
+    spec.shed = false;
+    spec.retries = false;
+    let cfg = rbv_openloop::shard_config(&spec, mean_service, seed ^ 0x0F7);
     let mut factory = factory_for(app, seed ^ 0x0F7, app.harness_scale());
     let r = run_simulation(cfg, factory.as_mut(), n)?;
     Ok(OverloadOutcome {

@@ -89,7 +89,7 @@ impl Shape {
     fn check(&self, json: &Json, path: &str) -> Result<(), String> {
         match (self, json) {
             (Shape::Num, Json::Num(v)) if v.is_finite() => Ok(()),
-            (Shape::Count, Json::Num(v)) if is_count(*v) => Ok(()),
+            (Shape::Count, count) if count.as_count().is_some() => Ok(()),
             (Shape::NonNeg, Json::Num(v)) if v.is_finite() && *v >= 0.0 => Ok(()),
             (Shape::Str, Json::Str(_)) | (Shape::Bool, Json::Bool(_)) => Ok(()),
             (Shape::Arr(item), Json::Arr(items)) => items
@@ -118,12 +118,6 @@ impl Shape {
             Shape::Obj(_) => "an object",
         }
     }
-}
-
-/// Whether `v` is a counter value: a non-negative integer no larger than
-/// 2^53, past which `f64` skips integers.
-fn is_count(v: f64) -> bool {
-    (0.0..=9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0
 }
 
 /// One sampling mode of `rbv_os::ObserverReport::to_json`.
@@ -348,10 +342,8 @@ impl AppLedger {
                 .ok_or("app ledger: app is not a string")?
                 .to_string(),
             requests: member("requests")?
-                .as_f64()
-                .filter(|&v| is_count(v))
-                .ok_or("app ledger: requests is not a non-negative integer")?
-                as u64,
+                .as_count()
+                .ok_or("app ledger: requests is not a non-negative integer")?,
             latency_us: sketch("latency_us")?,
             cpi: sketch("cpi")?,
             l2_mpki: sketch("l2_mpki")?,
@@ -431,10 +423,8 @@ impl RunLedger {
                 .to_string(),
             seed: json
                 .get("seed")
-                .and_then(Json::as_f64)
-                .filter(|&v| is_count(v))
-                .ok_or("ledger: missing seed, or not a non-negative integer")?
-                as u64,
+                .and_then(Json::as_count)
+                .ok_or("ledger: missing seed, or not a non-negative integer")?,
             fast: match json.get("fast") {
                 Some(Json::Bool(b)) => *b,
                 _ => return Err("ledger: missing fast".into()),

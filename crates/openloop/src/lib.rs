@@ -116,15 +116,12 @@ pub struct ServeSpec {
     pub thermal: bool,
     /// Bursty MMPP arrivals instead of plain Poisson.
     pub mmpp: bool,
-    /// Reconstruct per-request causal spans and fold the client-visible
-    /// latency decomposition into the ledger's `"trace"` member.
-    /// Observation-only: every other ledger member is byte-identical
-    /// with tracing off.
+    /// Reconstruct per-request causal spans, fold the client-visible
+    /// latency decomposition into the ledger's `"trace"` member, and
+    /// retain one compact span record per finished request for Perfetto
+    /// export (memory grows to O(total requests)). Observation-only:
+    /// every other ledger member is byte-identical with tracing off.
     pub trace: bool,
-    /// Additionally retain one compact span record per finished request
-    /// for Perfetto export (implies `trace`; memory grows to O(total
-    /// requests), so leave off for million-request decomposition runs).
-    pub trace_spans: bool,
     /// Seed of the whole run; shard seeds derive from it.
     pub seed: u64,
 }
@@ -145,7 +142,6 @@ impl ServeSpec {
             thermal: false,
             mmpp: false,
             trace: false,
-            trace_spans: false,
             seed,
         }
     }
@@ -227,9 +223,11 @@ struct ShardOutput {
     trace: Option<(SpanSummary, Vec<SpanRecord>)>,
 }
 
-/// Builds the shard's simulation config from the spec and the probed
-/// mean service time.
-fn shard_config(spec: &ServeSpec, mean_service: f64, shard_seed: u64) -> SimConfig {
+/// Builds a shard's simulation config from the spec and the probed
+/// mean service time: the open-loop arrival process at the spec's
+/// overload, and the overload defenses, guard and power model the spec
+/// arms.
+pub fn shard_config(spec: &ServeSpec, mean_service: f64, shard_seed: u64) -> SimConfig {
     let mut cfg =
         SimConfig::paper_default().with_interrupt_sampling(spec.app.sampling_period_micros());
     cfg.seed = shard_seed;
@@ -294,12 +292,8 @@ fn run_shard(
     let mut factory = factory_for(spec.app, shard_seed, spec.app.harness_scale());
     let mut acc = ServeAccumulator::default();
     let mut trace = None;
-    let result = if spec.trace || spec.trace_spans {
-        let mut collector = if spec.trace_spans {
-            SpanCollector::retaining()
-        } else {
-            SpanCollector::new()
-        };
+    let result = if spec.trace {
+        let mut collector = SpanCollector::retaining();
         let result =
             run_simulation_streaming_traced(cfg, factory.as_mut(), n, &mut acc, &mut collector)?;
         let (summary, spans) = collector.into_parts();
@@ -493,7 +487,7 @@ pub struct ServeReport {
     /// byte-identical to pre-tracing builds.
     pub trace: Option<SpanSummary>,
     /// Retained span records per shard, in shard order (empty unless
-    /// `trace_spans`); feeds [`rbv_trace::spans_to_perfetto`], never the
+    /// the spec traced); feeds [`rbv_trace::spans_to_perfetto`], never the
     /// serialized ledger.
     pub spans: Vec<(u32, Vec<SpanRecord>)>,
     /// Contention-model solves across shards; serialized only under the
@@ -737,9 +731,7 @@ pub fn serve_with_shard_target(
                 Some(merged) => merged.merge(&summary),
                 None => report.trace = Some(summary),
             }
-            if spec.trace_spans {
-                report.spans.push((shard_index as u32, spans));
-            }
+            report.spans.push((shard_index as u32, spans));
         }
     }
     Ok(report)
@@ -910,7 +902,6 @@ mod tests {
         let mut spec = quick_spec(90, 17);
         spec.overload = 2.0;
         spec.trace = true;
-        spec.trace_spans = true;
         let report =
             serve_with_shard_target(&spec, &rbv_par::Pool::serial(), 30).expect("span serve");
         assert_eq!(report.spans.len(), report.shards as usize);

@@ -48,6 +48,15 @@ impl Json {
         }
     }
 
+    /// The value as a count, when a non-negative integer no larger than
+    /// 2^53 (past which `f64` skips integers): the range every counter a
+    /// document writes lies in.
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|v| v.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(v))
+            .map(|v| v as u64)
+    }
+
     /// The string value, when a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -389,7 +389,11 @@ impl QuantileSketch {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("sketch: missing number {key:?}"))
         };
-        let tally = |key: &str| -> Result<u64, String> { whole(num(key)?, key) };
+        let tally = |key: &str| -> Result<u64, String> {
+            json.get(key)
+                .and_then(Json::as_count)
+                .ok_or_else(|| format!("sketch: {key} is missing or not a count"))
+        };
         let count = tally("count")?;
         let (zero, low, high) = (tally("zero")?, tally("low")?, tally("high")?);
         let mut buckets = BTreeMap::new();
@@ -407,7 +411,7 @@ impl QuantileSketch {
                     if !(idx.fract() == 0.0 && range.contains(&idx)) {
                         return Err(format!("sketch: bucket index {idx} outside the layout"));
                     }
-                    let c = whole(c.as_f64().ok_or("sketch: bad bucket count")?, "bucket")?;
+                    let c = c.as_count().ok_or("sketch: bucket count is not a count")?;
                     if buckets.insert(idx as i32, c).is_some() {
                         return Err(format!("sketch: bucket {idx} listed twice"));
                     }
@@ -443,14 +447,6 @@ impl QuantileSketch {
 }
 
 /// `value` as a count: a non-negative integer that `f64` holds exactly.
-fn whole(value: f64, key: &str) -> Result<u64, String> {
-    if value.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&value) {
-        Ok(value as u64)
-    } else {
-        Err(format!("sketch: {key} {value} is not a count"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -347,7 +347,10 @@ impl SpanSummary {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed member.
+    /// Returns a message naming the missing or malformed member: every
+    /// count must be an integer in [0, 2^53] (a top entry's shard and
+    /// attempts in `u32`), and the violation total must equal the sum
+    /// over kinds.
     pub fn from_json(json: &Json) -> Result<SpanSummary, String> {
         let schema = json
             .get("schema")
@@ -356,10 +359,10 @@ impl SpanSummary {
         if schema != "rbv-trace/v1" {
             return Err(format!("trace: schema {schema:?} != \"rbv-trace/v1\""));
         }
-        let num = |key: &str| -> Result<f64, String> {
-            json.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("trace: missing number {key:?}"))
+        let count = |of: &Json, key: &str| -> Result<u64, String> {
+            of.get(key)
+                .and_then(Json::as_count)
+                .ok_or_else(|| format!("trace: {key:?} is missing or not a count"))
         };
         let latency = json.get("latency_us").ok_or("trace: missing latency_us")?;
         let sketch = |key: &str| -> Result<QuantileSketch, String> {
@@ -373,11 +376,14 @@ impl SpanSummary {
         let by_kind = inv.get("by_kind").ok_or("trace: missing by_kind")?;
         let mut invariant_violations = [0u64; InvariantKind::ALL.len()];
         for kind in InvariantKind::ALL {
-            invariant_violations[kind.index()] = by_kind
-                .get(kind.label())
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("trace: missing kind {:?}", kind.label()))?
-                as u64;
+            invariant_violations[kind.index()] = count(by_kind, kind.label())?;
+        }
+        let violations = count(inv, "violations")?;
+        let by_kind_total: u128 = invariant_violations.iter().map(|&v| u128::from(v)).sum();
+        if u128::from(violations) != by_kind_total {
+            return Err(format!(
+                "trace: {violations} invariant violations, but by_kind sums to {by_kind_total}"
+            ));
         }
         let mut top = Vec::new();
         for item in json
@@ -385,42 +391,38 @@ impl SpanSummary {
             .and_then(Json::as_array)
             .ok_or("trace: missing top")?
         {
-            let field = |key: &str| -> Result<f64, String> {
-                item.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("trace: top entry missing {key:?}"))
+            let field = |key: &str| count(item, key);
+            let narrow = |key: &str| {
+                u32::try_from(field(key)?).map_err(|_| format!("trace: top {key:?} exceeds u32"))
             };
             top.push(TopSpan {
-                shard: field("shard")? as u32,
-                rid: field("rid")? as u64,
-                attempts: field("attempts")? as u32,
-                total: field("total_cycles")? as u64,
-                queue: field("queue_cycles")? as u64,
-                service: field("service_cycles")? as u64,
-                backoff: field("backoff_cycles")? as u64,
-                other: field("other_cycles")? as u64,
+                shard: narrow("shard")?,
+                rid: field("rid")?,
+                attempts: narrow("attempts")?,
+                total: field("total_cycles")?,
+                queue: field("queue_cycles")?,
+                service: field("service_cycles")?,
+                backoff: field("backoff_cycles")?,
+                other: field("other_cycles")?,
             });
         }
         Ok(SpanSummary {
-            arrived: num("arrived")? as u64,
-            completed: num("completed")? as u64,
-            failed: num("failed")? as u64,
-            unfinished: num("unfinished")? as u64,
-            client_retries: num("client_retries")? as u64,
-            admission_retries: num("admission_retries")? as u64,
-            admission_rejections: num("admission_rejections")? as u64,
-            queue_enters: num("queue_enters")? as u64,
-            slices: num("slices")? as u64,
-            migrations: num("migrations")? as u64,
+            arrived: count(json, "arrived")?,
+            completed: count(json, "completed")?,
+            failed: count(json, "failed")?,
+            unfinished: count(json, "unfinished")?,
+            client_retries: count(json, "client_retries")?,
+            admission_retries: count(json, "admission_retries")?,
+            admission_rejections: count(json, "admission_rejections")?,
+            queue_enters: count(json, "queue_enters")?,
+            slices: count(json, "slices")?,
+            migrations: count(json, "migrations")?,
             queue_us: sketch("queue")?,
             service_us: sketch("service")?,
             backoff_us: sketch("backoff")?,
             other_us: sketch("other")?,
             client_visible_us: sketch("client_visible")?,
-            invariant_checks: inv
-                .get("checks")
-                .and_then(Json::as_f64)
-                .ok_or("trace: missing invariant checks")? as u64,
+            invariant_checks: count(inv, "checks")?,
             invariant_violations,
             first_violation: None,
             top,
@@ -856,6 +858,53 @@ mod tests {
         let back = SpanSummary::from_json(&Json::parse(&text).expect("valid")).expect("parses");
         assert_eq!(back.to_json().to_string_compact(), text);
         assert_eq!(back.top[0].shard, 3);
+    }
+
+    #[test]
+    fn out_of_range_counts_are_rejected() {
+        let mut s = SpanCollector::collect(&retry_events()).into_summary();
+        s.set_shard(3);
+        let json = s.to_json();
+        /// `json` with the member at `path` replaced by `value`.
+        fn with(json: &Json, path: &[&str], value: f64) -> Json {
+            let mut out = json.clone();
+            let mut node = &mut out;
+            for key in path {
+                node = match node {
+                    Json::Obj(members) => members
+                        .iter_mut()
+                        .find(|(k, _)| k == key)
+                        .map(|(_, v)| v)
+                        .expect("member exists"),
+                    Json::Arr(items) => &mut items[key.parse::<usize>().expect("an index")],
+                    _ => panic!("{key} is not in a container"),
+                };
+            }
+            *node = Json::Num(value);
+            out
+        }
+        let past_2_53 = 9_007_199_254_740_994.0;
+        for path in [
+            &["completed"][..],
+            &["invariants", "checks"],
+            &["invariants", "by_kind", "span_accounting"],
+            &["top", "0", "rid"],
+            &["top", "0", "shard"],
+        ] {
+            for bad in [-1.0, 0.5, past_2_53, f64::NAN] {
+                assert!(
+                    SpanSummary::from_json(&with(&json, path, bad)).is_err(),
+                    "{path:?} = {bad} was read"
+                );
+            }
+        }
+        // A top entry's shard and attempts are `u32`s.
+        let wide = with(&json, &["top", "0", "attempts"], 4_294_967_296.0);
+        assert!(SpanSummary::from_json(&wide).is_err());
+        // The violation total is the sum over kinds.
+        let total = with(&json, &["invariants", "violations"], 1.0);
+        assert!(SpanSummary::from_json(&total).is_err());
+        assert!(SpanSummary::from_json(&json).is_ok());
     }
 
     #[test]

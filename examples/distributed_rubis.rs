@@ -5,8 +5,9 @@
 //! decompose each request's behavior per tier — the "local and
 //! inter-machine variations" the paper anticipates.
 //!
-//! Both deployments run through [`rbv_cluster::run_cluster`] at the same
-//! offered load, so the only difference is placement: every tier leg's
+//! Both deployments run through [`rbv_cluster::run_cluster`]'s one shard
+//! loop at the same offered load and are offered the same requests at
+//! the same instants, so the only difference is placement: every tier leg's
 //! wait, service and CPI come from the cluster's cross-tier span
 //! attribution, which exactly partitions each request's client-visible
 //! latency into tier residencies and network hops.
