@@ -18,6 +18,47 @@ const NOMINAL_MILLI: u32 = rbv_power::MILLI as u32;
 // firmware clamp it exists to pre-empt.
 const _: () = assert!(rbv_guard::power::CAP_PSTATE < rbv_power::SLOWEST);
 
+/// One core's accounting slice: the P-state and activity in force since
+/// the last rate flush, and the power draw and steady-state temperature
+/// they give under the storm multipliers last seen. The draw is
+/// recomputed only when one of those inputs changes, not on every event.
+#[derive(Clone, Copy, Default)]
+struct Slice {
+    /// Effective P-state (firmware throttle already applied).
+    pstate: usize,
+    /// Activity milli-fraction (0 for an idle core: static power only).
+    act_milli: u32,
+    /// The `(ambient delta, cooling multiplier, dynamic multiplier)` the
+    /// draw below was computed under; `None` until it is computed for the
+    /// current P-state and activity.
+    storm: Option<(i64, u32, u32)>,
+    power_uw: u64,
+    steady_milli_c: i64,
+}
+
+impl Slice {
+    /// Opens a slice at `pstate` and `act_milli`.
+    fn set(&mut self, pstate: usize, act_milli: u32) {
+        if (pstate, act_milli) != (self.pstate, self.act_milli) {
+            self.pstate = pstate;
+            self.act_milli = act_milli;
+            self.storm = None;
+        }
+    }
+
+    /// The slice's power draw in µW under `storm`, computing it (and the
+    /// steady-state temperature) if an input changed.
+    fn draw(&mut self, storm: (i64, u32, u32)) -> u64 {
+        if self.storm != Some(storm) {
+            let (ambient_delta, r_mult, dyn_mult) = storm;
+            self.power_uw = rbv_power::power_uw(self.pstate, self.act_milli, dyn_mult);
+            self.steady_milli_c = rbv_power::steady_milli_c(self.power_uw, ambient_delta, r_mult);
+            self.storm = Some(storm);
+        }
+        self.power_uw
+    }
+}
+
 /// Per-core DVFS/thermal integration state, present only when
 /// [`crate::SimConfig::power`] is set.
 pub(super) struct PowerState {
@@ -25,12 +66,8 @@ pub(super) struct PowerState {
     storm: Option<ThermalStorm>,
     /// Per-core temperature, throttle latch, and energy accumulator.
     cores: Vec<CorePower>,
-    /// Effective P-state in force on each core during the current
-    /// accounting slice (firmware throttle already applied).
-    slice_pstate: Vec<usize>,
-    /// Activity milli-fraction of each core during the current slice
-    /// (0 for idle cores: static power only).
-    slice_act_milli: Vec<u32>,
+    /// Each core's current accounting slice.
+    slices: Vec<Slice>,
     /// Last P-state recorded per core, for DVFS transition edges.
     last_pstate: Vec<usize>,
     /// Running machine-wide energy total; the energy-conservation
@@ -53,8 +90,7 @@ impl PowerState {
         PowerState {
             storm: thermal_storm.then(|| ThermalStorm::new(seed, cores)),
             cores: vec![CorePower::new(); cores],
-            slice_pstate: vec![0; cores],
-            slice_act_milli: vec![0; cores],
+            slices: vec![Slice::default(); cores],
             last_pstate: vec![0; cores],
             total_uw_cycles: 0,
             dvfs_transitions: 0,
@@ -76,25 +112,20 @@ impl PowerState {
         let ambient_delta = storm.map_or(0, |s| s.ambient_delta_at(start));
         let dyn_mult = storm.map_or(NOMINAL_MILLI, |s| s.dyn_mult_at(start));
         let mut edge = false;
-        for c in 0..self.cores.len() {
+        for (c, (core, slice)) in self.cores.iter_mut().zip(&mut self.slices).enumerate() {
             let r_mult = storm.map_or(NOMINAL_MILLI, |s| s.cooling_mult_for(c, start));
-            let out = self.cores[c].advance(
-                elapsed,
-                self.slice_pstate[c],
-                self.slice_act_milli[c],
-                ambient_delta,
-                r_mult,
-                dyn_mult,
-            );
-            self.total_uw_cycles += u128::from(out.power_uw) * u128::from(elapsed.get());
-            self.max_temp_milli_c = self.max_temp_milli_c.max(out.temp_milli_c);
-            if let Some(engaged) = out.throttle_edge {
+            let power_uw = slice.draw((ambient_delta, r_mult, dyn_mult));
+            let throttle_edge = core.step(elapsed, power_uw, slice.steady_milli_c);
+            self.total_uw_cycles += u128::from(power_uw) * u128::from(elapsed.get());
+            self.max_temp_milli_c = self.max_temp_milli_c.max(core.temp_milli_c);
+            if let Some(engaged) = throttle_edge {
                 edge = true;
+                let temp_milli_c = core.temp_milli_c;
                 trace.emit(|| TraceEvent::ThermalThrottle {
                     ts: now,
                     core: c as u32,
                     engaged,
-                    temp_milli_c: out.temp_milli_c,
+                    temp_milli_c,
                 });
             }
         }
@@ -121,8 +152,7 @@ impl PowerState {
         };
         for (c, rate) in rates.iter_mut().enumerate() {
             let effective = self.cores[c].effective_pstate(cap);
-            self.slice_pstate[c] = effective;
-            self.slice_act_milli[c] = match rate {
+            let act_milli = match rate {
                 Some(rate) => {
                     let stall = rate.l2_refs_per_ins
                         * (l2_hit_cycles * (1.0 - rate.l2_miss_ratio)
@@ -138,6 +168,7 @@ impl PowerState {
                 }
                 None => 0,
             };
+            self.slices[c].set(effective, act_milli);
             let from = self.last_pstate[c];
             if effective != from {
                 self.dvfs_transitions += 1;
@@ -199,12 +230,12 @@ impl PowerState {
     /// Each core's P-state is on the ladder, and throttle engages and
     /// releases balance against the cores still throttled.
     pub(super) fn check_bounds(&self, monitor: &mut InvariantMonitor) {
-        for (c, &pstate) in self.slice_pstate.iter().enumerate() {
+        for (c, slice) in self.slices.iter().enumerate() {
             monitor.check_frequency_bounds(
                 c as u64,
-                pstate as u64,
+                slice.pstate as u64,
                 rbv_power::LADDER_MILLI.len() as u64,
-                u64::from(rbv_power::ratio_milli(pstate)),
+                u64::from(rbv_power::ratio_milli(slice.pstate)),
             );
         }
         let e = self.stats();

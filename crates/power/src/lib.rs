@@ -262,10 +262,24 @@ impl CorePower {
         dyn_mult_milli: u32,
     ) -> SliceOutcome {
         let power_uw = power_uw(pstate, act_milli, dyn_mult_milli);
-        self.energy_uw_cycles += u128::from(power_uw) * u128::from(dt.get());
         let steady = steady_milli_c(power_uw, ambient_delta_milli_c, r_mult_milli);
-        self.temp_milli_c = step_temp(self.temp_milli_c, steady, dt);
-        let throttle_edge = if !self.throttled && self.temp_milli_c >= THROTTLE_CAP_MILLI_C {
+        let throttle_edge = self.step(dt, power_uw, steady);
+        SliceOutcome {
+            pstate,
+            power_uw,
+            throttle_edge,
+            temp_milli_c: self.temp_milli_c,
+        }
+    }
+
+    /// [`CorePower::advance`] with the slice's power draw and steady-state
+    /// temperature already computed: a caller that advances many slices
+    /// under unchanged inputs computes them once. Returns the firmware
+    /// throttle edge, as [`SliceOutcome::throttle_edge`].
+    pub fn step(&mut self, dt: Cycles, power_uw: u64, steady_milli_c: i64) -> Option<bool> {
+        self.energy_uw_cycles += u128::from(power_uw) * u128::from(dt.get());
+        self.temp_milli_c = step_temp(self.temp_milli_c, steady_milli_c, dt);
+        if !self.throttled && self.temp_milli_c >= THROTTLE_CAP_MILLI_C {
             self.throttled = true;
             self.throttle_engages += 1;
             Some(true)
@@ -275,12 +289,6 @@ impl CorePower {
             Some(false)
         } else {
             None
-        };
-        SliceOutcome {
-            pstate,
-            power_uw,
-            throttle_edge,
-            temp_milli_c: self.temp_milli_c,
         }
     }
 
