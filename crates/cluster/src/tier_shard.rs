@@ -647,7 +647,9 @@ impl TierShard<'_> {
     ///   per hop from the receiving leg;
     /// * a request not yet drawn may start anywhere: no sooner than the
     ///   next arrival plus `L` (plus `2L` back to the frontend, which
-    ///   takes its first legs directly).
+    ///   takes its first legs directly). A one-machine shard has nowhere
+    ///   else for it to go: the window hands it its arrivals up front,
+    ///   so they bound nothing.
     ///
     /// Ends stop at the last arrival, which no window takes. Every bound
     /// is at least `min(T + L, last arrival)` for the earliest pending
@@ -659,7 +661,7 @@ impl TierShard<'_> {
             let reach = at.saturating_add(lookahead.saturating_mul(hops as u64));
             ends[m] = ends[m].min(reach);
         };
-        if self.offered < self.n {
+        if self.offered < self.n && machines > 1 {
             for m in 0..machines {
                 bound(m, self.next_arrival, if m == 0 { 2 } else { 1 });
             }
@@ -1129,5 +1131,33 @@ mod tests {
         // No window reaches the last arrival.
         shard.next_arrival = 999_999;
         assert_eq!(shard.window_ends(lookahead), vec![1_000_000; 3]);
+    }
+
+    #[test]
+    fn a_one_machine_window_runs_to_the_last_arrival() {
+        let mut spec = ClusterSpec::three_tier(AppId::Tpcc);
+        spec.topology = ClusterTopology::Single;
+        let job = ShardJob {
+            seed: 1,
+            n: 4,
+            rid_base: 100,
+        };
+        let mut shard = TierShard::new(&spec, job, 1.0e6, false, 1);
+        shard.last_arrival = 1 << 40;
+        shard.offered = 2;
+        shard.next_arrival = 50_000;
+        // A request resident on the machine, and its next event due.
+        shard.paths.push(route(&[0]));
+        shard.paths.push(route(&[0]));
+        shard.peeks = vec![Some(5_000)];
+        let leg = shard.paths[1].take_leg(0);
+        shard.inject(0, 10_000, 1, leg);
+        // Only arrivals reach the one machine, and the window takes every
+        // one due before its end: nothing else bounds it.
+        let lookahead = lookahead(spec.network);
+        assert_eq!(shard.window_ends(lookahead), vec![1 << 40]);
+        let actions = shard.take_due(&[1 << 40]);
+        assert_eq!(actions.len(), 2, "both remaining arrivals are taken");
+        assert_eq!(shard.offered, 4);
     }
 }
