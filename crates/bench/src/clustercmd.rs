@@ -66,9 +66,10 @@ pub fn run(
             solver.calls, solver.iterations, solver.restarts, solver.unconverged
         );
         eprintln!(
-            "[engine events: {} ({} stale)]",
+            "[engine events: {} ({} stale); syscall crossings: {}]",
             report.pops.total(),
-            report.pops.stale_total()
+            report.pops.stale_total(),
+            report.crossings
         );
     }
     if let Some(path) = out {

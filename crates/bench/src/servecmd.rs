@@ -257,9 +257,10 @@ pub fn summarize<W: Write>(report: &ServeReport, out: &mut W) -> io::Result<()> 
         let pops = &report.pops;
         writeln!(
             out,
-            "  engine events            {} ({} stale)",
+            "  engine events            {} ({} stale; {} syscall crossings)",
             pops.total(),
-            pops.stale_total()
+            pops.stale_total(),
+            report.crossings
         )?;
     }
     Ok(())

@@ -329,6 +329,8 @@ struct ShardOutput {
     solver: SolverStats,
     /// Engine events by kind of every pass, calibration included.
     pops: EventPops,
+    /// Passive syscalls crossed in every pass, calibration included.
+    crossings: u64,
 }
 
 impl ShardOutput {
@@ -343,12 +345,14 @@ impl ShardOutput {
     ) -> ShardOutput {
         let mut solver = SolverStats::default();
         let mut pops = EventPops::default();
+        let mut crossings = 0;
         for (machine, stats) in machines.iter().enumerate() {
             summary
                 .invariants
                 .record_unconverged_solves(machine as u32, stats.solver.unconverged);
             solver.merge(&stats.solver);
             pops.merge(&stats.pops);
+            crossings += stats.crossings;
         }
         ShardOutput {
             summary,
@@ -357,6 +361,7 @@ impl ShardOutput {
             passes,
             solver,
             pops,
+            crossings,
         }
     }
 }
@@ -486,6 +491,7 @@ fn run_shard(
         output.passes.splice(0..0, calibration);
         output.solver.merge(&stock.solver);
         output.pops.merge(&stock.pops);
+        output.crossings += stock.crossings;
     }
     Ok(output)
 }
@@ -538,6 +544,10 @@ pub struct ClusterReport {
     /// Engine events by kind, live and stale, of every pass and machine,
     /// summed over shards. Reported only under the `"profile"` member.
     pub pops: EventPops,
+    /// Passive syscalls recorded in passing (not as engine events) in
+    /// every pass and machine, summed over shards. Reported only under
+    /// the `"profile"` member.
+    pub crossings: u64,
     /// Wall-clock duration, seconds, set by a caller that timed the run;
     /// `None` (as [`run_cluster`] leaves it) keeps the ledger a pure
     /// function of the spec.
@@ -641,6 +651,7 @@ impl ClusterReport {
                     ),
                     ("solver".into(), solver_profile(&self.solver)),
                     ("events".into(), pops_profile(&self.pops)),
+                    ("crossings".into(), num(self.crossings as f64)),
                 ]),
             ));
         }
@@ -769,12 +780,14 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
     let mut passes: Vec<PassWindows> = Vec::new();
     let mut solver = SolverStats::default();
     let mut pops = EventPops::default();
+    let mut crossings = 0;
     for (shard, output) in outputs.into_iter().enumerate() {
         let mut output = output?;
         output.summary.set_shard(shard as u32);
         summary.merge(&output.summary);
         solver.merge(&output.solver);
         pops.merge(&output.pops);
+        crossings += output.crossings;
         for (machine, stats) in machines.iter_mut().zip(&output.machines) {
             machine.absorb(stats);
         }
@@ -815,6 +828,7 @@ pub fn run_cluster(spec: &ClusterSpec, pool: &rbv_par::Pool) -> Result<ClusterRe
         passes,
         solver,
         pops,
+        crossings,
         wall_seconds: None,
     })
 }

@@ -375,6 +375,7 @@ mod serial {
         let mut rid_base = 0u64;
         let mut solver = SolverStats::default();
         let mut pops = EventPops::default();
+        let mut crossings = 0u64;
         let mut ties = 0u64;
         for (shard, &n) in plan.iter().enumerate() {
             let job = (shard_seed(spec.seed, shard), n, rid_base);
@@ -386,6 +387,7 @@ mod serial {
                 for stats in &stock.machines {
                     solver.merge(&stats.solver);
                     pops.merge(&stats.pops);
+                    crossings += stats.crossings;
                 }
                 mpi.iter()
                     .map(|samples| easing_threshold(samples))
@@ -407,6 +409,7 @@ mod serial {
                 totals.context_switches += stats.context_switches;
                 solver.merge(&stats.solver);
                 pops.merge(&stats.pops);
+                crossings += stats.crossings;
             }
             for mut record in output.records {
                 record.shard = shard as u32;
@@ -435,6 +438,7 @@ mod serial {
             passes: Vec::new(),
             solver,
             pops,
+            crossings,
             wall_seconds: None,
         };
         (report, ties)
@@ -497,6 +501,7 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                     );
                     assert_eq!(report.solver, reference.solver, "{label}");
                     assert_eq!(report.pops, reference.pops, "{label}");
+                    assert_eq!(report.crossings, reference.crossings, "{label}");
                     // Every pass ran windows, and stepped the rest one
                     // event at a time after the last arrival.
                     assert_eq!(report.passes.len(), 1 + usize::from(easing), "{label}");

@@ -496,6 +496,9 @@ pub struct ServeReport {
     /// Engine events by kind, live and stale, across shards; serialized
     /// only under the opt-in `"profile"` member.
     pub pops: EventPops,
+    /// Passive syscalls recorded in passing (not as engine events),
+    /// across shards; serialized only under the `"profile"` member.
+    pub crossings: u64,
     /// Wall-clock duration of the run, seconds. Opt-in (`--wallclock`);
     /// `None` keeps the serialized ledger a pure function of the spec,
     /// which the thread-count byte-identity gate relies on.
@@ -635,6 +638,7 @@ impl ServeReport {
                     ),
                     ("solver".into(), solver_profile(&self.solver)),
                     ("events".into(), pops_profile(&self.pops)),
+                    ("crossings".into(), num(self.crossings as f64)),
                 ]),
             ));
         }
@@ -693,6 +697,7 @@ pub fn serve_with_shard_target(
         spans: Vec::new(),
         solver: SolverStats::default(),
         pops: EventPops::default(),
+        crossings: 0,
         wall_seconds: None,
     };
     // Merge in shard order — the canonical order that makes floating-
@@ -715,6 +720,7 @@ pub fn serve_with_shard_target(
         }
         report.solver.merge(&shard.stats.solver);
         report.pops.merge(&shard.stats.pops);
+        report.crossings += shard.stats.crossings;
         report.busy_cycles += shard.stats.busy_cycles;
         report.simulated_cycles += shard.total_time.as_f64();
         report.latency_us.merge(&shard.acc.latency_us);

@@ -104,6 +104,7 @@ impl Engine<'_> {
         let Some(mut guard) = self.guard.take() else {
             return;
         };
+        self.account_busy(now);
         let counters = self.counters();
         let base = guard.base;
         // Sample staleness: age of the newest sample on any busy core,

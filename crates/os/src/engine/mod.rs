@@ -9,9 +9,12 @@
 //! * [`power`] — DVFS, the thermal model and the power-capping ladder;
 //! * [`guard`] — the governor, the health ladder, the invariant checks.
 //!
-//! This file holds the loop and the execution core: linear advancement
-//! between events, the contention-model solve, and the instruction
-//! boundaries (syscalls, phase and stage ends) a running request reaches.
+//! This file holds the loop and the execution core: each running core's
+//! linear segment between rate flushes, the contention-model solve, and
+//! the instruction boundaries (syscalls, phase and stage ends) a running
+//! request reaches. A boundary the sampling policy acts on is a milestone
+//! event; a passive syscall is a crossing, recorded in passing (see
+//! [`timers::Crossings`]).
 
 // The `expect`s assert cross-structure invariants (an id the scheduler
 // holds is live; a running core has a rate). A violated one is a
@@ -30,11 +33,12 @@ use rbv_guard::governor;
 use rbv_mem::{ContentionSolver, MachineSpec, PerfEstimate, SegmentProfile, SolveOutcome};
 use rbv_sim::{Cycles, EventQueue, SimRng};
 use rbv_telemetry::{SwitchReason, TraceEvent, TraceSink};
-use rbv_workloads::{Request, RequestFactory};
+use rbv_workloads::{Request, RequestFactory, Stage, SyscallName};
 
-use crate::config::{ArrivalProcess, QueueDiscipline, SimConfig};
+use crate::config::{ArrivalProcess, QueueDiscipline, SamplingPolicy, SimConfig};
 use crate::machine::CompletionSink;
-use crate::result::{FailReason, RunResult, RunStats, TransitionRecord};
+use crate::result::{FailReason, RunResult, RunStats, SyscallRecord, TransitionRecord};
+use store::{LiveRequest, Progress};
 use timers::TimerKind;
 
 /// Sub-instruction tolerance when matching instruction boundaries.
@@ -143,17 +147,38 @@ impl RateModel {
     }
 }
 
+/// Each running core's progress as a linear segment: between rate
+/// flushes a core runs at one rate, so its request's counters are a
+/// closed-form function of time, written only when something reads them
+/// (see [`Engine::sync`]). Busy and high-usage cycles accrue at the
+/// running and high counts cached at the last flush.
+#[derive(Default)]
+struct Segments {
+    /// Each core's anchor: the instant its request's counters describe.
+    since: Vec<Cycles>,
+    /// Instant of the last rate flush.
+    flushed_at: Cycles,
+    /// Cores running since the last flush.
+    running: usize,
+    /// Running cores in a high-usage period since the last flush (0 when
+    /// none runs).
+    high: usize,
+    /// Instant busy and high-usage cycles are accounted up to.
+    busy_to: Cycles,
+}
+
 pub(crate) struct Engine<'s> {
     cfg: SimConfig,
     pub(crate) queue: EventQueue<Event>,
     timers: timers::Timers,
+    crossings: timers::Crossings,
+    seg: Segments,
     store: store::RequestStore,
     pub(crate) out: store::Outcomes<'s>,
     sched: sched::Sched,
     sampler: sampler::Sampler,
     ingress: ingress::Ingress,
     model: RateModel,
-    last_advance: Cycles,
     /// `None` (the default) skips every power branch and keeps runs
     /// bit-identical to power-unaware builds.
     power: Option<power::PowerState>,
@@ -172,6 +197,85 @@ pub(crate) struct Engine<'s> {
     fault_rng: SimRng,
 }
 
+/// Whether `sampling` samples at syscall `name`.
+fn acts_on(sampling: &SamplingPolicy, name: SyscallName) -> bool {
+    match sampling {
+        SamplingPolicy::SyscallTriggered { .. } => true,
+        SamplingPolicy::TransitionSignals { triggers, .. } => triggers.contains(&name),
+        SamplingPolicy::Interrupt { .. } | SamplingPolicy::ContextSwitchOnly => false,
+    }
+}
+
+/// The instruction of syscall `i` of `stage` when, at phase `phase`, it
+/// is the next boundary and `sampling` does not act on it.
+fn passive_at(stage: &Stage, phase: usize, i: usize, sampling: &SamplingPolicy) -> Option<f64> {
+    let syscall = stage.syscalls.get(i)?;
+    let passive = syscall.at_ins <= stage.phases[phase].end_ins && !acts_on(sampling, syscall.name);
+    passive.then(|| syscall.at_ins.as_f64())
+}
+
+/// The instruction of `lr`'s next boundary when it is a syscall
+/// `sampling` does not act on.
+fn passive_syscall(lr: &LiveRequest, sampling: &SamplingPolicy) -> Option<f64> {
+    passive_at(lr.stage(), lr.run.phase_idx, lr.run.next_syscall, sampling)
+}
+
+/// The instruction of `lr`'s next boundary that `sampling` acts on: the
+/// next syscall it samples at, or else the phase end.
+fn acting_boundary(lr: &LiveRequest, sampling: &SamplingPolicy) -> f64 {
+    let stage = lr.stage();
+    let phase_end = stage.phases[lr.run.phase_idx].end_ins.as_f64();
+    if matches!(
+        sampling,
+        SamplingPolicy::Interrupt { .. } | SamplingPolicy::ContextSwitchOnly
+    ) {
+        return phase_end;
+    }
+    stage.syscalls[lr.run.next_syscall..]
+        .iter()
+        .take_while(|s| s.at_ins.as_f64() <= phase_end)
+        .find(|s| acts_on(sampling, s.name))
+        .map_or(phase_end, |s| s.at_ins.as_f64())
+}
+
+/// The first cycle at which a segment anchored at `since`, `ins`
+/// instructions into its stage and running at `cpi`, reaches instruction
+/// `boundary` of the stage.
+fn reach(since: Cycles, ins: f64, boundary: f64, cpi: f64) -> Cycles {
+    since + Cycles::new(((boundary - ins).max(0.0) * cpi).ceil() as u64)
+}
+
+/// Records the next syscall of request `rid` in its current `stage`,
+/// reached on `core` at `at` with the request's cycles and instructions
+/// at `counters`, and returns its name. The caller makes it the
+/// request's last syscall once any sample there has read the one before.
+fn record_syscall(
+    run: &mut Progress,
+    stage: &Stage,
+    core: usize,
+    at: Cycles,
+    counters: (f64, f64),
+    trace: &mut Tracer<'_>,
+    rid: usize,
+) -> SyscallName {
+    let name = stage.syscalls[run.next_syscall].name;
+    run.next_syscall += 1;
+    let (request_cycles, request_ins) = counters;
+    run.syscalls.push(SyscallRecord {
+        at,
+        request_cycles,
+        request_ins,
+        name,
+    });
+    trace.emit(|| TraceEvent::SyscallEntry {
+        ts: at,
+        core: core as u32,
+        rid: rid as u64,
+        name: name.to_string(),
+    });
+    name
+}
+
 impl<'s> Engine<'s> {
     pub(crate) fn new(
         cfg: SimConfig,
@@ -184,6 +288,11 @@ impl<'s> Engine<'s> {
         Engine {
             queue: EventQueue::new(),
             timers: timers::Timers::new(cores),
+            crossings: timers::Crossings::new(cores),
+            seg: Segments {
+                since: vec![Cycles::ZERO; cores],
+                ..Segments::default()
+            },
             store: Default::default(),
             out: store::Outcomes {
                 sink: completions,
@@ -198,7 +307,6 @@ impl<'s> Engine<'s> {
                 shares: vec![0.0; cores],
                 ..RateModel::default()
             },
-            last_advance: Cycles::ZERO,
             power: cfg
                 .power
                 .map(|_| power::PowerState::new(seed, cores, cfg.thermal_storm, cfg.guard)),
@@ -275,10 +383,20 @@ impl<'s> Engine<'s> {
     }
 
     /// Takes the next event: the earliest armed timer, or the heap top
-    /// when its `(time, seq)` key is smaller.
+    /// when its `(time, seq)` key is smaller. Every crossing due by its
+    /// instant is recorded first.
     fn next_event(&mut self) -> Option<(Cycles, Event)> {
         let top = self.queue.peek_key();
-        match self.timers.next() {
+        let timer = self.timers.next();
+        let due = match (timer, top) {
+            (Some(((at, seq), ..)), Some(top)) => (at, seq).min(top).0,
+            (Some(((at, _), ..)), None) => at,
+            (None, Some((at, _))) => at,
+            (None, None) => return None,
+        };
+        self.report_pressure(due);
+        self.cross_until(due);
+        match timer {
             Some(((at, seq), core, kind)) if top.is_none_or(|top| (at, seq) < top) => {
                 self.timers.cancel(core, kind);
                 self.queue.advance_to(at);
@@ -295,7 +413,13 @@ impl<'s> Engine<'s> {
             return false;
         };
         self.stats.engine_events += 1;
-        self.advance_all(now);
+        if let Some(ps) = &mut self.power {
+            if ps.advance(now, &mut self.trace) {
+                // The firmware clamp (or its release) changes the
+                // effective CPI from the next slice on.
+                self.model.dirty = true;
+            }
+        }
         let live = self.is_live(event);
         self.stats.pops.record(event.pop_kind(), live);
         if live {
@@ -341,6 +465,7 @@ impl<'s> Engine<'s> {
 
     /// Closes the run and returns its [`RunResult`].
     pub(crate) fn finish_run(mut self) -> RunResult {
+        self.account_busy(self.queue.now());
         self.finish_checks();
         self.stats.energy = self.power.as_ref().map(power::PowerState::stats);
         RunResult {
@@ -368,71 +493,97 @@ impl<'s> Engine<'s> {
         self.timers.arm(core, kind, key);
     }
 
-    // ----- time advancement ----------------------------------------------
+    // ----- segments and crossings -----------------------------------------
 
-    /// Advances every running core linearly from `last_advance` to `now`
-    /// under the current rates. Exact because rates only change at events.
-    fn advance_all(&mut self, now: Cycles) {
-        let interval_start = self.last_advance;
-        let elapsed = now.saturating_sub(interval_start);
-        self.last_advance = now;
-        if elapsed.is_zero() {
+    /// Brings `core`'s running request to `at` along its segment, and
+    /// anchors the segment there. Exact because rates change only at
+    /// flushes, each of which first brings every core to its instant.
+    fn sync(&mut self, core: usize, at: Cycles) {
+        let since = std::mem::replace(&mut self.seg.since[core], at);
+        let Some(rid) = self.sched.running[core] else {
+            return;
+        };
+        let elapsed = at.saturating_sub(since);
+        if !elapsed.is_zero() {
+            let rate = self.model.rate(core);
+            self.store[rid].run.advance(elapsed.as_f64(), &rate);
+        }
+    }
+
+    /// The live request `rid` for reading its progress at `at`. In debug
+    /// builds, panics when `rid` runs on a core whose segment was not
+    /// brought to `at`: its counters would be stale.
+    fn synced(&self, rid: usize, at: Cycles) -> &LiveRequest {
+        debug_assert!(
+            self.sched
+                .running
+                .iter()
+                .zip(&self.seg.since)
+                .all(|(running, &since)| *running != Some(rid) || since == at),
+            "request {rid} read at cycle {at:?} before its core was brought there"
+        );
+        &self.store[rid]
+    }
+
+    /// Accounts busy and high-usage cycles up to `now` at the counts in
+    /// force since the last flush.
+    fn account_busy(&mut self, now: Cycles) {
+        let elapsed = now.saturating_sub(self.seg.busy_to);
+        self.seg.busy_to = now;
+        if self.seg.running > 0 && !elapsed.is_zero() {
+            let dt = elapsed.as_f64();
+            self.stats.busy_cycles += dt;
+            self.stats.high_usage_cycles[self.seg.high] += dt;
+        }
+    }
+
+    /// Reports an L2-pressure episode boundary once time moves past the
+    /// flush that changed the simultaneous-high count: the change took
+    /// effect at that flush.
+    fn report_pressure(&mut self, due: Cycles) {
+        if self.trace.sink.is_none() || self.cfg.measure_threshold.is_none() {
             return;
         }
-        let dt = elapsed.as_f64();
-        let cores = self.sched.cores();
-        let mut running_count = 0usize;
-        let mut high_count = 0usize;
-        for (c, running) in self.sched.running.iter().enumerate() {
-            let Some(rid) = *running else {
-                continue;
-            };
-            let rate = self.model.rate(c);
-            running_count += 1;
-            if let Some(threshold) = self.cfg.measure_threshold {
-                if rate.l2_misses_per_ins() >= threshold {
-                    high_count += 1;
-                }
-            }
-            let d_ins = dt / rate.cpi;
-            let d_refs = d_ins * rate.l2_refs_per_ins;
-            let d_misses = d_refs * rate.l2_miss_ratio;
-            let run = &mut self.store[rid].run;
-            run.ins_in_stage += d_ins;
-            run.cum_cycles += dt;
-            run.cum_ins += d_ins;
-            run.accum.cycles += dt;
-            run.accum.instructions += d_ins;
-            run.accum.l2_refs += d_refs;
-            run.accum.l2_misses += d_misses;
+        let (high, ts) = (self.seg.high, self.seg.flushed_at);
+        if due > ts && high != self.trace.high {
+            self.trace.high = high;
+            self.trace.emit(|| TraceEvent::L2Pressure {
+                ts,
+                high_cores: high as u32,
+            });
         }
-        if running_count > 0 {
-            self.stats.busy_cycles += dt;
-            self.stats.high_usage_cycles[high_count.min(cores)] += dt;
-        }
-        // An L2-pressure episode boundary: the simultaneous-high count over
-        // [interval_start, now] differs from the previously reported one.
-        // The change took effect at the event that started the interval.
-        if self.trace.sink.is_some() && self.cfg.measure_threshold.is_some() {
-            let high = if running_count > 0 {
-                high_count.min(cores)
-            } else {
-                0
-            };
-            if high != self.trace.high {
-                self.trace.high = high;
-                self.trace.emit(|| TraceEvent::L2Pressure {
-                    ts: interval_start,
-                    high_cores: high as u32,
-                });
+    }
+
+    /// Records every crossing due by `by`, each at its own crossing
+    /// cycle. A crossing reads its request's counters off the segment and
+    /// writes none of them, so the core keeps its anchor. Crossings on
+    /// different cores touch different requests, so only a trace sink
+    /// sees their order: with one attached they are recorded in time
+    /// order across cores (ties go to the lowest core), a core's batch
+    /// stopping at another core's first crossing; without, each core's
+    /// run in one batch.
+    fn cross_until(&mut self, by: Cycles) {
+        let ordered = self.trace.sink.is_some();
+        while let Some((core, limit)) = self.crossings.first_due(by, ordered) {
+            let rid = self.sched.running[core].expect("a core with a crossing runs");
+            let cpi = self.model.rate(core).cpi;
+            let since = self.seg.since[core];
+            let sampling = &self.cfg.sampling;
+            let lr = &mut self.store[rid];
+            let (stage, run) = (&lr.request.stages[lr.run.stage_idx], &mut lr.run);
+            let mut next = self.crossings.at(core);
+            while let Some(at) = next.filter(|&at| at <= limit) {
+                self.stats.crossings += 1;
+                let i = run.next_syscall;
+                debug_assert!(passive_at(stage, run.phase_idx, i, sampling).is_some());
+                let dt = at.saturating_sub(since).as_f64();
+                let counters = (run.cum_cycles + dt, run.cum_ins + dt / cpi);
+                let name = record_syscall(run, stage, core, at, counters, &mut self.trace, rid);
+                run.last_syscall = Some(name);
+                next = passive_at(stage, run.phase_idx, i + 1, sampling)
+                    .map(|boundary| reach(since, run.ins_in_stage, boundary, cpi).max(at));
             }
-        }
-        if let Some(ps) = &mut self.power {
-            if ps.advance(interval_start, now, &mut self.trace) {
-                // The firmware clamp (or its release) changes the
-                // effective CPI from the next slice on.
-                self.model.dirty = true;
-            }
+            self.crossings.set(core, next);
         }
     }
 
@@ -443,6 +594,11 @@ impl<'s> Engine<'s> {
             return;
         }
         self.model.dirty = false;
+        let now = self.queue.now();
+        self.account_busy(now);
+        for core in 0..self.sched.cores() {
+            self.sync(core, now);
+        }
         for (slot, running) in self.model.profiles.iter_mut().zip(&self.sched.running) {
             *slot = running.map(|rid| self.store[rid].profile());
         }
@@ -452,31 +608,51 @@ impl<'s> Engine<'s> {
         self.stats.solver.record(outcome);
         if let Some(ps) = &mut self.power {
             let l2_hit = self.cfg.machine.l2_hit_cycles;
-            let now = self.queue.now();
             ps.apply_dvfs(&mut self.model.rates, l2_hit, now, &mut self.trace);
         }
-        for c in 0..self.sched.cores() {
-            self.push_milestone(c);
+        let cores = self.sched.cores();
+        let threshold = self.cfg.measure_threshold;
+        let rates = self.model.rates.iter().flatten();
+        let high = rates
+            .clone()
+            .filter(|rate| threshold.is_some_and(|th| rate.l2_misses_per_ins() >= th))
+            .count();
+        self.seg.running = rates.count();
+        self.seg.high = high.min(cores);
+        self.seg.flushed_at = now;
+        for core in 0..cores {
+            self.arm_boundaries(core);
         }
     }
 
-    fn push_milestone(&mut self, core: usize) {
+    /// Arms `core`'s milestone at its running request's next boundary
+    /// that acts, and its crossing at the next syscall when that one is
+    /// passive; an idle core gets neither.
+    fn arm_boundaries(&mut self, core: usize) {
         let Some(rid) = self.sched.running[core] else {
             self.timers.cancel(core, TimerKind::Milestone);
+            self.crossings.set(core, None);
             return;
         };
-        let rate = self.model.rate(core);
-        let lr = &self.store[rid];
-        let (boundary, _) = lr.next_boundary();
-        let d_ins = (boundary - lr.run.ins_in_stage).max(0.0);
-        let cycles = (d_ins * rate.cpi).ceil().max(1.0) as u64;
-        self.arm_timer(core, TimerKind::Milestone, Cycles::new(cycles));
+        let now = self.queue.now();
+        let cpi = self.model.rate(core).cpi;
+        let lr = self.synced(rid, now);
+        let ins = lr.run.ins_in_stage;
+        let sampling = &self.cfg.sampling;
+        // Both at least a cycle ahead: a boundary already reached but
+        // not yet handled (its request was preempted on it) follows.
+        let next = now + Cycles::new(1);
+        let acting = reach(now, ins, acting_boundary(lr, sampling), cpi).max(next);
+        let crossing = passive_syscall(lr, sampling).map(|b| reach(now, ins, b, cpi).max(next));
+        self.crossings.set(core, crossing);
+        self.arm_timer(core, TimerKind::Milestone, acting - now);
     }
 
     fn on_milestone(&mut self, core: usize, now: Cycles, factory: &mut dyn RequestFactory) {
         let Some(rid) = self.sched.running[core] else {
             return;
         };
+        self.sync(core, now);
         loop {
             let lr = &mut self.store[rid];
             let (boundary, is_syscall) = lr.next_boundary();
@@ -500,7 +676,7 @@ impl<'s> Engine<'s> {
             return;
         }
         if !self.model.dirty {
-            self.push_milestone(core);
+            self.arm_boundaries(core);
         }
     }
 
@@ -605,6 +781,91 @@ mod tests {
         let next = engine.timers.next().map(|((at, _), _, k)| (at, k));
         assert_eq!(next, Some((due, kind)));
         assert_eq!(step(&mut engine, &mut factory), (due, "hop_wakeup"));
+    }
+
+    /// Request `a` of one stage and one phase of 10 000 instructions,
+    /// with syscalls at instruction 4 000 and at its phase end; request
+    /// `b` has no syscalls and runs far longer. Sampling interrupts come
+    /// too seldom to fire.
+    fn crossing_requests() -> (Engine<'static>, Tpcc, Request, Request) {
+        use rbv_sim::Instructions;
+        use rbv_workloads::{Phase, SyscallEvent};
+        let cfg = SimConfig {
+            arrivals: ArrivalProcess::External,
+            ..SimConfig::paper_default().with_interrupt_sampling(1_000_000)
+        };
+        let mut factory = Tpcc::new(42, 0.05);
+        let mut engine = Engine::new(cfg, 2, None, None);
+        engine.start(&mut factory);
+        let mut a = factory.next_request();
+        a.stages.truncate(1);
+        let stage = &mut a.stages[0];
+        stage.phases.truncate(1);
+        stage.phases[0].end_ins = Instructions::new(10_000);
+        stage.syscalls = [(4_000, SyscallName::Read), (10_000, SyscallName::Write)]
+            .map(|(at, name)| SyscallEvent {
+                at_ins: Instructions::new(at),
+                name,
+            })
+            .to_vec();
+        let mut b = a.clone();
+        b.stages[0].syscalls.clear();
+        b.stages[0].phases = vec![Phase {
+            end_ins: Instructions::new(10_000_000),
+            ..b.stages[0].phases[0]
+        }];
+        (engine, factory, a, b)
+    }
+
+    #[test]
+    fn a_crossing_due_with_an_event_or_its_phase_end_is_recorded_first() {
+        let (mut engine, mut factory, a, b) = crossing_requests();
+        let a = engine.inject(a, Cycles::ZERO);
+        assert_eq!(
+            step(&mut engine, &mut factory),
+            (Cycles::ZERO, "hop_wakeup")
+        );
+        let core = engine.sched.running.iter().position(|r| *r == Some(a));
+        let due = engine
+            .crossings
+            .at(core.expect("a runs"))
+            .expect("a crossing");
+        // `b`'s wakeup on the crossing's cycle re-solves the rates, which
+        // brings `a` to that cycle: had the crossing not been recorded
+        // first, it would move a cycle on.
+        engine.inject(b, due);
+        assert_eq!(step(&mut engine, &mut factory), (due, "hop_wakeup"));
+        assert_eq!(engine.stats.crossings, 1);
+        let records = &engine.store[a].run.syscalls;
+        assert_eq!(records.iter().map(|r| r.at).collect::<Vec<_>>(), [due]);
+
+        // The second syscall sits on the phase end that ends `a`: both are
+        // due on one cycle, and the crossing goes first.
+        for _ in 0..8 {
+            if !engine.out.completed.is_empty() {
+                break;
+            }
+            step(&mut engine, &mut factory);
+        }
+        let done = &engine.out.completed[0];
+        assert_eq!(done.id, a);
+        assert_eq!(engine.stats.crossings, 2, "both syscalls were crossings");
+        let last = done.syscalls.last().expect("two records");
+        assert_eq!((done.syscalls.len(), last.at), (2, done.finished_at));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before its core was brought there")]
+    fn reading_progress_not_brought_to_now_panics() {
+        let (mut engine, mut factory, a, _) = crossing_requests();
+        engine.inject(a, Cycles::ZERO);
+        step(&mut engine, &mut factory);
+        let core = engine.sched.running.iter().position(Option::is_some);
+        // Time moves on, and the milestone is re-armed off counters that
+        // still describe the dispatch instant.
+        engine.queue.advance_to(Cycles::new(100));
+        engine.arm_boundaries(core.expect("a runs"));
     }
 
     #[test]

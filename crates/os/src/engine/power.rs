@@ -68,6 +68,8 @@ pub(super) struct PowerState {
     cores: Vec<CorePower>,
     /// Each core's current accounting slice.
     slices: Vec<Slice>,
+    /// Instant the cores were last advanced to.
+    since: Cycles,
     /// Last P-state recorded per core, for DVFS transition edges.
     last_pstate: Vec<usize>,
     /// Running machine-wide energy total; the energy-conservation
@@ -91,6 +93,7 @@ impl PowerState {
             storm: thermal_storm.then(|| ThermalStorm::new(seed, cores)),
             cores: vec![CorePower::new(); cores],
             slices: vec![Slice::default(); cores],
+            since: Cycles::ZERO,
             last_pstate: vec![0; cores],
             total_uw_cycles: 0,
             dvfs_transitions: 0,
@@ -100,14 +103,18 @@ impl PowerState {
         }
     }
 
-    /// Advances every core (idle ones pay static power) across the slice
-    /// from `start` to `now` under the P-state and activity in force
-    /// during it. Fault multipliers are step functions of time, sampled
-    /// at the slice start — the same "state changes take effect at
-    /// events" convention as the rates. Returns whether a firmware
-    /// throttle engaged or released.
-    pub(super) fn advance(&mut self, start: Cycles, now: Cycles, trace: &mut Tracer<'_>) -> bool {
+    /// Advances every core (idle ones pay static power) from the last
+    /// event to `now` under the P-state and activity in force since.
+    /// Fault multipliers are step functions of time, sampled at the
+    /// slice start — the same "state changes take effect at events"
+    /// convention as the rates. Returns whether a firmware throttle
+    /// engaged or released.
+    pub(super) fn advance(&mut self, now: Cycles, trace: &mut Tracer<'_>) -> bool {
+        let start = std::mem::replace(&mut self.since, now);
         let elapsed = now.saturating_sub(start);
+        if elapsed.is_zero() {
+            return false;
+        }
         let storm = self.storm;
         let ambient_delta = storm.map_or(0, |s| s.ambient_delta_at(start));
         let dyn_mult = storm.map_or(NOMINAL_MILLI, |s| s.dyn_mult_at(start));

@@ -14,7 +14,7 @@ use super::timers::TimerKind;
 use super::Engine;
 use crate::config::SamplingPolicy;
 use crate::observer::{injected_cost, pollution_of, spin_baseline, SampleMode, SamplingContext};
-use crate::result::{SyscallRecord, TransitionRecord};
+use crate::result::TransitionRecord;
 
 /// Relative sigma of the multiplicative measurement noise on the L2
 /// reference/miss counts of each collected sample period. Real
@@ -117,25 +117,15 @@ pub(super) fn teardown_flush(lr: &mut LiveRequest) {
 }
 
 impl Engine<'_> {
-    /// Records a syscall the running request `rid` reached on `core`,
-    /// and samples there if the policy triggers on it.
+    /// Records a syscall the running request `rid` reached on `core` at
+    /// `now`, and samples there if the policy triggers on it.
     pub(super) fn handle_syscall(&mut self, core: usize, rid: usize, now: Cycles, boundary: f64) {
+        self.synced(rid, now);
         let lr = &mut self.store[rid];
-        lr.run.ins_in_stage = lr.run.ins_in_stage.max(boundary);
-        let name = lr.stage().syscalls[lr.run.next_syscall].name;
-        lr.run.next_syscall += 1;
-        lr.run.syscalls.push(SyscallRecord {
-            at: now,
-            request_cycles: lr.run.cum_cycles,
-            request_ins: lr.run.cum_ins,
-            name,
-        });
-        self.trace.emit(|| TraceEvent::SyscallEntry {
-            ts: now,
-            core: core as u32,
-            rid: rid as u64,
-            name: name.to_string(),
-        });
+        let (stage, run) = (&lr.request.stages[lr.run.stage_idx], &mut lr.run);
+        run.ins_in_stage = run.ins_in_stage.max(boundary);
+        let counters = (run.cum_cycles, run.cum_ins);
+        let name = super::record_syscall(run, stage, core, now, counters, &mut self.trace, rid);
 
         let (trigger, t_min) = match &self.cfg.sampling {
             SamplingPolicy::SyscallTriggered { t_syscall_min, .. } => (true, *t_syscall_min),
@@ -203,6 +193,7 @@ impl Engine<'_> {
         mode: SampleMode,
         syscall: Option<SyscallName>,
     ) {
+        self.sync(core, now);
         let ctx = mode.context();
         // Guard coupling: an active health ladder supersedes the one-shot
         // error gate, and its lower rungs freeze predictor training

@@ -175,6 +175,7 @@ impl Engine<'_> {
         now: Cycles,
         reason: Option<SwitchReason>,
     ) {
+        self.sync(core, now);
         self.sched.running[core] = None;
         self.model.dirty = true;
         self.stats.context_switches += 1;
@@ -235,6 +236,8 @@ impl Engine<'_> {
     fn dispatch(&mut self, core: usize, rid: usize) {
         let now = self.queue.now();
         self.sched.running[core] = Some(rid);
+        self.seg.since[core] = now;
+        self.store[rid].reserve_syscall_records();
         self.sampler.last_sample[core] = now;
         self.model.dirty = true;
         self.trace.emit(|| TraceEvent::SliceBegin {

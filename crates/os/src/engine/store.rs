@@ -8,7 +8,7 @@ use std::ops::{Index, IndexMut};
 
 use rbv_core::predict::VaEwma;
 use rbv_core::series::{SamplePeriod, Timeline};
-use rbv_mem::SegmentProfile;
+use rbv_mem::{PerfEstimate, SegmentProfile};
 use rbv_sim::{Cycles, SimRng};
 use rbv_workloads::{Request, Stage, SyscallName};
 
@@ -57,6 +57,22 @@ pub(super) struct Progress {
     pub(super) last_syscall: Option<SyscallName>,
 }
 
+impl Progress {
+    /// Advances the counters by `dt` cycles at `rate`.
+    pub(super) fn advance(&mut self, dt: f64, rate: &PerfEstimate) {
+        let d_ins = dt / rate.cpi;
+        let d_refs = d_ins * rate.l2_refs_per_ins;
+        let d_misses = d_refs * rate.l2_miss_ratio;
+        self.ins_in_stage += d_ins;
+        self.cum_cycles += dt;
+        self.cum_ins += d_ins;
+        self.accum.cycles += dt;
+        self.accum.instructions += d_ins;
+        self.accum.l2_refs += d_refs;
+        self.accum.l2_misses += d_misses;
+    }
+}
+
 impl LiveRequest {
     pub(super) fn stage(&self) -> &Stage {
         &self.request.stages[self.run.stage_idx]
@@ -64,6 +80,16 @@ impl LiveRequest {
 
     pub(super) fn profile(&self) -> SegmentProfile {
         self.stage().phases[self.run.phase_idx].profile
+    }
+
+    /// Sizes the attempt's syscall records for every syscall of the
+    /// request at its first dispatch: one allocation, not one per
+    /// doubling.
+    pub(super) fn reserve_syscall_records(&mut self) {
+        if self.run.syscalls.capacity() == 0 {
+            let total = self.request.stages.iter().map(|s| s.syscalls.len()).sum();
+            self.run.syscalls.reserve_exact(total);
+        }
     }
 
     /// Next instruction boundary within the current stage and whether it

@@ -4,15 +4,18 @@
 //! when it was armed, so the engine fires the earliest slot or the heap
 //! top, whichever key is smaller, and same-cycle ties stay in arming
 //! order. Re-arming or cancelling a timer only overwrites its slot: a
-//! superseded timer leaves nothing behind to pop.
+//! superseded timer leaves nothing behind to pop. Beside the timers, each
+//! core has one [`Crossings`] slot: its next passive syscall, which is
+//! recorded in passing and never popped.
 
 use rbv_sim::Cycles;
 
 /// The kinds of per-core timer, one slot each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TimerKind {
-    /// The running request reaches its next instruction boundary (phase
-    /// end, syscall, or stage end).
+    /// The running request reaches its next instruction boundary that
+    /// acts: a phase or stage end, or a syscall the sampling policy
+    /// samples at. Passive syscalls before it are [`Crossings`].
     Milestone,
     /// Scheduling quantum expiry.
     Quantum,
@@ -81,9 +84,100 @@ impl Timers {
     }
 }
 
+/// Each running core's next passive syscall: one no sampling policy acts
+/// on, due at the first cycle its core's segment reaches it. A crossing
+/// is not an event. The engine records every crossing due by an event's
+/// instant, in time order across cores, before it handles that event.
+#[derive(Debug, Default)]
+pub(super) struct Crossings {
+    at: Vec<Option<Cycles>>,
+}
+
+impl Crossings {
+    pub(super) fn new(cores: usize) -> Crossings {
+        Crossings {
+            at: vec![None; cores],
+        }
+    }
+
+    /// Sets `core`'s next crossing, or clears it.
+    pub(super) fn set(&mut self, core: usize, at: Option<Cycles>) {
+        self.at[core] = at;
+    }
+
+    /// `core`'s next crossing.
+    pub(super) fn at(&self, core: usize) -> Option<Cycles> {
+        self.at[core]
+    }
+
+    /// The core whose crossings come next, up to `by`, and the instant up
+    /// to which its batch runs. `ordered`: the core with the earliest
+    /// crossing (ties go to the lowest core), whose batch stops before
+    /// any other core's next crossing; otherwise the lowest core with one
+    /// due, whose batch runs to `by`.
+    pub(super) fn first_due(&self, by: Cycles, ordered: bool) -> Option<(usize, Cycles)> {
+        let mut first: Option<(Cycles, usize)> = None;
+        for (core, &at) in self.at.iter().enumerate() {
+            if let Some(at) = at.filter(|&at| at <= by) {
+                if !ordered {
+                    return Some((core, by));
+                }
+                if first.is_none_or(|(earliest, _)| at < earliest) {
+                    first = Some((at, core));
+                }
+            }
+        }
+        let (_, core) = first?;
+        // Another core's crossing at `at` comes first when that core is
+        // lower (it wins the tie), else right after.
+        let limit = self
+            .at
+            .iter()
+            .enumerate()
+            .fold(by, |limit, (other, &at)| match at {
+                Some(at) if other < core => limit.min(at - Cycles::new(1)),
+                Some(at) if other > core => limit.min(at),
+                _ => limit,
+            });
+        Some((core, limit))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_earliest_due_crossing_wins_and_ties_go_to_the_lowest_core() {
+        let mut crossings = Crossings::new(3);
+        assert_eq!(crossings.first_due(Cycles::new(u64::MAX), true), None);
+        crossings.set(2, Some(Cycles::new(30)));
+        crossings.set(1, Some(Cycles::new(40)));
+        assert_eq!(crossings.first_due(Cycles::new(29), true), None);
+        // Core 1 is lower and would win a tie, so core 2's batch stops a
+        // cycle before core 1's crossing.
+        let by = Cycles::new(100);
+        assert_eq!(crossings.first_due(by, true), Some((2, Cycles::new(39))));
+        assert_eq!(
+            crossings.first_due(Cycles::new(35), true),
+            Some((2, Cycles::new(35)))
+        );
+        // Unordered, the lowest due core runs to `by`.
+        assert_eq!(crossings.first_due(by, false), Some((1, by)));
+        assert_eq!(
+            crossings.first_due(Cycles::new(35), false),
+            Some((2, Cycles::new(35)))
+        );
+        crossings.set(0, Some(Cycles::new(30)));
+        // Core 0 wins the tie at 30 and runs up to core 2's crossing,
+        // inclusive: it would win a tie there too.
+        let by = Cycles::new(50);
+        assert_eq!(crossings.first_due(by, true), Some((0, Cycles::new(30))));
+        crossings.set(0, None);
+        crossings.set(2, None);
+        assert_eq!(crossings.first_due(by, true), Some((1, by)));
+        assert_eq!(crossings.first_due(Cycles::new(39), false), None);
+    }
 
     fn key(at: u64, seq: u64) -> Key {
         (Cycles::new(at), seq)

@@ -228,6 +228,10 @@ pub struct RunStats {
     pub resched_decisions: u64,
     /// Discrete events the simulation engine processed.
     pub engine_events: u64,
+    /// Passive syscalls recorded in passing, at their crossing cycles,
+    /// rather than as engine events: syscalls no sampling policy acts on
+    /// change no rate and take no sample.
+    pub crossings: u64,
     /// Contention-model solves: calls, fixed-point iterations, restarts
     /// at half the damping, and solves that did not converge (each also
     /// an [`rbv_guard::InvariantKind::SolverConvergence`] violation).
