@@ -214,17 +214,12 @@ fn passive_at(stage: &Stage, phase: usize, i: usize, sampling: &SamplingPolicy) 
     passive.then(|| syscall.at_ins.as_f64())
 }
 
-/// The instruction of `lr`'s next boundary when it is a syscall
-/// `sampling` does not act on.
-fn passive_syscall(lr: &LiveRequest, sampling: &SamplingPolicy) -> Option<f64> {
-    passive_at(lr.stage(), lr.run.phase_idx, lr.run.next_syscall, sampling)
-}
-
 /// The instruction of `lr`'s next boundary that `sampling` acts on: the
 /// next syscall it samples at, or else the phase end.
 fn acting_boundary(lr: &LiveRequest, sampling: &SamplingPolicy) -> f64 {
     let stage = lr.stage();
     let phase_end = stage.phases[lr.run.phase_idx].end_ins.as_f64();
+    // Neither samples at a syscall: no need to scan the phase's.
     if matches!(
         sampling,
         SamplingPolicy::Interrupt { .. } | SamplingPolicy::ContextSwitchOnly
@@ -643,7 +638,8 @@ impl<'s> Engine<'s> {
         // not yet handled (its request was preempted on it) follows.
         let next = now + Cycles::new(1);
         let acting = reach(now, ins, acting_boundary(lr, sampling), cpi).max(next);
-        let crossing = passive_syscall(lr, sampling).map(|b| reach(now, ins, b, cpi).max(next));
+        let crossing = passive_at(lr.stage(), lr.run.phase_idx, lr.run.next_syscall, sampling)
+            .map(|b| reach(now, ins, b, cpi).max(next));
         self.crossings.set(core, crossing);
         self.arm_timer(core, TimerKind::Milestone, acting - now);
     }

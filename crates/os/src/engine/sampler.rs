@@ -127,19 +127,15 @@ impl Engine<'_> {
         let counters = (run.cum_cycles, run.cum_ins);
         let name = super::record_syscall(run, stage, core, now, counters, &mut self.trace, rid);
 
-        let (trigger, t_min) = match &self.cfg.sampling {
-            SamplingPolicy::SyscallTriggered { t_syscall_min, .. } => (true, *t_syscall_min),
-            SamplingPolicy::TransitionSignals {
-                triggers,
-                t_syscall_min,
-                ..
-            } => (triggers.contains(&name), *t_syscall_min),
-            _ => (false, Cycles::ZERO),
+        let t_min = match &self.cfg.sampling {
+            SamplingPolicy::SyscallTriggered { t_syscall_min, .. }
+            | SamplingPolicy::TransitionSignals { t_syscall_min, .. } => *t_syscall_min,
+            _ => Cycles::ZERO,
         };
         // A starved syscall sampling path collects nothing (graceful
         // degradation): the already-armed backup interrupt timer covers
         // the stretch.
-        if trigger
+        if super::acts_on(&self.cfg.sampling, name)
             && now.saturating_sub(self.sampler.last_sample[core]) >= self.sampler.scaled(t_min)
             && !self.sampling_starved(core, now)
         {

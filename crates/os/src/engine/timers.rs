@@ -84,10 +84,11 @@ impl Timers {
     }
 }
 
-/// Each running core's next passive syscall: one no sampling policy acts
-/// on, due at the first cycle its core's segment reaches it. A crossing
-/// is not an event. The engine records every crossing due by an event's
-/// instant, in time order across cores, before it handles that event.
+/// Each running core's next passive syscall: one the sampling policy does
+/// not act on, due at the first cycle its core's segment reaches it. A
+/// crossing is not an event. The engine records every crossing due by an
+/// event's instant before it handles that event (in time order across
+/// cores when a trace sink can see the order; see [`Crossings::first_due`]).
 #[derive(Debug, Default)]
 pub(super) struct Crossings {
     at: Vec<Option<Cycles>>,

@@ -229,8 +229,8 @@ pub struct RunStats {
     /// Discrete events the simulation engine processed.
     pub engine_events: u64,
     /// Passive syscalls recorded in passing, at their crossing cycles,
-    /// rather than as engine events: syscalls no sampling policy acts on
-    /// change no rate and take no sample.
+    /// rather than as engine events: a syscall the sampling policy does
+    /// not sample at changes no rate and takes no sample.
     pub crossings: u64,
     /// Contention-model solves: calls, fixed-point iterations, restarts
     /// at half the damping, and solves that did not converge (each also
