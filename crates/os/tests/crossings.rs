@@ -50,9 +50,15 @@ fn milestones(result: &RunResult) -> u64 {
 
 #[test]
 fn a_traced_tpch_run_sees_every_syscall_once_in_time_order() {
-    let (result, sink) = run_traced(AppId::Tpch, &interrupt(AppId::Tpch));
+    // A measure threshold adds L2-pressure episodes, reported from the
+    // flush that began them.
+    let mut cfg = interrupt(AppId::Tpch);
+    cfg.measure_threshold = Some(0.002);
+    let (result, sink) = run_traced(AppId::Tpch, &cfg);
     assert_eq!(result.completed.len(), REQUESTS);
     assert!(result.stats.crossings > 0, "{:?}", result.stats);
+    let pressure = sink.events.iter().filter(|e| e.kind() == "l2_pressure");
+    assert!(pressure.count() > 1);
     for pair in sink.events.windows(2) {
         assert!(pair[0].ts() <= pair[1].ts(), "timestamps go back: {pair:?}");
     }
