@@ -551,15 +551,11 @@ impl<'s> Engine<'s> {
 
     /// Records every crossing due by `by`, each at its own crossing
     /// cycle. A crossing reads its request's counters off the segment and
-    /// writes none of them, so the core keeps its anchor. Crossings on
-    /// different cores touch different requests, so only a trace sink
-    /// sees their order: with one attached they are recorded in time
-    /// order across cores (ties go to the lowest core), a core's batch
-    /// stopping at another core's first crossing; without, each core's
-    /// run in one batch.
+    /// writes none of them, so the core keeps its anchor. Crossings are
+    /// recorded in time order across cores (ties go to the lowest core),
+    /// a core's batch stopping at another core's next crossing.
     fn cross_until(&mut self, by: Cycles) {
-        let ordered = self.trace.sink.is_some();
-        while let Some((core, limit)) = self.crossings.first_due(by, ordered) {
+        while let Some((core, limit)) = self.crossings.first_due(by) {
             let rid = self.sched.running[core].expect("a core with a crossing runs");
             let cpi = self.model.rate(core).cpi;
             let since = self.seg.since[core];

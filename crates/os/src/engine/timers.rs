@@ -87,8 +87,8 @@ impl Timers {
 /// Each running core's next passive syscall: one the sampling policy does
 /// not act on, due at the first cycle its core's segment reaches it. A
 /// crossing is not an event. The engine records every crossing due by an
-/// event's instant before it handles that event (in time order across
-/// cores when a trace sink can see the order; see [`Crossings::first_due`]).
+/// event's instant before it handles that event, in time order across
+/// cores (see [`Crossings::first_due`]).
 #[derive(Debug, Default)]
 pub(super) struct Crossings {
     at: Vec<Option<Cycles>>,
@@ -112,17 +112,13 @@ impl Crossings {
     }
 
     /// The core whose crossings come next, up to `by`, and the instant up
-    /// to which its batch runs. `ordered`: the core with the earliest
-    /// crossing (ties go to the lowest core), whose batch stops before
-    /// any other core's next crossing; otherwise the lowest core with one
-    /// due, whose batch runs to `by`.
-    pub(super) fn first_due(&self, by: Cycles, ordered: bool) -> Option<(usize, Cycles)> {
+    /// to which its batch runs: the core with the earliest crossing (ties
+    /// go to the lowest core), whose batch stops before any other core's
+    /// next crossing.
+    pub(super) fn first_due(&self, by: Cycles) -> Option<(usize, Cycles)> {
         let mut first: Option<(Cycles, usize)> = None;
         for (core, &at) in self.at.iter().enumerate() {
             if let Some(at) = at.filter(|&at| at <= by) {
-                if !ordered {
-                    return Some((core, by));
-                }
                 if first.is_none_or(|(earliest, _)| at < earliest) {
                     first = Some((at, core));
                 }
@@ -151,33 +147,27 @@ mod tests {
     #[test]
     fn the_earliest_due_crossing_wins_and_ties_go_to_the_lowest_core() {
         let mut crossings = Crossings::new(3);
-        assert_eq!(crossings.first_due(Cycles::new(u64::MAX), true), None);
+        assert_eq!(crossings.first_due(Cycles::new(u64::MAX)), None);
         crossings.set(2, Some(Cycles::new(30)));
         crossings.set(1, Some(Cycles::new(40)));
-        assert_eq!(crossings.first_due(Cycles::new(29), true), None);
+        assert_eq!(crossings.first_due(Cycles::new(29)), None);
         // Core 1 is lower and would win a tie, so core 2's batch stops a
         // cycle before core 1's crossing.
         let by = Cycles::new(100);
-        assert_eq!(crossings.first_due(by, true), Some((2, Cycles::new(39))));
+        assert_eq!(crossings.first_due(by), Some((2, Cycles::new(39))));
         assert_eq!(
-            crossings.first_due(Cycles::new(35), true),
-            Some((2, Cycles::new(35)))
-        );
-        // Unordered, the lowest due core runs to `by`.
-        assert_eq!(crossings.first_due(by, false), Some((1, by)));
-        assert_eq!(
-            crossings.first_due(Cycles::new(35), false),
+            crossings.first_due(Cycles::new(35)),
             Some((2, Cycles::new(35)))
         );
         crossings.set(0, Some(Cycles::new(30)));
         // Core 0 wins the tie at 30 and runs up to core 2's crossing,
         // inclusive: it would win a tie there too.
         let by = Cycles::new(50);
-        assert_eq!(crossings.first_due(by, true), Some((0, Cycles::new(30))));
+        assert_eq!(crossings.first_due(by), Some((0, Cycles::new(30))));
         crossings.set(0, None);
         crossings.set(2, None);
-        assert_eq!(crossings.first_due(by, true), Some((1, by)));
-        assert_eq!(crossings.first_due(Cycles::new(39), false), None);
+        assert_eq!(crossings.first_due(by), Some((1, by)));
+        assert_eq!(crossings.first_due(Cycles::new(39)), None);
     }
 
     fn key(at: u64, seq: u64) -> Key {
