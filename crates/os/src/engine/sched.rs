@@ -237,7 +237,6 @@ impl Engine<'_> {
         let now = self.queue.now();
         self.sched.running[core] = Some(rid);
         self.seg.since[core] = now;
-        self.store[rid].reserve_syscall_records();
         self.sampler.last_sample[core] = now;
         self.model.dirty = true;
         self.trace.emit(|| TraceEvent::SliceBegin {

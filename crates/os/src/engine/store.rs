@@ -82,16 +82,6 @@ impl LiveRequest {
         self.stage().phases[self.run.phase_idx].profile
     }
 
-    /// Sizes the attempt's syscall records for every syscall of the
-    /// request at its first dispatch: one allocation, not one per
-    /// doubling.
-    pub(super) fn reserve_syscall_records(&mut self) {
-        if self.run.syscalls.capacity() == 0 {
-            let total = self.request.stages.iter().map(|s| s.syscalls.len()).sum();
-            self.run.syscalls.reserve_exact(total);
-        }
-    }
-
     /// Next instruction boundary within the current stage and whether it
     /// is a syscall (syscalls win ties so transition records see the old
     /// phase as "before").
