@@ -185,9 +185,13 @@ fn bench_contention_model(c: &mut Criterion) {
     // Reused-solver shapes beside the mixed one above: web-like segments
     // whose working sets all fit (the miss curve never reaches `powf`),
     // TPCH-like streaming scans (every miss ratio takes `powf`), two busy
-    // cores with the whole second cache cluster idle, and working sets a
+    // cores with the whole second cache cluster idle, working sets a
     // little over half a cache, so each pair's shares settle 0.5–8% under
-    // their working sets, where the water-fill's cap kinks the map.
+    // their working sets, where the water-fill's cap kinks the map, and
+    // pairs that fill their caches unevenly (three quarters beside a
+    // quarter; a whole cache beside a core without references), which an
+    // even split would start far from: every cluster fits, so each solve
+    // is the bandwidth root and one evaluation.
     let web = |base_cpi, ws| SegmentProfile {
         base_cpi,
         l2_refs_per_ins: 0.004,
@@ -233,6 +237,18 @@ fn bench_contention_model(c: &mut Criterion) {
                 Some(near_fit(1.0, 2.2e6)),
                 Some(near_fit(0.95, 2.12e6)),
                 Some(near_fit(1.05, 2.3e6)),
+            ],
+        ),
+        (
+            "fit",
+            vec![
+                Some(near_fit(0.9, 3.0 * 1024.0 * 1024.0)),
+                Some(near_fit(1.0, 1024.0 * 1024.0)),
+                Some(SegmentProfile {
+                    l2_refs_per_ins: 0.0,
+                    ..web(1.2, 5e5)
+                }),
+                Some(near_fit(0.95, 4.0 * 1024.0 * 1024.0)),
             ],
         ),
     ];

@@ -62,8 +62,8 @@ pub fn run(
         }
         let solver = &report.solver;
         eprintln!(
-            "[contention solves: {} calls, {} iterations, {} restarts, {} unconverged]",
-            solver.calls, solver.iterations, solver.restarts, solver.unconverged
+            "[contention solves: {} calls, {} iterations, {} root steps, {} restarts, {} unconverged]",
+            solver.calls, solver.iterations, solver.root_steps, solver.restarts, solver.unconverged
         );
         eprintln!(
             "[engine events: {} ({} stale); syscall crossings: {}]",

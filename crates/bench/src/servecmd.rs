@@ -251,8 +251,8 @@ pub fn summarize<W: Write>(report: &ServeReport, out: &mut W) -> io::Result<()> 
         let solver = &report.solver;
         writeln!(
             out,
-            "  contention solves        {} ({} iterations, {} restarts, {} unconverged)",
-            solver.calls, solver.iterations, solver.restarts, solver.unconverged
+            "  contention solves        {} ({} iterations, {} root steps, {} restarts, {} unconverged)",
+            solver.calls, solver.iterations, solver.root_steps, solver.restarts, solver.unconverged
         )?;
         let pops = &report.pops;
         writeln!(

@@ -483,6 +483,9 @@ fn windowed_shards_match_the_serial_loop_byte_for_byte() {
                 let label = format!("{topology:?} {app} easing={easing} {network:?}");
                 let (reference, _) = serial::run_cluster(&spec);
                 assert!(reference.clean(), "{label}: the reference run is clean");
+                // The summed solver tally, root steps included, is what
+                // every thread count must reproduce below.
+                assert!(reference.solver.root_steps > 0, "{label}: no root steps");
                 let (ledger, spans) = (
                     reference.to_json().to_string_compact(),
                     spans_json(&reference),

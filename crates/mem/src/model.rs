@@ -66,6 +66,34 @@
 //! plain damping. At depth 0 the same loop is the plain damped iteration
 //! `x + β (F(x) - x)`.
 //!
+//! # The start and the bandwidth root
+//!
+//! The loop starts from a state derived from the call's inputs alone.
+//! A cluster whose referencing claimants' working sets fit its L2 starts
+//! each of them at its working set, which is what the water-fill grants
+//! whatever the weights; a claimant without references starts at 0, its
+//! share under every weight. Any other cluster starts evenly split among
+//! its occupied cores. At those shares' miss ratios each core's CPI is
+//! `a_k + b_k L`, with `a_k = base + refs · hit · (1 - m)` and
+//! `b_k = refs · m`, so the only coupling left is the memory demand `D`,
+//! which solves the scalar equation
+//!
+//! ```text
+//! D = Σ b_k / (a_k + b_k · L(D))
+//! ```
+//!
+//! The right-hand side falls as `D` rises, so the root lies between 0 and
+//! the solo demand `Σ b_k / (a_k + b_k · mem_base)`. Below the
+//! utilization clamp `D - Σ ...` is convex as well as increasing, so
+//! Newton's method started at the solo demand descends to the root
+//! without overshooting; the solve takes it until a step no longer
+//! lowers `D`, and starts each core's scaled IPC at `base_cpi / cpi(L)`.
+//! When every cluster fits, that start is the fixed point, and the loop's
+//! first map evaluation certifies it: the solve ends after one
+//! evaluation. The partitioned solve has fixed shares, so it is this
+//! same scalar problem and nothing else: it takes the root and evaluates
+//! each core's CPI at its latency.
+//!
 //! # Accuracy rule
 //!
 //! Every ledger, baseline and benchmark digest in the repository is
@@ -74,22 +102,22 @@
 //!
 //! * **Converged or counted.** A shared-cache solve stops when the
 //!   ∞-norm of the scaled `F(x) - x` is below `1e-10`. If the accelerated
-//!   pass does not get there, the solve restarts from the cold start at
+//!   pass does not get there, the solve restarts from the same start at
 //!   depth 0 with the damping halved, which contracts on the kinks where
 //!   the water-fill caps a claimant just under its working set. A solve
 //!   that still fails is reported as unconverged in its [`SolveOutcome`];
-//!   the engine counts it as an invariant violation. The partitioned
-//!   solve keeps its damped loop and gets the same halved restart.
+//!   the engine counts it as an invariant violation. A partitioned solve
+//!   is unconverged if its root runs out of steps.
 //! * **Within `1e-8` of the damped reference.** CPI and memory latency
 //!   fall within `1e-8` relative of the plain damped solve run to
-//!   convergence (`tests/model_identity.rs` keeps that loop as a
-//!   test-only reference), the miss ratio within `1e-8` and the share
-//!   within `1e-8` of the L2 capacity: near a zero share the miss curve
-//!   is too steep for a band relative to the share itself.
-//! * **No warm start.** Each call re-derives its initial IPC and shares
-//!   from its inputs alone, so a result depends on the call, never on the
-//!   call history, and results do not depend on how work is split over
-//!   threads.
+//!   convergence (`tests/model_identity.rs` keeps that loop, shared and
+//!   partitioned, as a test-only reference), the miss ratio within `1e-8`
+//!   and the share within `1e-8` of the L2 capacity: near a zero share the
+//!   miss curve is too steep for a band relative to the share itself.
+//! * **No warm start.** Each call derives its start (shares and the
+//!   bandwidth root) from its inputs alone, so a result depends on the
+//!   call, never on the call history, and results do not depend on how
+//!   work is split over threads.
 //! * **No memo of recent inputs.** Profiles carry per-request jitter, so
 //!   exact repeats are rare, and a cache would add state whose hits and
 //!   misses must also be proven neutral.
@@ -217,7 +245,7 @@ impl MachineSpec {
     /// solver has served a machine of this size.
     ///
     /// The accelerated pass runs first; if it does not converge, a damped
-    /// pass at half the damping restarts from the cold start. An outcome
+    /// pass at half the damping restarts from the same start. An outcome
     /// with `converged == false` carries the last iterate of that restart.
     ///
     /// # Panics
@@ -237,12 +265,10 @@ impl MachineSpec {
         );
         solver.reset(self, running, out.len());
         let mut outcome = SolveOutcome::default();
-        outcome.converged =
-            solver.solve_shared(self, ANDERSON_DEPTH, MIXING, &mut outcome.iterations);
+        outcome.converged = solver.solve_shared(self, ANDERSON_DEPTH, MIXING, &mut outcome);
         if !outcome.converged {
             outcome.restarted = true;
-            outcome.converged =
-                solver.solve_shared(self, 0, DAMPING / 2.0, &mut outcome.iterations);
+            outcome.converged = solver.solve_shared(self, 0, DAMPING / 2.0, &mut outcome);
         }
         solver.write_estimates(out);
         outcome
@@ -279,8 +305,9 @@ impl MachineSpec {
 
     /// [`MachineSpec::evaluate_partitioned`] in place, solving in
     /// `solver`'s reused buffers, writing into `out`, and returning what
-    /// the solve did. Its loop is the plain damped iteration, with the
-    /// same halved-damping restart as [`MachineSpec::evaluate_into`].
+    /// the solve did. Fixed shares leave only the bandwidth coupling, so
+    /// the solve is the bandwidth root alone: it evaluates no map and
+    /// never restarts.
     ///
     /// # Panics
     ///
@@ -305,13 +332,7 @@ impl MachineSpec {
             );
         }
         let mut outcome = SolveOutcome::default();
-        outcome.converged =
-            solver.solve_partitioned(self, shares, DAMPING, &mut outcome.iterations);
-        if !outcome.converged {
-            outcome.restarted = true;
-            outcome.converged =
-                solver.solve_partitioned(self, shares, DAMPING / 2.0, &mut outcome.iterations);
-        }
+        outcome.converged = solver.solve_partitioned(self, shares, &mut outcome.root_steps);
         solver.write_estimates(out);
         outcome
     }
@@ -349,9 +370,10 @@ const MAX_ITERS: u32 = 400;
 /// The shared-cache solve stops when the ∞-norm of the scaled residual
 /// `F(x) - x` falls below this.
 const RESIDUAL_TOL: f64 = 1e-10;
-/// The partitioned solve stops when no core's damped IPC step moves it by
-/// this much relative to its value.
-const STEP_TOL: f64 = 1e-9;
+/// Newton steps the bandwidth root may take. From the solo demand it
+/// descends quadratically; a root that is still moving after this many is
+/// reported, not used silently.
+const MAX_ROOT_STEPS: u32 = 64;
 const MAX_UTILIZATION: f64 = 0.95;
 /// Damping of the plain step (halved on the restart).
 const DAMPING: f64 = 0.35;
@@ -374,10 +396,13 @@ const RETENTION_CREDIT: f64 = 0.08;
 /// What one contention solve did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveOutcome {
-    /// Fixed-point map evaluations, over both passes.
+    /// Fixed-point map evaluations, over both passes (none for a
+    /// partitioned solve).
     pub iterations: u32,
-    /// Whether the accelerated (or, partitioned, the first damped) pass
-    /// failed and the halved-damping restart ran.
+    /// Newton steps of the bandwidth root, over both passes.
+    pub root_steps: u32,
+    /// Whether the accelerated pass failed and the halved-damping restart
+    /// ran.
     pub restarted: bool,
     /// Whether the solve met its stop rule. `false` means the estimates
     /// are the restart's last iterate, which callers must not use
@@ -392,6 +417,8 @@ pub struct SolverStats {
     pub calls: u64,
     /// Fixed-point map evaluations.
     pub iterations: u64,
+    /// Newton steps of the bandwidth root.
+    pub root_steps: u64,
     /// Solves that fell back to the halved-damping restart.
     pub restarts: u64,
     /// Solves that did not converge even after the restart.
@@ -403,6 +430,7 @@ impl SolverStats {
     pub fn record(&mut self, outcome: SolveOutcome) {
         self.calls += 1;
         self.iterations += u64::from(outcome.iterations);
+        self.root_steps += u64::from(outcome.root_steps);
         self.restarts += u64::from(outcome.restarted);
         self.unconverged += u64::from(!outcome.converged);
     }
@@ -411,6 +439,7 @@ impl SolverStats {
     pub fn merge(&mut self, other: &SolverStats) {
         self.calls += other.calls;
         self.iterations += other.iterations;
+        self.root_steps += other.root_steps;
         self.restarts += other.restarts;
         self.unconverged += other.unconverged;
     }
@@ -437,8 +466,6 @@ pub struct ContentionSolver {
     /// Working set, which is also the water-fill cap.
     ws: Vec<f64>,
     locality: Vec<f64>,
-    /// The partitioned solve's IPC iterate.
-    ipc: Vec<f64>,
     /// L2 share, bytes, at the last evaluation.
     share: Vec<f64>,
     miss: Vec<f64>,
@@ -502,7 +529,6 @@ impl ContentionSolver {
         }
         let n = self.core.len();
         for v in [
-            &mut self.ipc,
             &mut self.share,
             &mut self.miss,
             &mut self.weight,
@@ -521,18 +547,18 @@ impl ContentionSolver {
         self.latency = spec.mem_base_cycles;
     }
 
-    /// One pass of the shared-cache solve from the cold start, mixing up
-    /// to `depth` past steps (0: the plain damped iteration) with damping
-    /// `damping`. Adds its map evaluations to `iterations` and returns
-    /// whether the residual met [`RESIDUAL_TOL`]; the estimate buffers
-    /// then hold the evaluation at the converged state.
+    /// One pass of the shared-cache solve from the start, mixing up to
+    /// `depth` past steps (0: the plain damped iteration) with damping
+    /// `damping`. Adds its map evaluations and root steps to `outcome` and
+    /// returns whether the residual met [`RESIDUAL_TOL`]; the estimate
+    /// buffers then hold the evaluation at the converged state.
     #[allow(clippy::needless_range_loop)]
     fn solve_shared(
         &mut self,
         spec: &MachineSpec,
         depth: usize,
         mut damping: f64,
-        iterations: &mut u32,
+        outcome: &mut SolveOutcome,
     ) -> bool {
         debug_assert!(depth <= ANDERSON_DEPTH);
         let n = self.core.len();
@@ -577,23 +603,34 @@ impl ContentionSolver {
         );
         let (dx, df) = (&mut dx[..depth * dim], &mut df[..depth * dim]);
 
-        // Cold start: solo IPC (scaled, 1) and each cluster split evenly
-        // among its occupied cores. A core without L2 references exerts
-        // no pressure, so every water-fill grants it nothing: it starts at
-        // that fixed share. (Approaching it from above would leave its miss
-        // ratio, which is steep in a share near zero, far from converged.)
+        // Start: the shares of a cluster whose referencing claimants fit
+        // are their working sets, which every water-fill grants; any other
+        // cluster is split evenly among its occupied cores. A core without
+        // L2 references exerts no pressure, so every water-fill grants it
+        // nothing: it starts at that fixed share. (Approaching it from
+        // above would leave its miss ratio, which is steep in a share near
+        // zero, far from converged.) The scaled IPC starts at the
+        // bandwidth root of those shares' miss ratios.
         for &(lo, hi) in clusters.iter() {
-            if hi > lo {
-                let even = cap / (hi - lo) as f64;
-                for k in lo..hi {
-                    x[k] = 1.0;
-                    x[n + k] = if refs[k] > 0.0 {
-                        even.min(ws[k].max(1.0)) / cap
-                    } else {
-                        0.0
-                    };
-                }
+            let claimed: f64 = (lo..hi).filter(|&k| refs[k] > 0.0).map(|k| ws[k]).sum();
+            let even = cap / (hi - lo) as f64;
+            for k in lo..hi {
+                x[n + k] = if refs[k] <= 0.0 {
+                    0.0
+                } else if claimed <= cap {
+                    ws[k] / cap
+                } else {
+                    even.min(ws[k].max(1.0)) / cap
+                };
+                share[k] = x[n + k] * cap;
+                miss[k] = miss_ratio(share[k], ws[k], locality[k], spec.share_exponent);
             }
+        }
+        // The shared solve's loop certifies the start, so a root that ran
+        // out of steps only costs iterations.
+        (*latency, _) = bandwidth_root(spec, base_cpi, refs, miss, &mut outcome.root_steps);
+        for k in 0..n {
+            x[k] = base_cpi[k] / spec.cpi(base_cpi[k], refs[k], miss[k], *latency);
         }
 
         // Mixing history: `len` columns in use, stored in the buffer slots
@@ -602,7 +639,7 @@ impl ContentionSolver {
         let mut len = 0usize;
         let mut prev_norm = f64::INFINITY;
         for iter in 0..MAX_ITERS {
-            *iterations += 1;
+            outcome.iterations += 1;
             // F at x. Miss ratios at current shares, reference pressure
             // (L2 refs per cycle), insertion-based occupancy weights, and
             // memory traffic. Resident re-touches defend occupancy too,
@@ -707,49 +744,29 @@ impl ContentionSolver {
         false
     }
 
-    /// One damped pass of the partitioned solve from the cold start.
-    /// Fixed shares decouple the cache from IPC; only the bandwidth
-    /// coupling needs the fixed point. Adds its map evaluations to
-    /// `iterations` and returns whether every step met [`STEP_TOL`].
+    /// The partitioned solve: the miss ratios of the fixed `shares`, the
+    /// bandwidth root at them, and each core's CPI at its latency. Adds
+    /// its root steps to `root_steps` and returns whether the root
+    /// settled.
     fn solve_partitioned(
         &mut self,
         spec: &MachineSpec,
         shares: &[f64],
-        damping: f64,
-        iterations: &mut u32,
+        root_steps: &mut u32,
     ) -> bool {
         let s = self;
         let n = s.core.len();
         for k in 0..n {
             s.share[k] = shares[s.core[k]];
             s.miss[k] = miss_ratio(s.share[k], s.ws[k], s.locality[k], spec.share_exponent);
-            s.ipc[k] = 1.0 / s.base_cpi[k];
         }
-        for _ in 0..MAX_ITERS {
-            *iterations += 1;
-            let mut demand = 0.0;
-            for k in 0..n {
-                demand += s.refs[k] * s.ipc[k] * s.miss[k];
-            }
-            s.latency = spec.mem_latency(demand);
-            let mut max_delta = 0.0f64;
-            for k in 0..n {
-                let cpi = spec.cpi(s.base_cpi[k], s.refs[k], s.miss[k], s.latency);
-                let next = (1.0 - damping) * s.ipc[k] + damping / cpi;
-                // Once one delta reaches the tolerance this iteration is
-                // not the last and the maximum is never read, so the
-                // remaining cores skip computing theirs.
-                if max_delta < STEP_TOL {
-                    max_delta = max_delta.max((next - s.ipc[k]).abs() / next.max(1e-12));
-                }
-                s.ipc[k] = next;
-                s.cpi[k] = cpi;
-            }
-            if max_delta < STEP_TOL {
-                return true;
-            }
+        let (base_cpi, refs, miss) = (&s.base_cpi[..n], &s.refs[..n], &s.miss[..n]);
+        let settled;
+        (s.latency, settled) = bandwidth_root(spec, base_cpi, refs, miss, root_steps);
+        for k in 0..n {
+            s.cpi[k] = spec.cpi(base_cpi[k], refs[k], miss[k], s.latency);
         }
-        false
+        settled
     }
 
     /// Writes the estimates of occupied cores into `out`; idle cores get
@@ -766,6 +783,57 @@ impl ContentionSolver {
             });
         }
     }
+}
+
+/// Memory latency at the bandwidth fixed point of cores with core-local
+/// CPIs `base_cpi`, `refs` L2 references per instruction and fixed L2
+/// miss ratios `miss`: the latency `L(D)` of the demand `D` that solves
+/// `D = G(L(D))`, where `G(L) = Σ b_k / cpi_k(L)` with `b_k = refs · m` is
+/// the miss traffic the cores make at latency `L`.
+///
+/// `D - G(L(D))` rises with `D`. If it is still negative at the
+/// utilization clamp, the demand saturates and the latency is the
+/// clamped one. Otherwise it is convex below the clamp, so Newton's method
+/// from the solo demand `G(mem_base)` (capped at the clamp) descends to
+/// the root without overshooting. It stops when a step no longer lowers
+/// `D`. Adds its steps to `steps` and returns the latency and whether the
+/// root settled within [`MAX_ROOT_STEPS`].
+fn bandwidth_root(
+    spec: &MachineSpec,
+    base_cpi: &[f64],
+    refs: &[f64],
+    miss: &[f64],
+    steps: &mut u32,
+) -> (f64, bool) {
+    // `G` at `latency`, and its slope `-dG/dL = Σ (b_k / cpi_k)²`.
+    let traffic = |latency: f64| {
+        let (mut g, mut slope) = (0.0, 0.0);
+        for ((&base, &r), &m) in base_cpi.iter().zip(refs).zip(miss) {
+            let q = r * m / spec.cpi(base, r, m, latency);
+            g += q;
+            slope += q * q;
+        }
+        (g, slope)
+    };
+    let peak = spec.peak_lines_per_cycle;
+    let clamp = MAX_UTILIZATION * peak;
+    let saturated = spec.mem_latency(clamp);
+    if traffic(saturated).0 >= clamp {
+        return (saturated, true);
+    }
+    let mut demand = traffic(spec.mem_base_cycles).0.min(clamp);
+    for _ in 0..MAX_ROOT_STEPS {
+        let latency = spec.mem_latency(demand);
+        let (g, slope) = traffic(latency);
+        // dL/dD = L / (peak - D) below the clamp.
+        let next = demand - (demand - g) / (1.0 + slope * latency / (peak - demand));
+        if next >= demand {
+            return (latency, true);
+        }
+        demand = next;
+        *steps += 1;
+    }
+    (spec.mem_latency(demand), false)
 }
 
 /// `Σ a_i b_i` in index order.
@@ -1339,6 +1407,114 @@ mod bandwidth_tests {
             working_set_bytes: 360e6,
             reuse_locality: 0.5,
         }
+    }
+
+    /// The miss traffic `G(latency)` the dense cores make, as the
+    /// shared solve's map computes it from IPC `1 / cpi`.
+    fn traffic(spec: &MachineSpec, cores: &[(f64, f64, f64)], latency: f64) -> f64 {
+        cores
+            .iter()
+            .map(|&(base, refs, miss)| refs * miss / spec.cpi(base, refs, miss, latency))
+            .sum()
+    }
+
+    fn root(spec: &MachineSpec, cores: &[(f64, f64, f64)]) -> (f64, bool, u32) {
+        let base: Vec<f64> = cores.iter().map(|c| c.0).collect();
+        let refs: Vec<f64> = cores.iter().map(|c| c.1).collect();
+        let miss: Vec<f64> = cores.iter().map(|c| c.2).collect();
+        let mut steps = 0;
+        let (latency, settled) = bandwidth_root(spec, &base, &refs, &miss, &mut steps);
+        (latency, settled, steps)
+    }
+
+    #[test]
+    fn bandwidth_root_reproduces_its_demand() {
+        let spec = MachineSpec::xeon_5160();
+        let streams = [(0.7, 0.008, 0.62), (0.9, 0.02, 1.0), (1.1, 0.004, 0.07)];
+        let (latency, settled, steps) = root(&spec, &streams);
+        assert!(settled && (1..=8).contains(&steps), "{steps} steps");
+        let again = spec.mem_latency(traffic(&spec, &streams, latency));
+        assert!(
+            ((again - latency) / latency).abs() < 1e-13,
+            "{latency} vs {again}"
+        );
+        assert!(latency > spec.mem_base_cycles);
+    }
+
+    #[test]
+    fn bandwidth_root_without_traffic_is_the_base_latency() {
+        let spec = MachineSpec::xeon_5160();
+        let (latency, settled, steps) = root(&spec, &[(1.2, 0.0, 1.0), (0.8, 0.01, 0.0)]);
+        assert_eq!((latency, settled, steps), (spec.mem_base_cycles, true, 0));
+        assert_eq!(root(&spec, &[]), (spec.mem_base_cycles, true, 0));
+    }
+
+    #[test]
+    fn bandwidth_root_at_and_just_under_the_clamp() {
+        let base = MachineSpec::xeon_5160();
+        let saturated = base.mem_base_cycles / (1.0 - MAX_UTILIZATION);
+        let stream = (0.7, 0.02, 1.0);
+        // Demand past the clamp on its own: the latency is the clamped one.
+        let scarce = MachineSpec {
+            peak_lines_per_cycle: 1e-4,
+            ..base
+        };
+        assert_eq!(root(&scarce, &[stream]), (saturated, true, 0));
+        // Bandwidth a hair above what the clamped latency lets the stream
+        // use: the root sits just under the clamp, where the latency is
+        // steepest, and Newton still settles on it.
+        let edge = MachineSpec {
+            peak_lines_per_cycle: traffic(&base, &[stream], saturated) / MAX_UTILIZATION * 1.001,
+            ..base
+        };
+        let (latency, settled, steps) = root(&edge, &[stream]);
+        assert!(settled && steps <= 16, "{steps} steps");
+        assert!(
+            latency < saturated && latency > 0.5 * saturated,
+            "{latency}"
+        );
+        let again = edge.mem_latency(traffic(&edge, &[stream], latency));
+        assert!(
+            ((again - latency) / latency).abs() < 1e-9,
+            "{latency} vs {again}"
+        );
+        // The shared solve of that core, whose working set fits, ends
+        // after the one evaluation that certifies the start.
+        let mut running = vec![None; 4];
+        running[1] = Some(SegmentProfile {
+            base_cpi: 0.7,
+            l2_refs_per_ins: 0.02,
+            working_set_bytes: 1e6,
+            reuse_locality: 0.0,
+        });
+        let mut out = vec![None; 4];
+        let outcome = edge.evaluate_into(&running, &mut ContentionSolver::default(), &mut out);
+        assert!(outcome.converged && outcome.iterations == 1, "{outcome:?}");
+        let est = out[1].unwrap();
+        assert!(((est.mem_latency_cycles - latency) / latency).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fitting_caches_start_at_the_fixed_point() {
+        let spec = MachineSpec::xeon_5160();
+        let web = |ws: f64, refs: f64| SegmentProfile {
+            base_cpi: 1.1,
+            l2_refs_per_ins: refs,
+            working_set_bytes: ws,
+            reuse_locality: 0.93,
+        };
+        let running = vec![
+            Some(web(3e5, 0.004)),
+            Some(web(5e5, 0.0)),
+            Some(web(spec.l2_capacity_bytes, 0.006)),
+            None,
+        ];
+        let mut out = vec![None; 4];
+        let outcome = spec.evaluate_into(&running, &mut ContentionSolver::default(), &mut out);
+        assert!(outcome.converged && !outcome.restarted && outcome.iterations == 1);
+        assert!(outcome.root_steps > 0, "{outcome:?}");
+        let shares: Vec<f64> = out.iter().flatten().map(|e| e.l2_share_bytes).collect();
+        assert_eq!(shares, [3e5, 0.0, spec.l2_capacity_bytes]);
     }
 
     #[test]

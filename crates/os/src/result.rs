@@ -339,12 +339,14 @@ impl RunStats {
 
 /// The `solver` object of the serve and cluster ledgers' non-diffed
 /// `profile` member: contention-model solves, their fixed-point
-/// iterations, restarts at half the damping, and unconverged solves.
+/// iterations, the Newton steps of their bandwidth roots, restarts at
+/// half the damping, and unconverged solves.
 pub fn solver_profile(stats: &rbv_mem::SolverStats) -> rbv_telemetry::Json {
     let num = |v: u64| rbv_telemetry::Json::Num(v as f64);
     rbv_telemetry::Json::Obj(vec![
         ("calls".into(), num(stats.calls)),
         ("iterations".into(), num(stats.iterations)),
+        ("root_steps".into(), num(stats.root_steps)),
         ("restarts".into(), num(stats.restarts)),
         ("unconverged".into(), num(stats.unconverged)),
     ])

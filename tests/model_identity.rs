@@ -16,10 +16,9 @@
 //! * every solve to converge;
 //! * the reused solver's estimates to equal a fresh solver's to the bit,
 //!   so state left behind by one call and read by the next shows up;
-//! * the shared-cache estimates (CPI, miss ratio, share, memory latency)
-//!   to fall within `1e-8` relative of the converged reference, and the
-//!   partitioned ones, whose loop is still the damped one, to equal it to
-//!   the bit.
+//! * the estimates (CPI, miss ratio, share, memory latency), shared and
+//!   partitioned, to fall within `1e-8` relative of the converged
+//!   reference.
 //!
 //! Deterministic tests add hand-picked boundary layouts of the dense
 //! solver (idle cluster heads, idle clusters, exact fits, zero weights,
@@ -31,7 +30,7 @@
 use proptest::prelude::*;
 
 use request_behavior_variations::mem::hierarchy::Topology;
-use request_behavior_variations::mem::model::{proportional_fill, ContentionSolver};
+use request_behavior_variations::mem::model::{proportional_fill, ContentionSolver, SolveOutcome};
 use request_behavior_variations::mem::{MachineSpec, PerfEstimate, SegmentProfile};
 
 #[allow(clippy::needless_range_loop)]
@@ -46,7 +45,8 @@ mod reference {
 
     /// Gives the verbatim method bodies their `self.field` access, and
     /// their stop rule: the step tolerance and the iteration cap of one
-    /// pass.
+    /// pass. (The model shipped the loop with a relative step tolerance of
+    /// `1e-9` and at most 400 iterations a pass.)
     pub struct Ref<'a> {
         spec: &'a MachineSpec,
         tol: f64,
@@ -54,17 +54,7 @@ mod reference {
     }
 
     impl<'a> Ref<'a> {
-        /// The damped solve as the model shipped it: a relative step
-        /// tolerance of `1e-9` and at most 400 iterations a pass.
-        pub fn shipped(spec: &'a MachineSpec) -> Ref<'a> {
-            Ref {
-                spec,
-                tol: 1e-9,
-                max_iters: 400,
-            }
-        }
-
-        /// The same loop run until it has converged for real: its last
+        /// The damped loop run until it has converged for real: its last
         /// step is at the rounding noise of the state, and it may take as
         /// many steps as that needs.
         pub fn converged(spec: &'a MachineSpec) -> Ref<'a> {
@@ -502,10 +492,10 @@ fn compare(
     }
 }
 
-/// Solves `running` shared and, with `shares`, partitioned through the
-/// reused `solver` into `out`, and checks both against a fresh solver
-/// (bit for bit) and the converged reference (shared within
-/// [`ACCURACY`], partitioned bit for bit). Every solve must converge.
+/// Solves `running` shared or, with `shares`, partitioned through the
+/// reused `solver` into `out`, and checks the result against a fresh
+/// solver (bit for bit) and the converged reference (within
+/// [`ACCURACY`]). Every solve must converge. Returns what the solve did.
 fn check_call(
     spec: &MachineSpec,
     running: &[Option<SegmentProfile>],
@@ -513,7 +503,7 @@ fn check_call(
     solver: &mut ContentionSolver,
     out: &mut [Option<PerfEstimate>],
     ctx: &str,
-) {
+) -> SolveOutcome {
     let cap = spec.l2_capacity_bytes;
     let (outcome, fresh, (theirs, ref_converged)) = match shares {
         None => (
@@ -524,7 +514,7 @@ fn check_call(
         Some(shares) => (
             spec.evaluate_partitioned_into(running, shares, solver, out),
             spec.evaluate_partitioned(running, shares),
-            reference::Ref::shipped(spec).evaluate_partitioned(running, shares),
+            reference::Ref::converged(spec).evaluate_partitioned(running, shares),
         ),
     };
     assert!(
@@ -533,13 +523,8 @@ fn check_call(
     );
     assert!(ref_converged, "{ctx}: reference did not converge");
     compare(out, &fresh, cap, false, &format!("{ctx}, reused vs fresh"));
-    compare(
-        out,
-        &theirs,
-        cap,
-        shares.is_none(),
-        &format!("{ctx}, vs reference"),
-    );
+    compare(out, &theirs, cap, true, &format!("{ctx}, vs reference"));
+    outcome
 }
 
 /// Layouts the dense solver could get wrong, each solved shared and
@@ -757,4 +742,235 @@ fn kinked_profiles(
             })
         })
         .collect()
+}
+
+/// Layouts in which every cluster's referencing claimants fit its L2,
+/// among them working sets summing exactly to the capacity, an empty
+/// working set and claimants without references: the start is the fixed
+/// point, so each solve ends after the one evaluation that certifies it,
+/// with every share at its working set (a claimant without references at
+/// 0). The capacity is a power of two, so a scaled share comes back to
+/// its working set exactly.
+#[test]
+fn fitting_caches_solve_in_one_evaluation() {
+    let specs = specs();
+    let cap = specs[0].l2_capacity_bytes;
+    let p = |base_cpi: f64, refs: f64, ws: f64, locality: f64| {
+        Some(SegmentProfile {
+            base_cpi,
+            l2_refs_per_ins: refs,
+            working_set_bytes: ws,
+            reuse_locality: locality,
+        })
+    };
+    let web = p(1.1, 0.004, 3e5, 0.93);
+    let quarter = p(0.9, 0.009, cap / 4.0, 0.8);
+    let three_quarters = p(0.8, 0.01, 0.75 * cap, 0.95);
+    let whole = p(0.85, 0.006, cap, 0.6);
+    let empty = p(1.0, 0.005, 0.0, 0.7);
+    // A working set far beyond the cache, which its lack of references
+    // keeps out of the fill.
+    let no_refs = p(1.4, 0.0, 360e6, 0.9);
+    let cases: Vec<(usize, Vec<Option<SegmentProfile>>)> = vec![
+        (0, vec![web, web, web, web]),
+        (0, vec![quarter, three_quarters, whole, None]),
+        (0, vec![no_refs, whole, empty, no_refs]),
+        (0, vec![None, None, None, None]),
+        (
+            1,
+            vec![
+                web,
+                None,
+                quarter,
+                three_quarters,
+                whole,
+                no_refs,
+                empty,
+                web,
+            ],
+        ),
+        (
+            2,
+            vec![quarter, quarter, web, no_refs, three_quarters, empty],
+        ),
+        (
+            3,
+            vec![quarter, no_refs, quarter, empty, web, None, web, quarter],
+        ),
+    ];
+    let mut solver = ContentionSolver::default();
+    for (step, (which, running)) in cases.iter().enumerate() {
+        let spec = &specs[*which];
+        let mut out = vec![None; spec.topology.cores];
+        let ctx = format!("case {step} (spec {which})");
+        let outcome = check_call(spec, running, None, &mut solver, &mut out, &ctx);
+        assert_eq!(outcome.iterations, 1, "{ctx}: {outcome:?}");
+        assert!(!outcome.restarted, "{ctx}: {outcome:?}");
+        for (core, (p, est)) in running.iter().zip(&out).enumerate() {
+            if let (Some(p), Some(est)) = (p, est) {
+                let want = if p.l2_refs_per_ins > 0.0 {
+                    p.working_set_bytes
+                } else {
+                    0.0
+                };
+                assert_eq!(est.l2_share_bytes, want, "{ctx}: core {core} share");
+            }
+        }
+    }
+}
+
+/// Memory bandwidth so scarce that one scan missing on every reference
+/// drives the demand past the utilization clamp by itself.
+const SCARCE_LINES_PER_CYCLE: f64 = 1.5e-4;
+
+/// One slot of a start layout: occupied (three in four), a kind, the
+/// core-local CPI, references per instruction, a working-set fraction and
+/// the locality. Kinds: 0–1 a working set that fits beside its cluster's
+/// others, 2 no L2 references, 3 a streaming scan, which makes its
+/// cluster overflow.
+type StartSlot = (bool, u32, f64, f64, f64, f64);
+
+fn start_slot_strategy() -> impl Strategy<Value = StartSlot> {
+    (
+        (0u32..4).prop_map(|occ| occ != 0),
+        0u32..4,
+        0.3f64..3.0,
+        0.0f64..0.03,
+        0.0f64..=1.0,
+        0.0f64..=1.0,
+    )
+}
+
+/// Builds the profiles of one start layout. A fitting claimant's working
+/// set is its fraction of the cache's even split among the cluster's
+/// cores, so a cluster's fitting claimants never overflow it. With
+/// `clamp`, core 0 runs a fitting scan that misses on every reference
+/// (locality 0) at 2–3% references per instruction: on a machine with
+/// [`SCARCE_LINES_PER_CYCLE`] it alone holds the demand at the clamp in
+/// every iterate, so the damped reference's latency stays pinned there.
+/// With `exact`, the last referencing claimant of each cluster whose
+/// others fit tops the working sets up to exactly the capacity.
+fn start_profiles(
+    spec: &MachineSpec,
+    slots: &[StartSlot],
+    clamp: bool,
+    exact: bool,
+) -> Vec<Option<SegmentProfile>> {
+    let cap = spec.l2_capacity_bytes;
+    let cpc = spec.topology.cores_per_cluster;
+    let fit = |frac: f64| frac * cap / cpc as f64;
+    let mut running: Vec<Option<SegmentProfile>> = slots[..spec.topology.cores]
+        .iter()
+        .map(|&(occ, kind, base_cpi, refs, frac, locality)| {
+            occ.then_some(SegmentProfile {
+                base_cpi,
+                l2_refs_per_ins: if kind == 2 { 0.0 } else { refs },
+                working_set_bytes: if kind == 3 {
+                    8e6 + frac * 4e8
+                } else {
+                    fit(frac)
+                },
+                reuse_locality: locality,
+            })
+        })
+        .collect();
+    if clamp {
+        let (_, _, base_cpi, refs, frac, _) = slots[0];
+        running[0] = Some(SegmentProfile {
+            base_cpi: base_cpi.min(1.5),
+            l2_refs_per_ins: 0.02 + refs / 3.0,
+            working_set_bytes: fit(frac),
+            reuse_locality: 0.0,
+        });
+    }
+    if exact {
+        for cluster in running.chunks_mut(cpc) {
+            let mut referencing = cluster
+                .iter_mut()
+                .flatten()
+                .filter(|p| p.l2_refs_per_ins > 0.0)
+                .collect::<Vec<_>>();
+            let Some((last, others)) = referencing.split_last_mut() else {
+                continue;
+            };
+            let claimed: f64 = others.iter().map(|p| p.working_set_bytes).sum();
+            if claimed <= cap && last.working_set_bytes <= cap {
+                last.working_set_bytes = cap - claimed;
+            }
+        }
+    }
+    running
+}
+
+/// Whether every cluster's referencing claimants fit its L2, summed in
+/// core order as the solver sums them.
+fn every_cluster_fits(spec: &MachineSpec, running: &[Option<SegmentProfile>]) -> bool {
+    running
+        .chunks(spec.topology.cores_per_cluster)
+        .all(|cluster| {
+            let claimed: f64 = cluster
+                .iter()
+                .flatten()
+                .filter(|p| p.l2_refs_per_ins > 0.0)
+                .map(|p| p.working_set_bytes)
+                .sum();
+            claimed <= spec.l2_capacity_bytes
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Layouts that mix fitting and overflowing clusters, working sets
+    /// summing exactly to the capacity, cores without references and
+    /// demand at the utilization clamp, solved shared and partitioned
+    /// through one reused solver: each converges within the band of the
+    /// reference and equals a fresh solve to the bit, and a shared solve
+    /// whose clusters all fit ends after one evaluation.
+    #[test]
+    fn start_layouts_converge_to_the_reference(
+        layouts in prop::collection::vec(
+            (
+                0usize..4,
+                prop::bool::ANY,
+                prop::bool::ANY,
+                prop::collection::vec(start_slot_strategy(), 8),
+            ),
+            4..8,
+        ),
+    ) {
+        let specs = specs();
+        let mut solver = ContentionSolver::default();
+        for (step, (which, clamp, exact, slots)) in layouts.iter().enumerate() {
+            let spec = &MachineSpec {
+                peak_lines_per_cycle: if *clamp {
+                    SCARCE_LINES_PER_CYCLE
+                } else {
+                    specs[*which].peak_lines_per_cycle
+                },
+                ..specs[*which]
+            };
+            let running = start_profiles(spec, slots, *clamp, *exact);
+            let mut out = vec![None; spec.topology.cores];
+            let ctx = format!("layout {step} (spec {which}, clamp {clamp}, exact {exact})");
+            let outcome = check_call(spec, &running, None, &mut solver, &mut out, &ctx);
+            if every_cluster_fits(spec, &running) {
+                prop_assert_eq!(outcome.iterations, 1, "{}: {:?}", ctx, outcome);
+            }
+            if *clamp {
+                let saturated = spec.mem_base_cycles / (1.0 - 0.95);
+                let latency = out[0].map_or(0.0, |e| e.mem_latency_cycles);
+                prop_assert_eq!(latency, saturated, "{}", ctx);
+            }
+            // Each slot's fraction of its cluster's even split, as fixed
+            // shares.
+            let cpc = spec.topology.cores_per_cluster as f64;
+            let shares: Vec<f64> = slots[..spec.topology.cores]
+                .iter()
+                .map(|s| spec.l2_capacity_bytes * s.4 / cpc)
+                .collect();
+            let ctx = format!("{ctx}, partitioned");
+            check_call(spec, &running, Some(&shares), &mut solver, &mut out, &ctx);
+        }
+    }
 }
