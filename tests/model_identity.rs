@@ -25,7 +25,14 @@
 //! extreme localities) and water-fill claim sets with negative and NaN
 //! weights; a third property test draws profiles whose shares end just
 //! under their working sets, where the water-fill's cap makes the map
-//! kink and the plain damped iteration used to stop at its cap.
+//! kink and the plain damped iteration used to stop at its cap. The
+//! solver's start gets its own: layouts whose clusters all fit must solve
+//! in one evaluation with every share at its working set, and a property
+//! test mixes fitting and overflowing clusters, working sets summing
+//! exactly to the capacity, cores without references and demand held at
+//! the utilization clamp. (Demand settling just under the clamp is left
+//! to the unit tests of the bandwidth root: there the latency is so steep
+//! that the damped reference oscillates even at half its damping.)
 
 use proptest::prelude::*;
 
