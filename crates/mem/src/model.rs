@@ -1495,29 +1495,6 @@ mod bandwidth_tests {
     }
 
     #[test]
-    fn fitting_caches_start_at_the_fixed_point() {
-        let spec = MachineSpec::xeon_5160();
-        let web = |ws: f64, refs: f64| SegmentProfile {
-            base_cpi: 1.1,
-            l2_refs_per_ins: refs,
-            working_set_bytes: ws,
-            reuse_locality: 0.93,
-        };
-        let running = vec![
-            Some(web(3e5, 0.004)),
-            Some(web(5e5, 0.0)),
-            Some(web(spec.l2_capacity_bytes, 0.006)),
-            None,
-        ];
-        let mut out = vec![None; 4];
-        let outcome = spec.evaluate_into(&running, &mut ContentionSolver::default(), &mut out);
-        assert!(outcome.converged && !outcome.restarted && outcome.iterations == 1);
-        assert!(outcome.root_steps > 0, "{outcome:?}");
-        let shares: Vec<f64> = out.iter().flatten().map(|e| e.l2_share_bytes).collect();
-        assert_eq!(shares, [3e5, 0.0, spec.l2_capacity_bytes]);
-    }
-
-    #[test]
     fn every_core_sees_one_memory_latency() {
         let running = vec![Some(stream()); 4];
         let out = MachineSpec::xeon_5160().evaluate(&running);
